@@ -30,6 +30,7 @@ fn q3() -> ClockedProperty {
     let suite = des56::suite();
     let p3 = &suite.iter().find(|e| e.name == "p3").expect("p3").rtl;
     let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)
+        .unwrap()
         .abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied());
     abstract_property(p3, &cfg)
         .expect("abstracts")
@@ -64,7 +65,7 @@ fn bench_naive_vs_next_et() {
     let p4 = &suite.iter().find(|e| e.name == "p4").expect("p4").rtl;
     let pushed = psl::push_ahead::push_ahead(&psl::nnf::to_nnf(&p4.property)).expect("pushes");
     let naive = ClockedProperty::new(naive_scale(&pushed, 17).expect("scales"), EvalContext::tb());
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS);
+    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS).unwrap();
     let next_et = abstract_property(p4, &cfg)
         .expect("abstracts")
         .into_property()

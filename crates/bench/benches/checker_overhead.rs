@@ -9,7 +9,6 @@
 //! overridable via `ABV_BENCH_SIZE` (default 120) and the per-benchmark
 //! time budget via `ABV_BENCH_BUDGET_MS` (default 1000).
 
-use std::collections::HashMap;
 use std::hint::black_box;
 
 use abv_bench::stopwatch::bench;
@@ -29,14 +28,18 @@ fn size() -> usize {
 
 /// A synthetic event stream over the suite's signals: one frame every
 /// 10 ns with seeded pseudo-random values, shared by both monitor cores.
-fn frames(sigs: &[SignalId], events: usize, seed: u64) -> Vec<(u64, HashMap<SignalId, u64>)> {
+/// A frame is dense, indexed by [`SignalId::index`] like the kernel's own
+/// signal store, so a read costs what it costs in a real simulation.
+fn frames(sigs: &[SignalId], events: usize, seed: u64) -> Vec<(u64, Vec<u64>)> {
     let mut rng = TinyRng::new(seed);
+    let width = sigs.iter().map(|s| s.index() + 1).max().unwrap_or(0);
     (1..=events)
         .map(|k| {
-            (
-                k as u64 * 10,
-                sigs.iter().map(|&s| (s, rng.range_u64(0, 4))).collect(),
-            )
+            let mut frame = vec![0; width];
+            for s in sigs {
+                frame[s.index()] = rng.range_u64(0, 4);
+            }
+            (k as u64 * 10, frame)
         })
         .collect()
 }
@@ -90,7 +93,7 @@ fn progression_bench(design: Design) {
     );
     let arena_samples = bench("arena monitor", || {
         for (t, frame) in &stream {
-            let read = |sig: SignalId| frame[&sig];
+            let read = |sig: SignalId| frame[sig.index()];
             for checker in &mut arena_suite {
                 checker.on_event(&read, *t);
             }
@@ -101,7 +104,7 @@ fn progression_bench(design: Design) {
     });
     let reference_samples = bench("reference (Rc tree)", || {
         for (t, frame) in &stream {
-            let read = |sig: SignalId| frame[&sig];
+            let read = |sig: SignalId| frame[sig.index()];
             for checker in &mut reference_suite {
                 checker.on_event(&read, *t);
             }

@@ -17,6 +17,16 @@
 //! per instance**, and steady-state progression allocates nothing — every
 //! rewritten node already exists in the arena.
 //!
+//! Anchoring a `next_ε^τ` obligation interns a fresh `At{deadline}` node
+//! per activation, so an arena that never freed nodes would grow with the
+//! run length. The owning checker therefore [compacts](FormulaArena::compact)
+//! the arena at event boundaries once it has doubled since the last
+//! compaction: nodes unreachable from the checker's roots (monitor body,
+//! guard, live residuals) are dropped and the survivors renumbered in id
+//! order. Canonicalization compares ids only for equality, never for
+//! order, so renumbering changes no verdict, residual rendering or memo
+//! counter.
+//!
 //! One arena is owned per attached property
 //! (see [`compile`](crate::compile)), so campaign workers and parallel
 //! simulations never share interner state and the deterministic merge is
@@ -143,6 +153,31 @@ enum Node {
     Eventually(NodeId),
 }
 
+impl Node {
+    /// The node with every child id passed through `f`.
+    #[inline]
+    fn map_children(self, mut f: impl FnMut(NodeId) -> NodeId) -> Node {
+        match self {
+            Node::True | Node::False | Node::Lit(_) => self,
+            Node::And(a, b) => Node::And(f(a), f(b)),
+            Node::Or(a, b) => Node::Or(f(a), f(b)),
+            Node::NextN(n, inner) => Node::NextN(n, f(inner)),
+            Node::NextEt { eps_ns, inner } => Node::NextEt {
+                eps_ns,
+                inner: f(inner),
+            },
+            Node::At { deadline_ns, inner } => Node::At {
+                deadline_ns,
+                inner: f(inner),
+            },
+            Node::Until(a, b) => Node::Until(f(a), f(b)),
+            Node::Release(a, b) => Node::Release(f(a), f(b)),
+            Node::Always(a) => Node::Always(f(a)),
+            Node::Eventually(a) => Node::Eventually(f(a)),
+        }
+    }
+}
+
 /// One per-node memo slot: the progression result computed at `epoch`.
 /// Epoch 0 never matches (arenas start at epoch 1), so slots need no
 /// `Option`.
@@ -160,6 +195,13 @@ const MEMO_EMPTY: MemoSlot = MemoSlot {
 /// Sentinel for "no permanent progression result". Node ids are dense from
 /// zero, so `u32::MAX` can never be a real node.
 const PERM_NONE: NodeId = NodeId(u32::MAX);
+
+/// Sentinel for "unreachable" in the compaction relocation table.
+const DEAD: NodeId = NodeId(u32::MAX);
+
+/// The arena size below which [`FormulaArena::wants_compaction`] never
+/// fires: small arenas are cheaper to keep than to sweep.
+const COMPACT_FLOOR: usize = 64;
 
 /// A hash-consed arena of monitor formulas with a memoized progression
 /// cache.
@@ -189,6 +231,16 @@ pub struct FormulaArena {
     epoch: u64,
     hits: u64,
     misses: u64,
+    /// Largest node count ever held (compaction shrinks `nodes`).
+    peak_nodes: usize,
+    /// Node count at which the next compaction is due: twice the live
+    /// size after the last one, at least [`COMPACT_FLOOR`].
+    compact_at: usize,
+    /// Compaction scratch: old id → new id ([`DEAD`] when dropped). Valid
+    /// for [`relocated`](FormulaArena::relocated) until the next compaction.
+    relocate: Vec<NodeId>,
+    /// Compaction scratch: the mark phase's work list.
+    stack: Vec<NodeId>,
 }
 
 /// Cumulative arena counters, surfaced in
@@ -196,7 +248,8 @@ pub struct FormulaArena {
 /// [`ARENA_COUNTER_TRACK`](abv_obs::ARENA_COUNTER_TRACK) trace track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaStats {
-    /// Distinct interned nodes (arena size).
+    /// Arena size high-water mark: the most distinct interned nodes held
+    /// at once (compaction drops unreachable ones).
     pub nodes: usize,
     /// Progression-memo hits: progressions answered from the per-event
     /// cache instead of recomputed.
@@ -221,6 +274,7 @@ impl FormulaArena {
     pub fn new() -> FormulaArena {
         let mut arena = FormulaArena {
             epoch: 1,
+            compact_at: COMPACT_FLOOR,
             ..FormulaArena::default()
         };
         let t = arena.intern(Node::True);
@@ -234,7 +288,7 @@ impl FormulaArena {
     #[must_use]
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            nodes: self.nodes.len(),
+            nodes: self.peak_nodes.max(self.nodes.len()),
             hits: self.hits,
             misses: self.misses,
         }
@@ -345,6 +399,98 @@ impl FormulaArena {
     /// `eventually inner`.
     pub fn eventually(&mut self, inner: NodeId) -> NodeId {
         self.intern(Node::Eventually(inner))
+    }
+
+    /// True once the arena has doubled since the last compaction (and holds
+    /// at least [`COMPACT_FLOOR`] nodes).
+    #[inline]
+    pub(crate) fn wants_compaction(&self) -> bool {
+        self.nodes.len() >= self.compact_at
+    }
+
+    /// Drops every node not reachable from `roots` and renumbers the
+    /// survivors in id order, so children stay below their parents and the
+    /// constants keep their fixed ids. Permanent `next[n]` successors count
+    /// as edges: a surviving countdown keeps its cached successor, so memo
+    /// hit/miss counts are the same as without compaction.
+    ///
+    /// Callers must translate every id they hold with
+    /// [`relocated`](FormulaArena::relocated) before the next progression.
+    /// Call only between evaluation events: the per-event memo is reset.
+    pub(crate) fn compact(&mut self, roots: impl IntoIterator<Item = NodeId>) {
+        let n = self.nodes.len();
+        self.peak_nodes = self.peak_nodes.max(n);
+
+        // Mark. `relocate` doubles as the mark bit: anything but DEAD is
+        // reachable. Permanent successors may have higher ids than their
+        // source, so marking walks a work list, not a reverse sweep.
+        self.relocate.clear();
+        self.relocate.resize(n, DEAD);
+        self.stack.clear();
+        self.stack
+            .extend([NodeId::TRUE, NodeId::FALSE].into_iter().chain(roots));
+        while let Some(id) = self.stack.pop() {
+            if self.relocate[id.idx()] != DEAD {
+                continue;
+            }
+            self.relocate[id.idx()] = id;
+            let stack = &mut self.stack;
+            let _ = self.nodes[id.idx()].map_children(|c| {
+                stack.push(c);
+                c
+            });
+            let perm = self.perm[id.idx()];
+            if perm != PERM_NONE {
+                self.stack.push(perm);
+            }
+        }
+
+        // Number the survivors in id order.
+        let mut live = 0u32;
+        for slot in &mut self.relocate {
+            if *slot != DEAD {
+                *slot = NodeId(live);
+                live += 1;
+            }
+        }
+
+        // Move survivors down. A survivor's new id never exceeds its old
+        // one, so the in-place sweep only overwrites entries already read.
+        let relocate = &self.relocate;
+        for old in 0..n {
+            let new = relocate[old];
+            if new == DEAD {
+                continue;
+            }
+            self.nodes[new.idx()] = self.nodes[old].map_children(|c| relocate[c.idx()]);
+            self.temporal[new.idx()] = self.temporal[old];
+            let perm = self.perm[old];
+            self.perm[new.idx()] = if perm == PERM_NONE {
+                PERM_NONE
+            } else {
+                relocate[perm.idx()]
+            };
+        }
+        let live = live as usize;
+        self.nodes.truncate(live);
+        self.temporal.truncate(live);
+        self.perm.truncate(live);
+        self.memo.truncate(live);
+        self.memo.fill(MEMO_EMPTY);
+        self.index.clear();
+        for (i, &node) in self.nodes.iter().enumerate() {
+            self.index.insert(node, NodeId(i as u32));
+        }
+        self.compact_at = (2 * live).max(COMPACT_FLOOR);
+    }
+
+    /// The new id of `id` after the last [`compact`](FormulaArena::compact);
+    /// `id` must have been reachable from its roots.
+    #[inline]
+    pub(crate) fn relocated(&self, id: NodeId) -> NodeId {
+        let new = self.relocate[id.idx()];
+        debug_assert_ne!(new, DEAD, "relocated an unreachable node");
+        new
     }
 
     /// Opens a new evaluation event: progression results memoized under
@@ -660,6 +806,7 @@ mod tests {
     use desim::SignalId;
     use std::cell::RefCell;
     use std::collections::HashMap;
+    use tinyrng::TinyRng;
 
     fn sig(n: usize) -> SignalId {
         thread_local! {
@@ -817,6 +964,125 @@ mod tests {
             None,
             "until observes everything"
         );
+    }
+
+    /// A random formula over three literals, `depth` connectives deep.
+    fn random_formula(arena: &mut FormulaArena, rng: &mut TinyRng, depth: u32) -> NodeId {
+        let n = rng.range_usize(0, 3);
+        let leaf = arena.lit(&test_lit(sig(n), ["a", "b", "c"][n], rng.flip()));
+        if depth == 0 {
+            return leaf;
+        }
+        let a = random_formula(arena, rng, depth - 1);
+        match rng.range_u32(0, 9) {
+            0 => arena.and(a, leaf),
+            1 => arena.or(leaf, a),
+            2 => arena.next_n(rng.range_u32(1, 4), a),
+            3 => arena.next_et(10 * rng.range_u64(1, 4), a),
+            4 => arena.until(leaf, a),
+            5 => arena.release(a, leaf),
+            6 => arena.always(a),
+            7 => arena.eventually(a),
+            _ => a,
+        }
+    }
+
+    /// Ids are dense, children sit below their parents, the index maps
+    /// every node to its id, and side tables match the node count.
+    fn assert_well_formed(arena: &FormulaArena) {
+        let n = arena.nodes.len();
+        assert_eq!(arena.index.len(), n);
+        assert_eq!((arena.temporal.len(), arena.perm.len()), (n, n));
+        assert_eq!(arena.memo.len(), n);
+        for (i, &node) in arena.nodes.iter().enumerate() {
+            assert_eq!(arena.index[&node], NodeId(i as u32));
+            let _ = node.map_children(|c| {
+                assert!(c.idx() < i, "child {c:?} of node {i}");
+                c
+            });
+            let perm = arena.perm[i];
+            assert!(perm == PERM_NONE || perm.idx() < n);
+        }
+    }
+
+    /// Monitor-shaped run over twin arenas built from the same random
+    /// decisions: fixed random bodies activate an instance per event and
+    /// every live residual progresses. Only `b` is compacted (with the
+    /// bodies and residuals as roots), and every residual must render the
+    /// same in both, with the same memo counters.
+    #[test]
+    fn compaction_preserves_progression_and_rendering() {
+        let mut dropped = 0;
+        for seed in 0..24u64 {
+            let (mut a, mut b) = (FormulaArena::new(), FormulaArena::new());
+            let (mut shape_a, mut shape_b) = (TinyRng::new(seed), TinyRng::new(seed));
+            let mut values = TinyRng::new(!seed);
+            let bodies_a: Vec<NodeId> = (0..4)
+                .map(|_| random_formula(&mut a, &mut shape_a, 3))
+                .collect();
+            let mut bodies_b: Vec<NodeId> = (0..4)
+                .map(|_| random_formula(&mut b, &mut shape_b, 3))
+                .collect();
+            let (mut ra, mut rb): (Vec<NodeId>, Vec<NodeId>) = (Vec::new(), Vec::new());
+            for event in 1..=120u64 {
+                if event % 25 == 0 {
+                    let before = b.nodes.len();
+                    b.compact(bodies_b.iter().chain(&rb).copied());
+                    for r in bodies_b.iter_mut().chain(&mut rb) {
+                        *r = b.relocated(*r);
+                    }
+                    assert!(b.stats().nodes >= before, "high-water mark");
+                    assert_well_formed(&b);
+                    dropped += before - b.nodes.len();
+                }
+                let frame: Vec<(usize, u64)> =
+                    (0..3).map(|s| (s, values.range_u64(0, 2))).collect();
+                let read = env(&frame);
+                let now = 10 * event;
+                a.begin_event();
+                b.begin_event();
+                let body = (event % 4) as usize;
+                ra.push(bodies_a[body]);
+                rb.push(bodies_b[body]);
+                for (x, y) in ra.iter_mut().zip(&mut rb) {
+                    *x = a.progress(*x, &read, now);
+                    *y = b.progress(*y, &read, now);
+                    assert_eq!(
+                        a.display(*x).to_string(),
+                        b.display(*y).to_string(),
+                        "seed {seed} event {event}"
+                    );
+                }
+                ra.retain(|r| !r.is_const());
+                rb.retain(|r| !r.is_const());
+                let (sa, sb) = (a.stats(), b.stats());
+                assert_eq!((sa.hits, sa.misses), (sb.hits, sb.misses), "seed {seed}");
+            }
+            assert_eq!(ra.len(), rb.len());
+        }
+        assert!(dropped > 0, "compaction never dropped a node");
+    }
+
+    #[test]
+    fn compaction_is_due_at_twice_the_surviving_size() {
+        let mut arena = FormulaArena::new();
+        let rdy = arena.lit(&test_lit(sig(0), "rdy", false));
+        let body = arena.next_et(170, rdy);
+        let read = env(&[]);
+        let mut live = body;
+        let mut now = 0;
+        while !arena.wants_compaction() {
+            now += 10;
+            arena.begin_event();
+            live = arena.progress(body, &read, now);
+        }
+        assert_eq!(arena.nodes.len(), COMPACT_FLOOR, "one `at` node per event");
+        arena.compact([body, live]);
+        assert_eq!(arena.nodes.len(), 5, "true, false, rdy, body, live at");
+        let expected = format!("at[{}ns](rdy)", now + 170);
+        assert_eq!(arena.display(arena.relocated(live)).to_string(), expected);
+        assert_eq!(arena.stats().nodes, COMPACT_FLOOR, "high-water mark");
+        assert!(!arena.wants_compaction(), "the floor still applies");
     }
 
     #[test]

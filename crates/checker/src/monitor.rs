@@ -18,8 +18,15 @@
 //! event reaches (or overshoots) a deadline — the paper's wrapper
 //! optimization (Section IV, point 2). All other residuals must observe
 //! every event.
+//!
+//! The table is a flat deadline-sorted queue of `(deadline, slot)` pairs:
+//! ascending deadline, first-in first-out within one deadline. Deadlines
+//! are `now + ε` at registration, so inserts land at or near the back and
+//! the due prefix drains from the front. Together with the double-buffered
+//! every-event list and the arena's compaction, the per-event path
+//! allocates nothing in steady state.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use abv_obs::{trace, TraceEvent, Tracer, ARENA_COUNTER_TRACK};
@@ -122,8 +129,13 @@ pub struct PropertyChecker {
     fired_once: bool,
     pool: Vec<Option<Instance>>,
     free: Vec<usize>,
-    table: BTreeMap<u64, Vec<usize>>,
+    /// The evaluation table: `(deadline, slot)` sorted by deadline, FIFO
+    /// within a deadline.
+    table: VecDeque<(u64, usize)>,
     every: Vec<usize>,
+    /// The other half of the double-buffered `every` list: holds the
+    /// snapshot being progressed while `every` collects re-registrations.
+    every_snapshot: Vec<usize>,
     use_table: bool,
     completion_bound_ns: Option<u64>,
     report: PropertyReport,
@@ -151,8 +163,9 @@ impl PropertyChecker {
             fired_once: false,
             pool: Vec::new(),
             free: Vec::new(),
-            table: BTreeMap::new(),
+            table: VecDeque::new(),
             every: Vec::new(),
+            every_snapshot: Vec::new(),
             use_table: true,
             completion_bound_ns: None,
             trace_tid: 0,
@@ -237,6 +250,11 @@ impl PropertyChecker {
     /// arena-counter sample per processed event (arena size, memo
     /// hits/misses).
     pub fn on_event_traced<R: SignalRead + ?Sized>(&mut self, read: &R, now: u64, tracer: &Tracer) {
+        // Between events nothing is memoized, so this is where the arena
+        // may drop the anchored obligations no live instance holds any more.
+        if self.arena.wants_compaction() {
+            self.compact_arena();
+        }
         // One memo epoch per evaluation event: within it, progression is a
         // pure function of the residual id.
         self.arena.begin_event();
@@ -251,30 +269,33 @@ impl PropertyChecker {
 
         // Snapshot the every-event list first: an instance progressed from
         // the table below may re-register into it, and no instance may be
-        // progressed twice within one event.
-        let every = std::mem::take(&mut self.every);
+        // progressed twice within one event. The two buffers swap roles,
+        // so neither is reallocated.
+        let mut every = std::mem::take(&mut self.every_snapshot);
+        std::mem::swap(&mut self.every, &mut every);
 
         // 1+2. Instances whose earliest expected evaluation time is due or
         //    overdue are progressed at this event. An overdue `At`
         //    obligation resolves to false inside the progression, so a
         //    residual that only waited for the missed instant fails
         //    (Section IV, point 2), while a disjunction with a later
-        //    obligation survives and is re-registered.
-        while let Some((&deadline, _)) = self.table.first_key_value() {
+        //    obligation survives and is re-registered (at or after `now`,
+        //    behind the entries already queued for that deadline).
+        while let Some(&(deadline, slot)) = self.table.front() {
             if deadline > now {
                 break;
             }
-            let slots = self.table.remove(&deadline).expect("key just observed");
+            self.table.pop_front();
             let missed = (deadline < now).then_some(deadline);
-            for slot in slots {
-                self.step(slot, read, now, missed, tracer);
-            }
+            self.step(slot, read, now, missed, tracer);
         }
 
         // 3. Instances that observe every event.
-        for slot in every {
+        for &slot in &every {
             self.step(slot, read, now, None, tracer);
         }
+        every.clear();
+        self.every_snapshot = every;
 
         // 4. Activation of a new verification session.
         if self.repeating || !self.fired_once {
@@ -353,7 +374,7 @@ impl PropertyChecker {
     pub fn finish_traced(&mut self, end_ns: u64, tracer: &Tracer) {
         let table = std::mem::take(&mut self.table);
         let every = std::mem::take(&mut self.every);
-        for slot in table.into_values().flatten().chain(every) {
+        for slot in table.into_iter().map(|(_, slot)| slot).chain(every) {
             let instance = self.pool[slot].as_ref().expect("live slot");
             let fire_ns = instance.fire_ns;
             let residual = instance.residual;
@@ -453,9 +474,25 @@ impl PropertyChecker {
                     TraceEvent::instant("obligation", 0, self.instance_tid(slot), now)
                         .with_arg("deadline_ns", deadline)
                 );
-                self.table.entry(deadline).or_default().push(slot);
+                // Behind every entry with an equal deadline (FIFO). The
+                // common case appends: deadlines are `now + ε`.
+                let at = self.table.partition_point(|&(d, _)| d <= deadline);
+                self.table.insert(at, (deadline, slot));
             }
             _ => self.every.push(slot),
+        }
+    }
+
+    /// Compacts the arena, keeping what the monitor can still reach: the
+    /// body, the guard and every live instance's residual.
+    fn compact_arena(&mut self) {
+        let residuals = self.pool.iter().flatten().map(|i| i.residual);
+        let roots = [self.body].into_iter().chain(self.guard).chain(residuals);
+        self.arena.compact(roots);
+        self.body = self.arena.relocated(self.body);
+        self.guard = self.guard.map(|g| self.arena.relocated(g));
+        for instance in self.pool.iter_mut().flatten() {
+            instance.residual = self.arena.relocated(instance.residual);
         }
     }
 
@@ -646,6 +683,89 @@ mod tests {
         c.finish(500); // deadline 180 passed without event
         assert_eq!(c.report().pending, 0);
         assert_eq!(c.report().failure_count, 1);
+    }
+
+    /// `always ((!a || next_et[ea] x) && (!b || next_et[eb] y))`: two
+    /// triggers with their own deadline offsets, so instances fired at
+    /// different times can share a deadline.
+    fn two_trigger_checker(ea: u64, eb: u64) -> PropertyChecker {
+        let mut arena = FormulaArena::new();
+        let na = arena.lit(&mk_lit(0, "a", true));
+        let nb = arena.lit(&mk_lit(1, "b", true));
+        let x = arena.lit(&mk_lit(2, "x", false));
+        let y = arena.lit(&mk_lit(3, "y", false));
+        let ex = arena.next_et(ea, x);
+        let ey = arena.next_et(eb, y);
+        let left = arena.or(na, ex);
+        let right = arena.or(nb, ey);
+        let body = arena.and(left, right);
+        PropertyChecker::new("two".into(), arena, body, true, None)
+    }
+
+    fn fire_times(c: &PropertyChecker) -> Vec<u64> {
+        c.report().failures.iter().map(|f| f.fire_ns).collect()
+    }
+
+    #[test]
+    fn evaluation_table_is_fifo_within_a_deadline() {
+        let mut c = two_trigger_checker(30, 10);
+        c.on_event(&env(&[(1, 1)]), 10); // slot 0 waits for y at 20
+        c.on_event(&env(&[(0, 1)]), 15); // slot 1 waits for x at 45
+        c.on_event(&env(&[(3, 1)]), 20); // slot 0 completes and is freed
+        c.on_event(&env(&[(1, 1)]), 35); // slot 0 reused: y at 45, queued second
+        assert_eq!(c.live_instances(), 2);
+        c.on_event(&env(&[]), 45); // both obligations fail, in queue order
+        assert_eq!(
+            fire_times(&c),
+            [15, 35],
+            "slot 1 registered first at deadline 45"
+        );
+    }
+
+    #[test]
+    fn re_registration_during_a_drain_queues_behind_its_deadline() {
+        // a: `next_et[10] x || next_et[30] y` once the left disjunct fails.
+        let mut arena = FormulaArena::new();
+        let na = arena.lit(&mk_lit(0, "a", true));
+        let nb = arena.lit(&mk_lit(1, "b", true));
+        let x = arena.lit(&mk_lit(2, "x", false));
+        let y = arena.lit(&mk_lit(3, "y", false));
+        let z = arena.lit(&mk_lit(4, "z", false));
+        let ex = arena.next_et(10, x);
+        let ey = arena.next_et(30, y);
+        let either = arena.or(ex, ey);
+        let left = arena.or(na, either);
+        let ez = arena.next_et(25, z);
+        let right = arena.or(nb, ez);
+        let body = arena.and(left, right);
+        let mut c = PropertyChecker::new("drain".into(), arena, body, true, None);
+
+        c.on_event(&env(&[(0, 1)]), 10); // slot 0: x at 20 or y at 40
+        c.on_event(&env(&[(1, 1)]), 15); // slot 1: z at 40
+        c.on_event(&env(&[]), 20); // slot 0 drained, x low: re-registers at 40
+        assert_eq!(c.live_instances(), 2);
+        assert_eq!(c.report().failure_count, 0, "the y disjunct survives");
+        c.on_event(&env(&[]), 40);
+        assert_eq!(
+            fire_times(&c),
+            [15, 10],
+            "the re-registered slot 0 queues behind slot 1"
+        );
+    }
+
+    #[test]
+    fn finish_walks_the_table_in_deadline_order() {
+        let mut c = two_trigger_checker(50, 10);
+        c.on_event(&env(&[(0, 1)]), 10); // x at 60
+        c.on_event(&env(&[(1, 1)]), 20); // y at 30
+        c.on_event(&env(&[(1, 1)]), 25); // y at 35
+        c.finish(100);
+        assert_eq!(fire_times(&c), [20, 25, 10]);
+        assert!(c
+            .report()
+            .failures
+            .iter()
+            .all(|f| matches!(f.reason, FailReason::MissedDeadline { .. })));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Configuration of an RTL-to-TLM property abstraction run.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// Parameters describing how the RTL design was abstracted into the TLM
 /// model, needed to abstract its properties consistently.
@@ -10,12 +11,13 @@ use std::collections::BTreeSet;
 /// ```
 /// use abv_core::AbstractionConfig;
 ///
-/// let cfg = AbstractionConfig::new(10)
+/// let cfg = AbstractionConfig::new(10)?
 ///     .abstract_signal("rdy_next_cycle")
 ///     .abstract_signal("rdy_next_next_cycle");
 /// assert_eq!(cfg.clock_period_ns(), 10);
 /// assert!(cfg.is_abstracted("rdy_next_cycle"));
 /// assert!(!cfg.is_abstracted("rdy"));
+/// # Ok::<(), abv_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbstractionConfig {
@@ -23,20 +25,40 @@ pub struct AbstractionConfig {
     abstracted_signals: BTreeSet<String>,
 }
 
+/// Errors from [`AbstractionConfig::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The clock period is zero: Algorithm III.1 scales `next[n]` by it,
+    /// so every abstracted deadline would collapse onto the firing instant.
+    ZeroClockPeriod,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroClockPeriod => f.write_str("clock period must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl AbstractionConfig {
     /// Creates a configuration for an RTL design clocked with the given
     /// period (Algorithm III.1's input `c`), with no abstracted signals.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `clock_period_ns` is zero.
-    #[must_use]
-    pub fn new(clock_period_ns: u64) -> AbstractionConfig {
-        assert!(clock_period_ns > 0, "clock period must be positive");
-        AbstractionConfig {
+    /// Returns [`ConfigError::ZeroClockPeriod`] if `clock_period_ns` is
+    /// zero.
+    pub fn new(clock_period_ns: u64) -> Result<AbstractionConfig, ConfigError> {
+        if clock_period_ns == 0 {
+            return Err(ConfigError::ZeroClockPeriod);
+        }
+        Ok(AbstractionConfig {
             clock_period_ns,
             abstracted_signals: BTreeSet::new(),
-        }
+        })
     }
 
     /// Declares `signal` as removed by the RTL-to-TLM protocol abstraction
@@ -84,6 +106,7 @@ mod tests {
     #[test]
     fn builder_accumulates_signals() {
         let cfg = AbstractionConfig::new(10)
+            .unwrap()
             .abstract_signal("a")
             .abstract_signals(["b", "c"]);
         assert_eq!(
@@ -95,14 +118,19 @@ mod tests {
     #[test]
     fn duplicate_signals_are_deduplicated() {
         let cfg = AbstractionConfig::new(10)
+            .unwrap()
             .abstract_signal("a")
             .abstract_signal("a");
         assert_eq!(cfg.abstracted_signals().count(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "clock period must be positive")]
     fn zero_period_rejected() {
-        let _ = AbstractionConfig::new(0);
+        assert_eq!(AbstractionConfig::new(0), Err(ConfigError::ZeroClockPeriod));
+        assert_eq!(
+            ConfigError::ZeroClockPeriod.to_string(),
+            "clock period must be positive"
+        );
+        assert_eq!(AbstractionConfig::new(1).unwrap().clock_period_ns(), 1);
     }
 }

@@ -56,10 +56,10 @@ pub struct MappedContext {
 /// use abv_core::{context_map::map_context, AbstractionConfig};
 /// use psl::EvalContext;
 ///
-/// let cfg = AbstractionConfig::new(10);
+/// let cfg = AbstractionConfig::new(10)?;
 /// let mapped = map_context(&EvalContext::clk_pos(), &cfg)?;
 /// assert_eq!(mapped.context, EvalContext::tb());
-/// # Ok::<(), abv_core::context_map::ContextMapError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn map_context(
     context: &EvalContext,
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn pure_clock_contexts_map_to_tb() {
-        let cfg = AbstractionConfig::new(10);
+        let cfg = AbstractionConfig::new(10).unwrap();
         for ctx in [
             EvalContext::clk_true(),
             EvalContext::clk_any(),
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn guard_is_preserved() {
-        let cfg = AbstractionConfig::new(10);
+        let cfg = AbstractionConfig::new(10).unwrap();
         let guard: Property = "mode == 1".parse().unwrap();
         let ctx = EvalContext::clock_guarded(ClockEdge::Pos, guard.clone());
         let m = map_context(&ctx, &cfg).unwrap();
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn guard_over_abstracted_signal_is_rewritten() {
-        let cfg = AbstractionConfig::new(10).abstract_signal("hs");
+        let cfg = AbstractionConfig::new(10).unwrap().abstract_signal("hs");
         let guard: Property = "mode == 1 && hs".parse().unwrap();
         let ctx = EvalContext::clock_guarded(ClockEdge::Pos, guard);
         let m = map_context(&ctx, &cfg).unwrap();
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn fully_abstracted_guard_becomes_basic_tb() {
-        let cfg = AbstractionConfig::new(10).abstract_signal("hs");
+        let cfg = AbstractionConfig::new(10).unwrap().abstract_signal("hs");
         let ctx = EvalContext::clock_guarded(ClockEdge::Pos, "hs".parse().unwrap());
         let m = map_context(&ctx, &cfg).unwrap();
         assert_eq!(m.context, EvalContext::tb());
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn transaction_context_rejected() {
-        let cfg = AbstractionConfig::new(10);
+        let cfg = AbstractionConfig::new(10).unwrap();
         assert_eq!(
             map_context(&EvalContext::tb(), &cfg),
             Err(ContextMapError::AlreadyTransaction)

@@ -35,7 +35,7 @@
 //!
 //! let p3: ClockedProperty = "always (!ds || (next[15](rdy_next_next_cycle) \
 //!     && next[16](rdy_next_cycle) && next[17](rdy))) @clk_pos".parse()?;
-//! let cfg = AbstractionConfig::new(10)
+//! let cfg = AbstractionConfig::new(10)?
 //!     .abstract_signal("rdy_next_cycle")
 //!     .abstract_signal("rdy_next_next_cycle");
 //! let q3 = abstract_property(&p3, &cfg)?;
@@ -53,7 +53,7 @@ pub mod methodology;
 pub mod naive;
 pub mod rules;
 
-pub use config::AbstractionConfig;
+pub use config::{AbstractionConfig, ConfigError};
 pub use methodology::{
     abstract_property, abstract_suite, reuse_at_cycle_accurate, AbstractError, Abstraction,
     Consequence,

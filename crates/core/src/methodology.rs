@@ -171,7 +171,7 @@ impl From<PushAheadError> for AbstractError {
 /// // Paper property p2 with a 10 ns clock:
 /// let p2: ClockedProperty =
 ///     "always (!ds || (next ((!ds) until next rdy))) @clk_pos".parse()?;
-/// let q2 = abstract_property(&p2, &AbstractionConfig::new(10))?;
+/// let q2 = abstract_property(&p2, &AbstractionConfig::new(10)?)?;
 /// assert_eq!(
 ///     q2.result().expect("kept").to_string(),
 ///     "always ((!ds) || ((next_et[1, 10] (!ds)) until (next_et[2, 20] rdy))) @T_b"
@@ -303,7 +303,7 @@ mod tests {
     use super::*;
 
     fn cfg10() -> AbstractionConfig {
-        AbstractionConfig::new(10)
+        AbstractionConfig::new(10).unwrap()
     }
 
     fn run(src: &str, cfg: &AbstractionConfig) -> Abstraction {
@@ -416,7 +416,7 @@ mod tests {
     fn clock_period_scales_epsilon() {
         let a = run(
             "always (next[8] done) @clk_pos",
-            &AbstractionConfig::new(25),
+            &AbstractionConfig::new(25).unwrap(),
         );
         assert_eq!(
             a.result().unwrap().to_string(),

@@ -70,12 +70,12 @@ impl RuleOutcome {
 /// use abv_core::{rules::apply, AbstractionConfig};
 /// use psl::Property;
 ///
-/// let cfg = AbstractionConfig::new(10).abstract_signal("hs");
+/// let cfg = AbstractionConfig::new(10)?.abstract_signal("hs");
 /// let p: Property = "always (a && next hs)".parse()?;
 /// let out = apply(&p, &cfg);
 /// assert_eq!(out.result.expect("kept").to_string(), "always a");
 /// assert_eq!(out.conjunct_drops, 1);
-/// # Ok::<(), psl::ParseError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
 pub fn apply(p: &Property, cfg: &AbstractionConfig) -> RuleOutcome {
@@ -194,6 +194,7 @@ mod tests {
 
     fn cfg() -> AbstractionConfig {
         AbstractionConfig::new(10)
+            .unwrap()
             .abstract_signal("hs")
             .abstract_signal("hs2")
     }
@@ -281,6 +282,7 @@ mod tests {
         // p3 body after push-ahead, with the two prediction signals
         // abstracted: the surviving conjunct is next[17] rdy.
         let cfg = AbstractionConfig::new(10)
+            .unwrap()
             .abstract_signal("rdy_next_cycle")
             .abstract_signal("rdy_next_next_cycle");
         let p: Property = "always (!ds || (next[15] rdy_next_next_cycle \

@@ -94,7 +94,7 @@ fn gen_trace(rng: &mut TinyRng) -> Trace {
 }
 
 fn cfg() -> AbstractionConfig {
-    AbstractionConfig::new(10).abstract_signal(GONE)
+    AbstractionConfig::new(10).unwrap().abstract_signal(GONE)
 }
 
 /// Structural invariants of the whole pipeline.
@@ -136,7 +136,7 @@ fn tau_epsilon_wellformed() {
         let p = gen_rtl_property(&mut rng, false, 3);
         let period = rng.range_u64(1, 40);
         let clocked = ClockedProperty::new(p, EvalContext::clk_pos());
-        let cfg = AbstractionConfig::new(period);
+        let cfg = AbstractionConfig::new(period).unwrap();
         let a = abstract_property(&clocked, &cfg).expect("abstractable");
         let q = a.result().expect("nothing abstracted away");
         let mut taus = Vec::new();

@@ -21,7 +21,9 @@ const FP: [u8; 64] = [
     34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9, 49, 17, 57, 25,
 ];
 
-/// Expansion E (32 → 48).
+/// Expansion E (32 → 48). The round function folds it into rotations
+/// (see [`feistel`]); the table stays for the bitwise reference.
+#[cfg(test)]
 const E: [u8; 48] = [
     32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9, //
     8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17, //
@@ -118,18 +120,55 @@ fn permute(input: u64, in_bits: u32, table: &[u8]) -> u64 {
     out
 }
 
-/// The DES round function `f(R, K)`.
-fn feistel(r: u32, subkey: u64) -> u32 {
-    let expanded = permute(u64::from(r), 32, &E); // 48 bits
-    let x = expanded ^ subkey;
-    let mut s_out = 0u32;
-    for (box_idx, sbox) in SBOX.iter().enumerate() {
-        let chunk = ((x >> (42 - 6 * box_idx)) & 0x3F) as u8;
-        let row = ((chunk & 0x20) >> 4) | (chunk & 0x01);
-        let col = (chunk >> 1) & 0x0F;
-        s_out = (s_out << 4) | u32::from(sbox[usize::from(row * 16 + col)]);
+/// The S-box lookup of a 6-bit chunk: the outer bits pick the row, the
+/// inner four the column.
+const fn sbox_lookup(sbox: &[u8; 64], chunk: usize) -> u8 {
+    let row = ((chunk & 0x20) >> 4) | (chunk & 0x01);
+    let col = (chunk >> 1) & 0x0F;
+    sbox[row * 16 + col]
+}
+
+/// The combined S-box + P tables: `SP[b][chunk]` is S-box `b`'s output for
+/// the 6-bit `chunk`, placed at its nibble of the 32-bit S-layer output and
+/// then permuted by P. The round function is the XOR of eight lookups.
+static SP: [[u32; 64]; 8] = build_sp();
+
+const fn build_sp() -> [[u32; 64]; 8] {
+    let mut sp = [[0u32; 64]; 8];
+    let mut b = 0;
+    while b < 8 {
+        let mut chunk = 0;
+        while chunk < 64 {
+            let s_out = (sbox_lookup(&SBOX[b], chunk) as u32) << (28 - 4 * b);
+            // P: output bit j (1-based, MSB first) is input bit P[j - 1].
+            let mut permuted = 0u32;
+            let mut j = 0;
+            while j < 32 {
+                permuted = (permuted << 1) | ((s_out >> (32 - P[j] as u32)) & 1);
+                j += 1;
+            }
+            sp[b][chunk] = permuted;
+            chunk += 1;
+        }
+        b += 1;
     }
-    permute(u64::from(s_out), 32, &P) as u32
+    sp
+}
+
+/// The DES round function `f(R, K)`.
+///
+/// The expansion E feeds S-box `b` the six bits of `r` at positions
+/// `4b .. 4b + 5` (1-based, MSB first, wrapping 0 → 32 and 33 → 1), so
+/// each chunk is one rotation of `r` instead of a 48-bit permutation.
+fn feistel(r: u32, subkey: u64) -> u32 {
+    let mut out = 0u32;
+    for (b, sp) in SP.iter().enumerate() {
+        // Bit 4b + 5 (index 27 - 4b) lands at bit 0.
+        let window = r.rotate_right((27 + 32 - 4 * b as u32) % 32) & 0x3F;
+        let key = (subkey >> (42 - 6 * b)) as u32 & 0x3F;
+        out ^= sp[(window ^ key) as usize];
+    }
+    out
 }
 
 /// The precomputed key schedule: sixteen 48-bit subkeys.
@@ -251,6 +290,39 @@ pub fn apply(block: u64, ks: &KeySchedule, decrypt_mode: bool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tinyrng::TinyRng;
+
+    /// The textbook round function, one bit per permutation step: the
+    /// reference the table-driven [`feistel`] is checked against.
+    fn feistel_bitwise(r: u32, subkey: u64) -> u32 {
+        let expanded = permute(u64::from(r), 32, &E); // 48 bits
+        let x = expanded ^ subkey;
+        let mut s_out = 0u32;
+        for (box_idx, sbox) in SBOX.iter().enumerate() {
+            let chunk = ((x >> (42 - 6 * box_idx)) & 0x3F) as usize;
+            s_out = (s_out << 4) | u32::from(sbox_lookup(sbox, chunk));
+        }
+        permute(u64::from(s_out), 32, &P) as u32
+    }
+
+    #[test]
+    fn sp_feistel_matches_bitwise_reference() {
+        let mut rng = TinyRng::new(0xDE5);
+        for _ in 0..4096 {
+            let r = rng.next_u32();
+            let subkey = rng.next_u64() & 0xFFFF_FFFF_FFFF;
+            assert_eq!(
+                feistel(r, subkey),
+                feistel_bitwise(r, subkey),
+                "r={r:#x} k={subkey:#x}"
+            );
+        }
+        for r in [0, u32::MAX, 1, 1 << 31, 0x8000_0001] {
+            for subkey in [0, 0xFFFF_FFFF_FFFF, 0x1B02EFFC7072] {
+                assert_eq!(feistel(r, subkey), feistel_bitwise(r, subkey));
+            }
+        }
+    }
 
     /// The classic worked example (Grabbe's "DES Algorithm Illustrated").
     const KEY: u64 = 0x133457799BBCDFF1;

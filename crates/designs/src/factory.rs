@@ -65,7 +65,8 @@ impl DesignKind {
     /// unobservable signals removed).
     #[must_use]
     pub fn config(self) -> AbstractionConfig {
-        let base = AbstractionConfig::new(CLOCK_PERIOD_NS);
+        let base = AbstractionConfig::new(CLOCK_PERIOD_NS)
+            .expect("the reference clock period is positive");
         match self {
             DesignKind::Des56 => base.abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied()),
             DesignKind::ColorConv => {

@@ -19,6 +19,15 @@ use crate::kernel::ComponentId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SignalId(pub(crate) usize);
 
+impl SignalId {
+    /// The registration index of this signal: dense from zero in the
+    /// order signals were added, so it can index a plain `Vec` of values.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// Storage for all signals of a simulation.
 #[derive(Debug, Default)]
 pub(crate) struct SignalStore {

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.all_pass());
 
     println!("\n== Abstraction classifications ==");
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)
+    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)?
         .abstract_signals(colorconv::ABSTRACTED_SIGNALS.iter().copied());
     let mut at_props: Vec<(String, ClockedProperty)> = Vec::new();
     for entry in &suite {

@@ -163,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.all_pass());
 
     // 3. Abstraction (10 ns clock, nothing to delete for this IP).
-    let cfg = AbstractionConfig::new(10);
+    let cfg = AbstractionConfig::new(10)?;
     let tlm_properties: Vec<(String, ClockedProperty)> = properties
         .iter()
         .map(|(n, p)| {

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Abstract the suite for the TLM-AT model.
     println!("\n== Property abstraction ==");
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)
+    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)?
         .abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied());
     let rtl_props: Vec<ClockedProperty> = suite.iter().map(|e| e.rtl.clone()).collect();
     let abstractions =

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("naive rescaling : {naive}");
 
     // The methodology's abstraction.
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS);
+    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)?;
     let q4 = abstract_property(p4, &cfg)?.into_property().expect("kept");
     println!("next_et         : {q4}\n");
 

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     // The TLM model abstracted the ready-prediction outputs away.
-    let cfg = AbstractionConfig::new(10)
+    let cfg = AbstractionConfig::new(10)?
         .abstract_signal("rdy_next_cycle")
         .abstract_signal("rdy_next_next_cycle");
 

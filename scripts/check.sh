@@ -14,20 +14,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# The workspace's default members are every crate, so this one command runs
+# all suites: determinism, checker differential and oracle, scheduler
+# differential, RTL-vs-TLM verdicts.
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> cargo test -q --test trace_determinism"
-cargo test -q --test trace_determinism
-
-echo "==> cargo test -q -p abv-checker --test differential"
-cargo test -q -p abv-checker --test differential
-
-echo "==> cargo test -q -p desim --test sched_differential"
-cargo test -q -p desim --test sched_differential
-
-echo "==> cargo test -q -p abv-mutate --test rtl_vs_tlm_verdicts"
-cargo test -q -p abv-mutate --test rtl_vs_tlm_verdicts
 
 echo "==> rtl2tlm mutate --json (smoke)"
 cargo run --release --bin rtl2tlm -- mutate --size 4 --workers 2 --json > /dev/null

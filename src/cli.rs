@@ -117,14 +117,15 @@ pub fn parse_property_file(text: &str) -> Result<Vec<NamedProperty>, CliError> {
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] when a property cannot be abstracted
-/// (already TLM, already contains `next_ε^τ`, …).
+/// Returns [`CliError::Usage`] when the clock period is zero or a property
+/// cannot be abstracted (already TLM, already contains `next_ε^τ`, …).
 pub fn run_abstract(
     properties: &[NamedProperty],
     clock_period_ns: u64,
     abstracted_signals: &[String],
 ) -> Result<String, CliError> {
     let cfg = AbstractionConfig::new(clock_period_ns)
+        .map_err(|e| CliError::Usage(format!("--clock-period: {e}")))?
         .abstract_signals(abstracted_signals.iter().cloned());
     let mut out = String::new();
     for np in properties {
@@ -198,7 +199,9 @@ pub fn run_demo(params: &DemoParams) -> Result<String, CliError> {
     }
 
     let rtl_props: Vec<(String, ClockedProperty)> = suite.iter().map(SuiteEntry::named).collect();
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS).abstract_signals(abstracted.iter().copied());
+    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)
+        .expect("the reference clock period is positive")
+        .abstract_signals(abstracted.iter().copied());
     // At TLM-AT, install only the AT-compatible abstractions: CA-only
     // properties reference instants the loose AT model never produces and
     // review-flagged ones need manual refinement (DESIGN.md §5b).
@@ -858,6 +861,16 @@ mod tests {
         assert!(
             out.contains("removed: rdy_next_next_cycle, rdy_next_cycle"),
             "{out}"
+        );
+    }
+
+    #[test]
+    fn abstract_command_rejects_zero_clock_period() {
+        let props = parse_property_file("p: always (!ds || next[2] rdy) @clk_pos\n").unwrap();
+        let err = run_abstract(&props, 0, &[]).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Usage("--clock-period: clock period must be positive".to_owned())
         );
     }
 

@@ -26,7 +26,7 @@
 //!
 //! let p1: ClockedProperty =
 //!     "always (!(ds && indata == 0) || next[17](out != 0)) @clk_pos".parse()?;
-//! let cfg = AbstractionConfig::new(10); // RTL clock period: 10 ns
+//! let cfg = AbstractionConfig::new(10)?; // RTL clock period: 10 ns
 //! let q1 = abstract_property(&p1, &cfg)?.into_property().expect("kept");
 //! assert_eq!(
 //!     q1.to_string(),

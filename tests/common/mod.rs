@@ -14,12 +14,14 @@ use tlmkit::CodingStyle;
 /// removed).
 pub fn des_config() -> AbstractionConfig {
     AbstractionConfig::new(CLOCK_PERIOD_NS)
+        .unwrap()
         .abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied())
 }
 
 /// The ColorConv abstraction configuration.
 pub fn conv_config() -> AbstractionConfig {
     AbstractionConfig::new(CLOCK_PERIOD_NS)
+        .unwrap()
         .abstract_signals(colorconv::ABSTRACTED_SIGNALS.iter().copied())
 }
 

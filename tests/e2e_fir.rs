@@ -10,6 +10,7 @@ use tlmkit::CodingStyle;
 
 fn cfg() -> AbstractionConfig {
     AbstractionConfig::new(CLOCK_PERIOD_NS)
+        .unwrap()
         .abstract_signals(fir::ABSTRACTED_SIGNALS.iter().copied())
 }
 
