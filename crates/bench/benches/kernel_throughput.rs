@@ -1,11 +1,11 @@
 //! Scheduler throughput bench: events/second of the two-tier kernel
-//! (time wheel + delta staging) against the retained reference heap, on
-//! the clock-dominated RTL workloads of all three IPs plus a synthetic
-//! many-component stress mix.
+//! (time wheel + delta staging) on the clock-dominated RTL workloads of
+//! all three IPs plus a synthetic many-component stress mix.
 //!
-//! Every cell runs the *same* workload under both [`SchedulerKind`]s and
-//! asserts the kernels report identical [`SimStats`] — the speedup is
-//! meaningful only because the work is provably the same.
+//! Every repetition of a cell asserts the same [`SimStats`], so two
+//! builds' rates compare the same work. `BENCH_kernel.json` at the
+//! repository root is the record of the two-tier kernel against the
+//! binary-heap scheduler it replaced.
 //!
 //! Plain timing harness (`harness = false`); run with
 //! `cargo bench --bench kernel_throughput`. Knobs:
@@ -14,15 +14,13 @@
 //! - `ABV_BENCH_BUDGET_MS`: per-cell time budget (default 1000);
 //! - `ABV_BENCH_STRESS`: components in the synthetic mix (default 10000);
 //! - `ABV_BENCH_JSON`: if set, write machine-readable results to this
-//!   path (consumed by `scripts/bench.sh` → `BENCH_kernel.json`).
+//!   path.
 
 use std::time::{Duration, Instant};
 
 use abv_bench::stopwatch::budget;
 use abv_bench::{run, Design, Level};
-use desim::{
-    set_default_scheduler, Component, Event, SchedulerKind, SimCtx, SimStats, SimTime, Simulation,
-};
+use desim::{Component, Event, SimCtx, SimStats, SimTime, Simulation};
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -31,62 +29,42 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// One measured cell: best-of wall time and the (scheduler-invariant)
-/// kernel stats under each queue implementation.
+/// One measured cell: best-of wall time and the kernel stats.
 struct Cell {
     label: String,
     events: u64,
-    reference_eps: f64,
     two_tier_eps: f64,
 }
 
-impl Cell {
-    fn speedup(&self) -> f64 {
-        self.two_tier_eps / self.reference_eps
-    }
-}
-
-/// Repeats `go(kind)` under the time budget and returns the fastest wall
-/// time plus the stats, asserting every repetition does identical work.
-fn best_of(
-    kind: SchedulerKind,
-    mut go: impl FnMut(SchedulerKind) -> (Duration, SimStats),
-) -> (Duration, SimStats) {
-    let (_, expect) = go(kind); // warm-up
+/// Repeats `go` under the time budget and returns the fastest wall time
+/// plus the stats, asserting every repetition does identical work.
+fn best_of(mut go: impl FnMut() -> (Duration, SimStats)) -> (Duration, SimStats) {
+    let (_, expect) = go(); // warm-up
     let budget = budget();
     let started = Instant::now();
     let mut best = Duration::MAX;
     let mut iters = 0;
     while iters < 3 || (started.elapsed() < budget && iters < 30) {
-        let (wall, stats) = go(kind);
-        assert_eq!(stats, expect, "run is not deterministic under {kind:?}");
+        let (wall, stats) = go();
+        assert_eq!(stats, expect, "run is not deterministic");
         best = best.min(wall);
         iters += 1;
     }
     (best, expect)
 }
 
-/// Measures one workload under both schedulers and prints the comparison.
-fn cell(label: &str, mut go: impl FnMut(SchedulerKind) -> (Duration, SimStats)) -> Cell {
-    let (ref_wall, ref_stats) = best_of(SchedulerKind::Reference, &mut go);
-    let (two_wall, two_stats) = best_of(SchedulerKind::TwoTier, &mut go);
-    assert_eq!(
-        two_stats, ref_stats,
-        "{label}: schedulers disagree on kernel activity"
-    );
-    let events = ref_stats.events_processed;
-    let eps = |wall: Duration| events as f64 / wall.as_secs_f64();
+/// Measures one workload and prints its event rate.
+fn cell(label: &str, go: impl FnMut() -> (Duration, SimStats)) -> Cell {
+    let (wall, stats) = best_of(go);
+    let events = stats.events_processed;
     let out = Cell {
         label: label.to_string(),
         events,
-        reference_eps: eps(ref_wall),
-        two_tier_eps: eps(two_wall),
+        two_tier_eps: events as f64 / wall.as_secs_f64(),
     };
     println!(
-        "  {label:<18} {events:>9} events  reference {:>10.0} ev/s  two-tier {:>10.0} ev/s  ({:.2}x)",
-        out.reference_eps,
-        out.two_tier_eps,
-        out.speedup()
+        "  {label:<18} {events:>9} events  two-tier {:>10.0} ev/s",
+        out.two_tier_eps
     );
     out
 }
@@ -113,10 +91,9 @@ impl Component for Pipeline {
 
 /// A farm of `n` independent clocked pipelines in one simulation — the
 /// multi-IP SoC shape where the scheduler actually carries load: with `n`
-/// clocks pending, every reference-heap operation pays `O(log n)` while
+/// clocks pending, a binary heap would pay `O(log n)` per operation while
 /// the wheel still inserts and drains in O(1).
-fn farm_run(kind: SchedulerKind, n: usize, horizon_ns: u64) -> (Duration, SimStats) {
-    set_default_scheduler(kind);
+fn farm_run(n: usize, horizon_ns: u64) -> (Duration, SimStats) {
     let mut sim = Simulation::new();
     sim.reserve_signals(2 * n);
     for i in 0..n {
@@ -158,8 +135,7 @@ impl Component for Ticker {
 
 /// Builds and runs the many-component mix: short periods landing in the
 /// wheel window, a sparse tail far enough out to spill into overflow.
-fn stress_run(kind: SchedulerKind, components: usize, horizon_ns: u64) -> (Duration, SimStats) {
-    set_default_scheduler(kind);
+fn stress_run(components: usize, horizon_ns: u64) -> (Duration, SimStats) {
     let mut sim = Simulation::new();
     sim.reserve_signals(components);
     for i in 0..components {
@@ -187,8 +163,8 @@ fn write_json(path: &str, cells: &[Cell]) {
     for (i, c) in cells.iter().enumerate() {
         let sep = if i + 1 == cells.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"events\": {}, \"reference_eps\": {:.1}, \"two_tier_eps\": {:.1}, \"speedup\": {:.3}}}{sep}\n",
-            c.label, c.events, c.reference_eps, c.two_tier_eps, c.speedup()
+            "    {{\"label\": \"{}\", \"events\": {}, \"two_tier_eps\": {:.1}}}{sep}\n",
+            c.label, c.events, c.two_tier_eps
         ));
     }
     out.push_str("  ]\n}\n");
@@ -204,15 +180,13 @@ fn main() {
     println!("kernel_throughput (size {size}, stress {stress} components)");
     for design in [Design::Des56, Design::ColorConv, Design::Fir] {
         let label = format!("{}/rtl", design.label());
-        cells.push(cell(&label, |kind| {
-            set_default_scheduler(kind);
+        cells.push(cell(&label, || {
             let r = run(design, Level::Rtl, 0, size, 7);
             (r.wall, r.stats)
         }));
     }
-    cells.push(cell("farm/rtl-64", |kind| farm_run(kind, 64, 4000)));
-    cells.push(cell("stress/mix", |kind| stress_run(kind, stress, 400)));
-    set_default_scheduler(SchedulerKind::TwoTier);
+    cells.push(cell("farm/rtl-64", || farm_run(64, 4000)));
+    cells.push(cell("stress/mix", || stress_run(stress, 400)));
 
     if let Ok(path) = std::env::var("ABV_BENCH_JSON") {
         write_json(&path, &cells);

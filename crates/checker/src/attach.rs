@@ -1,22 +1,18 @@
-//! The unified checker-attach facade.
+//! The checker-attach facade.
 //!
-//! [`Checker::attach`] replaces the split
-//! `ClockCheckerHost::install`/`TxCheckerHost::install` entry points: the
-//! caller describes *what the simulation offers* (a [`Binding`] with a
-//! clock signal, a transaction bus, or both) and the facade dispatches on
-//! the property's evaluation context — clock-context properties get a
-//! clock-edge host, transaction-context (`T_b`) properties get the
-//! paper's TLM wrapper. The returned [`Checker`] handle is uniform:
-//! [`Checker::finalize`] yields the [`PropertyReport`] regardless of which
-//! host kind is behind it.
+//! The caller describes *what the simulation offers* (a [`Binding`] with a
+//! clock signal, a transaction bus, or both) and [`Checker::attach`] hooks
+//! the property's host to whichever its evaluation context needs —
+//! clock-context properties sample at clock edges, transaction-context
+//! (`T_b`) properties get the paper's TLM wrapper. The returned
+//! [`Checker`] handle yields the [`PropertyReport`] through
+//! [`Checker::finalize`].
 
 use desim::{ComponentId, SignalId, Simulation};
 use psl::ClockedProperty;
 use tlmkit::TransactionBus;
 
-use crate::host::{
-    install_clock_host, install_tx_host, CheckerHost, ClockCheckerHost, InstallError, TxCheckerHost,
-};
+use crate::host::{install, Host, InstallError};
 use crate::monitor::PropertyChecker;
 use crate::report::{CheckReport, PropertyReport};
 
@@ -63,13 +59,6 @@ impl Binding {
     }
 }
 
-/// Which host kind backs a [`Checker`] handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Clock,
-    Tx,
-}
-
 /// A uniform handle to one attached property checker.
 ///
 /// ```
@@ -89,12 +78,10 @@ enum Kind {
 #[derive(Debug, Clone, Copy)]
 pub struct Checker {
     id: ComponentId,
-    kind: Kind,
 }
 
 impl Checker {
-    /// Compiles `property` and attaches a checker to `sim`, picking the
-    /// host kind from the property's evaluation context: clock contexts
+    /// Compiles `property` and attaches a checker to `sim`: clock contexts
     /// sample at the edges of the binding's clock, transaction contexts
     /// observe the binding's bus.
     ///
@@ -110,18 +97,8 @@ impl Checker {
         property: &ClockedProperty,
         binding: Binding,
     ) -> Result<Checker, InstallError> {
-        if property.context.is_transaction() {
-            let bus = binding.bus.as_ref().ok_or(InstallError::MissingBus)?;
-            let id = install_tx_host(sim, bus, name, property)?;
-            Ok(Checker { id, kind: Kind::Tx })
-        } else {
-            let clk = binding.clk.ok_or(InstallError::MissingClock)?;
-            let id = install_clock_host(sim, clk, name, property)?;
-            Ok(Checker {
-                id,
-                kind: Kind::Clock,
-            })
-        }
+        let id = install(sim, name, property, binding.clk, binding.bus.as_ref())?;
+        Ok(Checker { id })
     }
 
     /// Attaches one checker per `(name, property)` pair against the same
@@ -156,16 +133,9 @@ impl Checker {
     #[must_use]
     pub fn finalize(&self, sim: &mut Simulation, end_ns: u64) -> PropertyReport {
         let tracer = sim.tracer().clone();
-        match self.kind {
-            Kind::Clock => sim
-                .component_mut::<ClockCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .finalize_traced(end_ns, &tracer),
-            Kind::Tx => sim
-                .component_mut::<TxCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .finalize_traced(end_ns, &tracer),
-        }
+        let checker = self.checker_mut(sim);
+        checker.finish_traced(end_ns, &tracer);
+        checker.report()
     }
 
     /// Finalizes a whole suite of checkers into one [`CheckReport`], in
@@ -192,16 +162,9 @@ impl Checker {
     /// Panics if the handle does not belong to `sim`.
     #[must_use]
     pub fn checker_ref<'s>(&self, sim: &'s Simulation) -> &'s PropertyChecker {
-        match self.kind {
-            Kind::Clock => sim
-                .component::<ClockCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker(),
-            Kind::Tx => sim
-                .component::<TxCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker(),
-        }
+        &sim.component::<Host>(self.id)
+            .expect("checker handle must belong to this simulation")
+            .checker
     }
 
     /// Mutable access to the wrapped [`PropertyChecker`] (e.g. to disable
@@ -212,15 +175,9 @@ impl Checker {
     /// Panics if the handle does not belong to `sim`.
     #[must_use]
     pub fn checker_mut<'s>(&self, sim: &'s mut Simulation) -> &'s mut PropertyChecker {
-        match self.kind {
-            Kind::Clock => sim
-                .component_mut::<ClockCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker_mut(),
-            Kind::Tx => sim
-                .component_mut::<TxCheckerHost>(self.id)
-                .expect("checker handle must belong to this simulation")
-                .checker_mut(),
-        }
+        &mut sim
+            .component_mut::<Host>(self.id)
+            .expect("checker handle must belong to this simulation")
+            .checker
     }
 }

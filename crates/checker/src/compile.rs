@@ -50,11 +50,9 @@ impl std::error::Error for CompileError {}
 
 /// Synthesizes a checker for `property`, resolving signals against `sim`.
 ///
-/// The context decides which host can drive the checker:
-/// [`ClockCheckerHost`](crate::ClockCheckerHost) for clock contexts,
-/// [`TxCheckerHost`](crate::TxCheckerHost) for transaction contexts. The
-/// returned tuple carries the clock edge for clock contexts (`None` for
-/// transaction contexts).
+/// The returned tuple carries the clock edge for clock contexts, which
+/// the host samples at, and `None` for transaction contexts, whose host
+/// observes a transaction bus.
 ///
 /// # Errors
 ///

@@ -1,181 +1,115 @@
-//! Checker hosts: the components that feed evaluation events to a
-//! [`PropertyChecker`].
+//! The checker host: the kernel component that feeds evaluation events to
+//! a [`PropertyChecker`], at clock edges or at transaction ends.
 
-use abv_obs::{trace, TraceEvent, Tracer};
+use abv_obs::{trace, TraceEvent};
 use desim::{Component, ComponentId, Event, SignalId, SimCtx, Simulation};
 use psl::{ClockEdge, ClockedProperty};
 use tlmkit::TransactionBus;
 
 use crate::compile::{compile, CompileError};
 use crate::monitor::PropertyChecker;
-use crate::report::PropertyReport;
 
-const KIND_CLK: u64 = 0;
+/// A clock change (clocked hosts) or a transaction end (bus hosts).
+const KIND_WAKE: u64 = 0;
 const KIND_SAMPLE: u64 = 1;
-const KIND_TX: u64 = 2;
 
 /// Spacing between per-checker trace-track blocks: each checker host owns
 /// tracks `[base, base + TRACE_TRACK_STRIDE)` for its property-level track
 /// plus one track per pool slot.
 const TRACE_TRACK_STRIDE: u64 = 1000;
 
-/// The base trace track of the checker hosted by component `id`.
-fn trace_tid_base(id: ComponentId) -> u64 {
-    (id.index() as u64 + 1) * TRACE_TRACK_STRIDE
-}
-
-/// Drives a checker at clock edges — the RTL verification host, also used
-/// for unabstracted properties on cycle-accurate models.
-///
-/// The host implements the postponed sampling discipline: woken by a clock
-/// change on the matching edge, it re-schedules itself one delta later so
-/// the checker observes the values committed by the design at that edge.
-pub struct ClockCheckerHost {
-    checker: PropertyChecker,
+/// The clock a clocked host samples on.
+struct ClockState {
     clk: SignalId,
     edge: ClockEdge,
     last_clk: u64,
 }
 
-/// Compiles `property` and installs a [`ClockCheckerHost`] sampling at the
-/// edges of `clk` required by the property's clock context.
-pub(crate) fn install_clock_host(
-    sim: &mut Simulation,
-    clk: SignalId,
-    name: &str,
-    property: &ClockedProperty,
-) -> Result<ComponentId, InstallError> {
-    let (checker, edge) = compile(name, property, sim)?;
-    let edge = edge.ok_or(InstallError::WrongContext)?;
-    let host = ClockCheckerHost {
-        checker,
-        clk,
-        edge,
-        last_clk: 0,
-    };
-    let id = sim.add_component(host);
-    sim.subscribe(clk, id, KIND_CLK);
-    assign_trace_tracks::<ClockCheckerHost>(sim, id, name);
-    Ok(id)
+impl ClockState {
+    /// Records the clock's new value `v` and reports whether the change is
+    /// an edge the property samples at.
+    fn edge_seen(&mut self, v: u64) -> bool {
+        let matched = match self.edge {
+            ClockEdge::Pos => self.last_clk == 0 && v != 0,
+            ClockEdge::Neg => self.last_clk != 0 && v == 0,
+            ClockEdge::Any | ClockEdge::True => v != self.last_clk,
+        };
+        self.last_clk = v;
+        matched
+    }
 }
 
-/// Gives the freshly installed checker its trace-track block and labels the
-/// property-level track, so traces show one named row per property.
-fn assign_trace_tracks<H: CheckerHost>(sim: &mut Simulation, id: ComponentId, name: &str) {
-    let tid = trace_tid_base(id);
-    sim.component_mut::<H>(id)
+/// Drives one checker. With a clock it samples at the property's clock
+/// edges (RTL verification, and unabstracted properties on cycle-accurate
+/// models); without one it is the paper's TLM **wrapper** (Section IV),
+/// sampling at every transaction end on a [`TransactionBus`].
+///
+/// Either way the wake re-schedules a sampling delta, so the checker
+/// observes the values the design committed at that edge or transaction
+/// (the postponed sampling of the clocked checker processes the generator
+/// produces). Instance pooling, the evaluation table, deadline failures
+/// and reset/reuse live in [`PropertyChecker`].
+pub(crate) struct Host {
+    pub(crate) checker: PropertyChecker,
+    clock: Option<ClockState>,
+}
+
+/// Compiles `property` and installs its host: a clock context samples at
+/// the edges of `clk`, a transaction context observes `bus`.
+pub(crate) fn install(
+    sim: &mut Simulation,
+    name: &str,
+    property: &ClockedProperty,
+    clk: Option<SignalId>,
+    bus: Option<&TransactionBus>,
+) -> Result<ComponentId, InstallError> {
+    let (checker, edge) = compile(name, property, sim)?;
+    let id = match edge {
+        Some(edge) => {
+            let clk = clk.ok_or(InstallError::MissingClock)?;
+            let clock = Some(ClockState {
+                clk,
+                edge,
+                last_clk: 0,
+            });
+            let id = sim.add_component(Host { checker, clock });
+            sim.subscribe(clk, id, KIND_WAKE);
+            id
+        }
+        None => {
+            let bus = bus.ok_or(InstallError::MissingBus)?;
+            let id = sim.add_component(Host {
+                checker,
+                clock: None,
+            });
+            bus.subscribe(id, KIND_WAKE);
+            id
+        }
+    };
+    // Give the checker its trace-track block and label the property-level
+    // track, so traces show one named row per property.
+    let tid = (id.index() as u64 + 1) * TRACE_TRACK_STRIDE;
+    sim.component_mut::<Host>(id)
         .expect("just installed")
-        .checker_mut()
+        .checker
         .set_trace_tid(tid);
     let tracer = sim.tracer().clone();
     trace!(tracer, TraceEvent::thread_name(0, tid, name));
-}
-
-/// Shared behaviour of checker-host components: access to the wrapped
-/// [`PropertyChecker`] and the finalize entry points, which are identical
-/// for every host kind.
-pub trait CheckerHost: Component + Sized {
-    /// The wrapped checker (for inspection in tests).
-    fn checker(&self) -> &PropertyChecker;
-
-    /// Mutable access to the wrapped checker (e.g. to disable the
-    /// evaluation-table optimization for ablation runs).
-    fn checker_mut(&mut self) -> &mut PropertyChecker;
-
-    /// Finalizes the checker at simulation end `end_ns` and returns the
-    /// definitive report.
-    fn finalize(&mut self, end_ns: u64) -> PropertyReport {
-        self.finalize_traced(end_ns, &Tracer::disabled())
-    }
-
-    /// [`finalize`](CheckerHost::finalize) with trace emission: closes
-    /// the spans of still-open checker instances.
-    fn finalize_traced(&mut self, end_ns: u64, tracer: &Tracer) -> PropertyReport {
-        self.checker_mut().finish_traced(end_ns, tracer);
-        self.checker().report()
-    }
-}
-
-impl CheckerHost for ClockCheckerHost {
-    fn checker(&self) -> &PropertyChecker {
-        &self.checker
-    }
-
-    fn checker_mut(&mut self) -> &mut PropertyChecker {
-        &mut self.checker
-    }
-}
-
-impl CheckerHost for TxCheckerHost {
-    fn checker(&self) -> &PropertyChecker {
-        &self.checker
-    }
-
-    fn checker_mut(&mut self) -> &mut PropertyChecker {
-        &mut self.checker
-    }
-}
-
-/// Compiles `property` and installs a [`TxCheckerHost`] observing `bus`.
-pub(crate) fn install_tx_host(
-    sim: &mut Simulation,
-    bus: &TransactionBus,
-    name: &str,
-    property: &ClockedProperty,
-) -> Result<ComponentId, InstallError> {
-    let (checker, edge) = compile(name, property, sim)?;
-    if edge.is_some() {
-        return Err(InstallError::WrongContext);
-    }
-    let id = sim.add_component(TxCheckerHost { checker });
-    bus.subscribe(id, KIND_TX);
-    assign_trace_tracks::<TxCheckerHost>(sim, id, name);
     Ok(id)
 }
 
-impl Component for ClockCheckerHost {
+impl Component for Host {
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
         match ev.kind {
-            KIND_CLK => {
-                let v = ctx.read(self.clk);
-                let matched = match self.edge {
-                    ClockEdge::Pos => self.last_clk == 0 && v != 0,
-                    ClockEdge::Neg => self.last_clk != 0 && v == 0,
-                    ClockEdge::Any | ClockEdge::True => v != self.last_clk,
+            KIND_WAKE => {
+                let due = match &mut self.clock {
+                    Some(clock) => clock.edge_seen(ctx.read(clock.clk)),
+                    None => true,
                 };
-                self.last_clk = v;
-                if matched {
+                if due {
                     ctx.schedule_self(0, KIND_SAMPLE);
                 }
             }
-            KIND_SAMPLE => {
-                let now = ev.time.as_ns();
-                let checker = &mut self.checker;
-                checker.on_event_traced(&|sig| ctx.read(sig), now, ctx.tracer());
-            }
-            other => unreachable!("unknown host event kind {other}"),
-        }
-    }
-}
-
-/// The paper's TLM **wrapper** (Section IV): drives a checker at
-/// transaction ends observed on a [`TransactionBus`].
-///
-/// Instance pooling, the evaluation table, deadline failures and
-/// reset/reuse live in [`PropertyChecker`]; the wrapper is its transaction
-/// front-end.
-pub struct TxCheckerHost {
-    checker: PropertyChecker,
-}
-
-impl Component for TxCheckerHost {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        match ev.kind {
-            // Two-phase wake, mirroring the clocked checker processes the
-            // generator produces: the transaction notification re-schedules
-            // a sampling delta so the checker observes the model's
-            // committed post-transaction state.
-            KIND_TX => ctx.schedule_self(0, KIND_SAMPLE),
             KIND_SAMPLE => {
                 let now = ev.time.as_ns();
                 let checker = &mut self.checker;
@@ -191,10 +125,6 @@ impl Component for TxCheckerHost {
 pub enum InstallError {
     /// Checker synthesis failed.
     Compile(CompileError),
-    /// Clock-context property given to the transaction host or vice versa.
-    /// The [`Checker::attach`](crate::Checker::attach) facade dispatches on
-    /// the property's context, so this is a defensive internal check.
-    WrongContext,
     /// The property samples at clock edges but the
     /// [`Binding`](crate::Binding) carries no clock signal.
     MissingClock,
@@ -207,9 +137,6 @@ impl std::fmt::Display for InstallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InstallError::Compile(e) => write!(f, "{e}"),
-            InstallError::WrongContext => {
-                f.write_str("property context does not match the host kind")
-            }
             InstallError::MissingClock => {
                 f.write_str("clock-context property, but the binding has no clock signal")
             }

@@ -13,17 +13,18 @@
 //!
 //! Checkers are attached through the [`Checker::attach`] facade: the
 //! caller builds a [`Binding`] describing what the simulation offers (a
-//! clock signal, a transaction bus, or both) and the facade dispatches on
-//! the property's evaluation context to one of two hosts:
+//! clock signal, a transaction bus, or both), and each property gets one
+//! host component fed from what its evaluation context needs:
 //!
-//! - [`ClockCheckerHost`]: samples at clock edges (RTL verification, and
+//! - a clock context samples at the clock's edges (RTL verification, and
 //!   the unabstracted-property case);
-//! - [`TxCheckerHost`]: the paper's TLM **wrapper** — it observes a
-//!   [`tlmkit::TransactionBus`], maintains the checker-instance pool and
-//!   the evaluation table, fails instances whose expected evaluation time
-//!   passed without a transaction, resets/reuses completed instances, and
-//!   activates a new instance at every transaction matching the
-//!   transaction context (Section IV, points 1–4).
+//! - a transaction context makes the host the paper's TLM **wrapper**: it
+//!   observes a [`tlmkit::TransactionBus`], maintains the checker-instance
+//!   pool and the evaluation table, fails instances whose expected
+//!   evaluation time passed without a transaction, resets/reuses
+//!   completed instances, and activates a new instance at every
+//!   transaction matching the transaction context (Section IV, points
+//!   1–4).
 //!
 //! When the simulation carries an enabled [`abv_obs::Tracer`], the whole
 //! wrapper lifecycle is emitted as structured trace events: one `B…E` span
@@ -49,7 +50,7 @@ mod report;
 pub use arena::ArenaStats;
 pub use attach::{Binding, Checker};
 pub use compile::{compile, CompileError};
-pub use host::{CheckerHost, ClockCheckerHost, InstallError, TxCheckerHost};
+pub use host::InstallError;
 pub use monitor::{PropertyChecker, SignalRead, WakePlan};
 pub use reference::{compile_reference, ReferenceChecker};
 pub use report::{

@@ -112,9 +112,8 @@ struct Instance {
 /// policy, guard, instance pool and evaluation table, plus the property's
 /// own [`FormulaArena`] holding every formula the monitor can reach.
 ///
-/// Built by [`compile`](crate::compile); driven by a host
-/// ([`ClockCheckerHost`](crate::ClockCheckerHost) or
-/// [`TxCheckerHost`](crate::TxCheckerHost)) which calls
+/// Built by [`compile`](crate::compile); driven by the host component
+/// that [`Checker::attach`](crate::Checker::attach) installs, which calls
 /// [`on_event`](PropertyChecker::on_event) at each evaluation point.
 #[derive(Debug)]
 pub struct PropertyChecker {

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use abv_obs::{TraceEvent, Tracer};
 
-use crate::queue::{default_scheduler, EventQueue, SchedulerKind};
+use crate::queue::TwoTierQueue;
 use crate::signal::{SignalId, SignalStore};
 use crate::staging::Staged;
 use crate::stats::SimStats;
@@ -56,7 +56,7 @@ pub struct SimCtx<'a> {
     delta: u32,
     self_id: ComponentId,
     signals: &'a mut SignalStore,
-    queue: &'a mut EventQueue,
+    queue: &'a mut TwoTierQueue,
     tracer: &'a Tracer,
 }
 
@@ -128,7 +128,7 @@ pub struct Simulation {
     components: Vec<Option<Box<dyn Component>>>,
     events_per_component: Vec<u64>,
     signals: SignalStore,
-    queue: EventQueue,
+    queue: TwoTierQueue,
     now: SimTime,
     last_timestamp: Option<SimTime>,
     stats: SimStats,
@@ -143,7 +143,7 @@ pub struct Simulation {
 
 impl Default for Simulation {
     fn default() -> Simulation {
-        Simulation::with_scheduler(default_scheduler())
+        Simulation::new()
     }
 }
 
@@ -152,25 +152,14 @@ impl Default for Simulation {
 pub const KERNEL_COUNTER_TRACK: &str = "kernel";
 
 impl Simulation {
-    /// Creates an empty simulation at time zero, scheduling on the
-    /// process-wide default (see [`set_default_scheduler`]).
-    ///
-    /// [`set_default_scheduler`]: crate::set_default_scheduler
+    /// Creates an empty simulation at time zero.
     #[must_use]
     pub fn new() -> Simulation {
-        Simulation::default()
-    }
-
-    /// Creates an empty simulation scheduling on an explicit queue
-    /// implementation — [`SchedulerKind::Reference`] exists for
-    /// differential tests and scheduler benchmarks.
-    #[must_use]
-    pub fn with_scheduler(kind: SchedulerKind) -> Simulation {
         Simulation {
             components: Vec::new(),
             events_per_component: Vec::new(),
             signals: SignalStore::default(),
-            queue: EventQueue::new(kind),
+            queue: TwoTierQueue::default(),
             now: SimTime::ZERO,
             last_timestamp: None,
             stats: SimStats::new(),
@@ -178,12 +167,6 @@ impl Simulation {
             round_scratch: Vec::new(),
             last_counter_sample: None,
         }
-    }
-
-    /// The queue implementation this simulation schedules on.
-    #[must_use]
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Pre-allocates room for `additional` more signals — worth calling
@@ -350,7 +333,7 @@ impl Simulation {
             }
 
             self.queue.begin_timestamp(t);
-            while let Some(delta) = self.queue.next_round(t, &mut round) {
+            while let Some(delta) = self.queue.next_round(&mut round) {
                 // Evaluate phase: deliver every event at (t, delta).
                 for entry in round.drain(..) {
                     let mut component = self.components[entry.target.0]

@@ -54,7 +54,6 @@ mod time;
 mod wheel;
 
 pub use kernel::{Component, ComponentId, Event, SimCtx, Simulation, KERNEL_COUNTER_TRACK};
-pub use queue::{default_scheduler, set_default_scheduler, SchedulerKind};
 pub use signal::SignalId;
 pub use stats::SimStats;
 pub use time::SimTime;
@@ -62,24 +61,25 @@ pub use time::SimTime;
 /// Test-only scheduler access for differential testing.
 ///
 /// Hidden from docs: this exists so the randomized equivalence suite
-/// (`tests/sched_differential.rs`) can drive the two queue implementations
-/// event-for-event without going through a full simulation.
+/// (`tests/sched_differential.rs`) can drive the production queue
+/// event-for-event against its reference heap without going through a
+/// full simulation.
 #[doc(hidden)]
 pub mod testing {
     use crate::kernel::ComponentId;
-    use crate::queue::EventQueue;
-    pub use crate::queue::SchedulerKind;
+    use crate::queue::TwoTierQueue;
     use crate::staging::Staged;
     use crate::time::SimTime;
 
-    /// Drives one queue implementation push-by-push / pop-by-pop.
+    /// Drives the kernel's queue push-by-push / pop-by-pop.
     ///
     /// Pushes must describe a kernel-realizable trace: while a timestamp
     /// is mid-drain, same-timestamp pushes must land at a delta strictly
     /// greater than the round currently being popped (exactly what
     /// `SimCtx` enforces by construction).
+    #[derive(Default)]
     pub struct SchedulerHarness {
-        queue: EventQueue,
+        queue: TwoTierQueue,
         round: Vec<Staged>,
         cursor: usize,
         key: (SimTime, u32),
@@ -88,14 +88,8 @@ pub mod testing {
 
     impl SchedulerHarness {
         #[must_use]
-        pub fn new(kind: SchedulerKind) -> SchedulerHarness {
-            SchedulerHarness {
-                queue: EventQueue::new(kind),
-                round: Vec::new(),
-                cursor: 0,
-                key: (SimTime::ZERO, 0),
-                active: None,
-            }
+        pub fn new() -> SchedulerHarness {
+            SchedulerHarness::default()
         }
 
         /// Schedules `(target, kind)` at `(time_ns, delta)`.
@@ -118,7 +112,7 @@ pub mod testing {
                 // Exhaust the open timestamp's rounds before moving time
                 // forward — the kernel's discipline.
                 if let Some(t) = self.active {
-                    match self.queue.next_round(t, &mut self.round) {
+                    match self.queue.next_round(&mut self.round) {
                         Some(delta) => {
                             self.key = (t, delta);
                             continue;

@@ -1,170 +1,40 @@
-//! The kernel's event queue, in two interchangeable implementations behind
-//! one epoch-drain facade:
+//! The kernel's event queue: a delta staging area ([`crate::staging`])
+//! absorbing all same-timestamp work with O(1) pushes, backed by a bucketed
+//! time wheel ([`crate::wheel`]) for timed events. FIFO order among
+//! simultaneous events is per-bucket insertion order, so no global sequence
+//! number exists on the hot path.
 //!
-//! - [`TwoTierQueue`] — the production scheduler: a delta staging area
-//!   ([`crate::staging`]) absorbing all same-timestamp work with O(1)
-//!   pushes, backed by a bucketed time wheel ([`crate::wheel`]) for timed
-//!   events. FIFO order among simultaneous events is per-bucket insertion
-//!   order, so no global sequence number exists on the hot path.
-//! - [`ReferenceQueue`] — the original global `BinaryHeap` ordered by
-//!   `(time, delta, seq)`, retained verbatim as the executable
-//!   specification. A randomized differential test
-//!   (`tests/sched_differential.rs`) pins the two-tier scheduler to pop
-//!   the exact sequence the reference does.
-//!
-//! The kernel drives either through the same three calls:
-//! [`next_time`](EventQueue::next_time) →
-//! [`begin_timestamp`](EventQueue::begin_timestamp) → repeated
-//! [`next_round`](EventQueue::next_round), which replaced the per-event
-//! `peek_key`/`pop_if_at` of the heap-only kernel.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering};
+//! The kernel drives it through an epoch drain:
+//! [`next_time`](TwoTierQueue::next_time) →
+//! [`begin_timestamp`](TwoTierQueue::begin_timestamp) → repeated
+//! [`next_round`](TwoTierQueue::next_round). A randomized lockstep
+//! differential test (`tests/sched_differential.rs`) pins it to pop the
+//! exact sequence of a global `(time, delta, seq)` binary heap, the
+//! executable specification kept in that test.
 
 use crate::kernel::ComponentId;
 use crate::staging::{DeltaStaging, Staged};
 use crate::time::SimTime;
 use crate::wheel::TimeWheel;
 
-/// Which event-queue implementation a [`Simulation`](crate::Simulation)
-/// schedules on.
-///
-/// Both deliver the exact same event sequence — that equivalence is pinned
-/// by a randomized differential test and end-to-end by the campaign/trace
-/// determinism suites — so the reference exists purely as the executable
-/// specification and benchmark baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Delta staging + time wheel (the production default).
-    #[default]
-    TwoTier,
-    /// The original global binary heap ordered by `(time, delta, seq)`.
-    Reference,
-}
-
-/// The process-wide default consulted by `Simulation::new` (0 = two-tier,
-/// 1 = reference).
-static DEFAULT_SCHEDULER: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the scheduler used by subsequently constructed simulations —
-/// including those built deep inside the design factory or campaign
-/// workers, which is how the determinism suites and benches pit the
-/// kernels against each other without plumbing a parameter through every
-/// layer.
-pub fn set_default_scheduler(kind: SchedulerKind) {
-    DEFAULT_SCHEDULER.store(kind as u8, Ordering::SeqCst);
-}
-
-/// The current process-wide default scheduler.
-#[must_use]
-pub fn default_scheduler() -> SchedulerKind {
-    match DEFAULT_SCHEDULER.load(Ordering::SeqCst) {
-        0 => SchedulerKind::TwoTier,
-        _ => SchedulerKind::Reference,
-    }
-}
-
-/// One scheduled delivery of the reference queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Entry {
-    time: SimTime,
-    delta: u32,
-    seq: u64,
-    target: ComponentId,
-    kind: u64,
-}
-
-/// The original priority queue: a global heap with per-event sequence
-/// numbers for FIFO tie-breaks.
-#[derive(Debug, Default)]
-pub(crate) struct ReferenceQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
-    next_seq: u64,
-}
-
-impl ReferenceQueue {
-    fn push(&mut self, time: SimTime, delta: u32, target: ComponentId, kind: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time,
-            delta,
-            seq,
-            target,
-            kind,
-        }));
-    }
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Pops every event at the earliest `(time, delta)` key — provided that
-    /// time is `t` — into `out`, returning the key's delta.
-    fn next_round(&mut self, t: SimTime, out: &mut Vec<Staged>) -> Option<u32> {
-        let delta = match self.heap.peek() {
-            Some(Reverse(e)) if e.time == t => e.delta,
-            _ => return None,
-        };
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if e.time != t || e.delta != delta {
-                break;
-            }
-            let Reverse(e) = self.heap.pop().expect("peeked entry");
-            out.push(Staged {
-                target: e.target,
-                kind: e.kind,
-            });
-        }
-        Some(delta)
-    }
-}
-
-/// The production scheduler: staging for the active timestamp, wheel (plus
-/// overflow heap) for everything timed.
+/// Pending events of a simulation: staging for the active timestamp, wheel
+/// (plus overflow heap) for everything timed.
 #[derive(Debug, Default)]
 pub(crate) struct TwoTierQueue {
     staging: DeltaStaging,
     wheel: TimeWheel,
 }
 
-/// Pending events of a simulation, behind the scheduler selection.
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    TwoTier(TwoTierQueue),
-    Reference(ReferenceQueue),
-}
-
-impl EventQueue {
-    pub fn new(kind: SchedulerKind) -> EventQueue {
-        match kind {
-            SchedulerKind::TwoTier => EventQueue::TwoTier(TwoTierQueue::default()),
-            SchedulerKind::Reference => EventQueue::Reference(ReferenceQueue::default()),
-        }
-    }
-
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::TwoTier(_) => SchedulerKind::TwoTier,
-            EventQueue::Reference(_) => SchedulerKind::Reference,
-        }
-    }
-
+impl TwoTierQueue {
     /// Schedules delivery of `kind` to `target` at `(time, delta)`.
     ///
-    /// Two-tier routing: pushes at the open timestamp stage in O(1);
-    /// everything else goes to the wheel (or its overflow heap).
+    /// Pushes at the open timestamp stage in O(1); everything else goes to
+    /// the wheel (or its overflow heap).
     pub fn push(&mut self, time: SimTime, delta: u32, target: ComponentId, kind: u64) {
-        match self {
-            EventQueue::TwoTier(q) => {
-                if q.staging.is_open_at(time) {
-                    q.staging.push(delta, target, kind);
-                } else {
-                    q.wheel.push(time, delta, target, kind);
-                }
-            }
-            EventQueue::Reference(q) => q.push(time, delta, target, kind),
+        if self.staging.is_open_at(time) {
+            self.staging.push(delta, target, kind);
+        } else {
+            self.wheel.push(time, delta, target, kind);
         }
     }
 
@@ -172,57 +42,41 @@ impl EventQueue {
     /// open timestamp — the zero-delay/commit-wake fast path, which lands
     /// in delta staging without consulting the routing check.
     pub fn push_staged(&mut self, time: SimTime, delta: u32, target: ComponentId, kind: u64) {
-        match self {
-            EventQueue::TwoTier(q) => {
-                debug_assert!(q.staging.is_open_at(time), "push_staged at a closed time");
-                q.staging.push(delta, target, kind);
-            }
-            EventQueue::Reference(q) => q.push(time, delta, target, kind),
-        }
+        debug_assert!(
+            self.staging.is_open_at(time),
+            "push_staged at a closed time"
+        );
+        self.staging.push(delta, target, kind);
     }
 
     /// The earliest pending timestamp.
     pub fn next_time(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::TwoTier(q) => {
-                // An open, non-empty staging area holds the earliest work
-                // (pushes at the active timestamp route there; everything
-                // later sits in the wheel). The kernel itself only calls
-                // next_time with staging drained — the staged arm serves
-                // the single-pop test harness.
-                let staged = (q.staging.len() > 0)
-                    .then(|| q.staging.open_time())
-                    .flatten();
-                match (staged, q.wheel.next_time()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            }
-            EventQueue::Reference(q) => q.next_time(),
+        // An open, non-empty staging area holds the earliest work (pushes
+        // at the active timestamp route there; everything later sits in
+        // the wheel). The kernel itself only calls next_time with staging
+        // drained — the staged arm serves the single-pop test harness.
+        let staged = (self.staging.len() > 0)
+            .then(|| self.staging.open_time())
+            .flatten();
+        match (staged, self.wheel.next_time()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
 
     /// Opens timestamp `t` (which must be [`next_time`](Self::next_time)):
-    /// the two-tier scheduler resets its delta staging and drains the
-    /// wheel bucket for `t` into it.
+    /// resets the delta staging and drains the wheel bucket for `t` into
+    /// it.
     pub fn begin_timestamp(&mut self, t: SimTime) {
-        match self {
-            EventQueue::TwoTier(q) => {
-                q.staging.open(t);
-                q.wheel.open_into(t, &mut q.staging);
-            }
-            EventQueue::Reference(_) => {}
-        }
+        self.staging.open(t);
+        self.wheel.open_into(t, &mut self.staging);
     }
 
-    /// Drains the next delta round of the open timestamp `t` into `out`
-    /// (round buffers are recycled through the swap), returning its delta.
-    /// `None` closes the timestamp.
-    pub fn next_round(&mut self, t: SimTime, out: &mut Vec<Staged>) -> Option<u32> {
-        match self {
-            EventQueue::TwoTier(q) => q.staging.next_round(out),
-            EventQueue::Reference(q) => q.next_round(t, out),
-        }
+    /// Drains the next delta round of the open timestamp into `out` (round
+    /// buffers are recycled through the swap), returning its delta. `None`
+    /// closes the timestamp.
+    pub fn next_round(&mut self, out: &mut Vec<Staged>) -> Option<u32> {
+        self.staging.next_round(out)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -230,10 +84,7 @@ impl EventQueue {
     }
 
     pub fn len(&self) -> usize {
-        match self {
-            EventQueue::TwoTier(q) => q.staging.len() + q.wheel.len(),
-            EventQueue::Reference(q) => q.heap.len(),
-        }
+        self.staging.len() + self.wheel.len()
     }
 }
 
@@ -247,12 +98,12 @@ mod tests {
 
     /// Pops one full epoch-drain pass and flattens it to
     /// `(time, delta, target, kind)` tuples.
-    fn drain_all(q: &mut EventQueue) -> Vec<(u64, u32, usize, u64)> {
+    fn drain_all(q: &mut TwoTierQueue) -> Vec<(u64, u32, usize, u64)> {
         let mut out = Vec::new();
         let mut round = Vec::new();
         while let Some(t) = q.next_time() {
             q.begin_timestamp(t);
-            while let Some(delta) = q.next_round(t, &mut round) {
+            while let Some(delta) = q.next_round(&mut round) {
                 out.extend(
                     round
                         .drain(..)
@@ -264,48 +115,36 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_order_by_time_then_delta_then_fifo() {
-        for kind in [SchedulerKind::TwoTier, SchedulerKind::Reference] {
-            let mut q = EventQueue::new(kind);
-            q.push(SimTime::from_ns(20), 0, cid(0), 0);
-            q.push(SimTime::from_ns(10), 1, cid(1), 0);
-            q.push(SimTime::from_ns(10), 0, cid(2), 0);
-            q.push(SimTime::from_ns(10), 0, cid(3), 0);
-            assert_eq!(q.len(), 4);
-            assert_eq!(
-                drain_all(&mut q),
-                vec![(10, 0, 2, 0), (10, 0, 3, 0), (10, 1, 1, 0), (20, 0, 0, 0)],
-                "{kind:?}"
-            );
-            assert!(q.is_empty(), "{kind:?}");
-        }
+    fn orders_by_time_then_delta_then_fifo() {
+        let mut q = TwoTierQueue::default();
+        q.push(SimTime::from_ns(20), 0, cid(0), 0);
+        q.push(SimTime::from_ns(10), 1, cid(1), 0);
+        q.push(SimTime::from_ns(10), 0, cid(2), 0);
+        q.push(SimTime::from_ns(10), 0, cid(3), 0);
+        assert_eq!(q.len(), 4);
+        assert_eq!(
+            drain_all(&mut q),
+            vec![(10, 0, 2, 0), (10, 0, 3, 0), (10, 1, 1, 0), (20, 0, 0, 0)]
+        );
+        assert!(q.is_empty());
     }
 
     #[test]
     fn mid_round_pushes_stage_at_the_next_delta() {
-        let mut q = EventQueue::new(SchedulerKind::TwoTier);
+        let mut q = TwoTierQueue::default();
         q.push(SimTime::from_ns(5), 0, cid(0), 7);
         let t = q.next_time().unwrap();
         q.begin_timestamp(t);
         let mut round = Vec::new();
-        assert_eq!(q.next_round(t, &mut round), Some(0));
+        assert_eq!(q.next_round(&mut round), Some(0));
         // "While delivering" round 0: a zero-delay wake and a timed event.
         q.push(t, 1, cid(1), 8);
         q.push(SimTime::from_ns(6), 0, cid(2), 9);
         round.clear();
-        assert_eq!(q.next_round(t, &mut round), Some(1));
+        assert_eq!(q.next_round(&mut round), Some(1));
         assert_eq!(round[0].kind, 8);
         round.clear();
-        assert_eq!(q.next_round(t, &mut round), None);
+        assert_eq!(q.next_round(&mut round), None);
         assert_eq!(q.next_time(), Some(SimTime::from_ns(6)));
-    }
-
-    #[test]
-    fn default_scheduler_round_trips() {
-        assert_eq!(default_scheduler(), SchedulerKind::TwoTier);
-        set_default_scheduler(SchedulerKind::Reference);
-        assert_eq!(default_scheduler(), SchedulerKind::Reference);
-        set_default_scheduler(SchedulerKind::TwoTier);
-        assert_eq!(default_scheduler(), SchedulerKind::TwoTier);
     }
 }

@@ -1,7 +1,11 @@
-//! Differential pinning of the two-tier scheduler against the retained
+//! Differential pinning of the kernel's two-tier scheduler against a
 //! reference heap: over randomized kernel-realizable push/pop traces, the
 //! two implementations must pop the **exact same sequence** of
 //! `(time, delta, target, kind)` tuples.
+//!
+//! [`ReferenceQueue`] is the kernel's original global `BinaryHeap` ordered
+//! by `(time, delta, seq)`, kept here as the executable specification of
+//! event order.
 //!
 //! The generator deliberately covers the structurally interesting shapes:
 //! same-key FIFO runs (several pushes at one `(time, delta)`), delta-wake
@@ -12,17 +16,130 @@
 //! Cases are seeded [`TinyRng`] streams (the offline `proptest`
 //! substitute); a failure message names the case for direct replay.
 
-use desim::testing::{SchedulerHarness, SchedulerKind};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use desim::testing::SchedulerHarness;
 use desim::{Component, Event, SimCtx, SimTime, Simulation};
 use tinyrng::TinyRng;
 
 const CASES: u64 = 600;
 
+/// A component index, as the kernel's `ComponentId` wraps it.
+type ComponentId = usize;
+
+/// One delivery of a drained round.
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    target: ComponentId,
+    kind: u64,
+}
+
+/// One scheduled delivery of the reference queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    time: SimTime,
+    delta: u32,
+    seq: u64,
+    target: ComponentId,
+    kind: u64,
+}
+
+/// The original priority queue: a global heap with per-event sequence
+/// numbers for FIFO tie-breaks.
+#[derive(Debug, Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<Entry>>,
+    next_seq: u64,
+}
+
+impl ReferenceQueue {
+    fn push(&mut self, time: SimTime, delta: u32, target: ComponentId, kind: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Entry {
+            time,
+            delta,
+            seq,
+            target,
+            kind,
+        }));
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.time)
+    }
+
+    /// Pops every event at the earliest `(time, delta)` key — provided that
+    /// time is `t` — into `out`, returning the key's delta.
+    fn next_round(&mut self, t: SimTime, out: &mut Vec<Staged>) -> Option<u32> {
+        let delta = match self.heap.peek() {
+            Some(Reverse(e)) if e.time == t => e.delta,
+            _ => return None,
+        };
+        while let Some(Reverse(e)) = self.heap.peek() {
+            if e.time != t || e.delta != delta {
+                break;
+            }
+            let Reverse(e) = self.heap.pop().expect("peeked entry");
+            out.push(Staged {
+                target: e.target,
+                kind: e.kind,
+            });
+        }
+        Some(delta)
+    }
+}
+
+/// [`ReferenceQueue`] behind the same push/pop interface as
+/// [`SchedulerHarness`], draining round by round as the kernel does.
+#[derive(Default)]
+struct ReferenceHarness {
+    queue: ReferenceQueue,
+    round: Vec<Staged>,
+    cursor: usize,
+    key: (SimTime, u32),
+    active: Option<SimTime>,
+}
+
+impl ReferenceHarness {
+    fn push(&mut self, time_ns: u64, delta: u32, target: usize, kind: u64) {
+        self.queue
+            .push(SimTime::from_ns(time_ns), delta, target, kind);
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32, usize, u64)> {
+        loop {
+            if self.cursor < self.round.len() {
+                let ev = self.round[self.cursor];
+                self.cursor += 1;
+                return Some((self.key.0.as_ns(), self.key.1, ev.target, ev.kind));
+            }
+            self.round.clear();
+            self.cursor = 0;
+            if let Some(t) = self.active {
+                match self.queue.next_round(t, &mut self.round) {
+                    Some(delta) => {
+                        self.key = (t, delta);
+                        continue;
+                    }
+                    None => self.active = None,
+                }
+            }
+            self.active = Some(self.queue.next_time()?);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.queue.heap.len() + (self.round.len() - self.cursor)
+    }
+}
+
 /// One push/pop trace driven against both schedulers in lockstep.
 fn run_case(case: u64) {
     let mut rng = TinyRng::fork(0x5C4E_D001, case);
-    let mut two_tier = SchedulerHarness::new(SchedulerKind::TwoTier);
-    let mut reference = SchedulerHarness::new(SchedulerKind::Reference);
+    let mut two_tier = SchedulerHarness::new();
+    let mut reference = ReferenceHarness::default();
 
     // The last popped key: pushes must stay kernel-realizable — at the
     // active timestamp only strictly-later deltas, otherwise later times.
@@ -91,13 +208,21 @@ fn two_tier_pops_exactly_the_reference_sequence() {
 /// survives the cascade back into the wheel.
 #[test]
 fn overflow_spill_preserves_same_key_fifo() {
-    let mut two_tier = SchedulerHarness::new(SchedulerKind::TwoTier);
-    let mut reference = SchedulerHarness::new(SchedulerKind::Reference);
-    for h in [&mut two_tier, &mut reference] {
-        for k in 0..10u64 {
-            h.push(5000, 0, k as usize % 3, k); // all outside the window
-        }
-        h.push(1, 0, 0, 100);
+    let mut pushes: Vec<(u64, u32, usize, u64)> = (0..10u64)
+        .map(|k| (5000, 0, k as usize % 3, k)) // all outside the window
+        .collect();
+    pushes.push((1, 0, 0, 100));
+    assert_same_drain(&pushes);
+}
+
+/// Pushes `(time_ns, delta, target, kind)` into both schedulers and
+/// asserts they drain identically.
+fn assert_same_drain(pushes: &[(u64, u32, usize, u64)]) {
+    let mut two_tier = SchedulerHarness::new();
+    let mut reference = ReferenceHarness::default();
+    for &(t, d, target, kind) in pushes {
+        two_tier.push(t, d, target, kind);
+        reference.push(t, d, target, kind);
     }
     loop {
         let a = two_tier.pop();
@@ -112,20 +237,12 @@ fn overflow_spill_preserves_same_key_fifo() {
 /// on either side of the wheel horizon.
 #[test]
 fn wheel_horizon_boundary_is_exact() {
-    let mut two_tier = SchedulerHarness::new(SchedulerKind::TwoTier);
-    let mut reference = SchedulerHarness::new(SchedulerKind::Reference);
-    for h in [&mut two_tier, &mut reference] {
-        for (i, off) in [255u64, 256, 257, 511, 512, 513].iter().enumerate() {
-            h.push(*off, 0, i, *off);
-        }
-    }
-    loop {
-        let a = two_tier.pop();
-        assert_eq!(a, reference.pop());
-        if a.is_none() {
-            break;
-        }
-    }
+    let pushes: Vec<(u64, u32, usize, u64)> = [255u64, 256, 257, 511, 512, 513]
+        .iter()
+        .enumerate()
+        .map(|(i, &off)| (off, 0, i, off))
+        .collect();
+    assert_same_drain(&pushes);
 }
 
 /// A component that randomly re-schedules itself and writes a signal —
@@ -154,31 +271,55 @@ impl Component for Churn {
     }
 }
 
+/// FNV-1a (64-bit) of the 40 churn cases' delivery logs and
+/// [`desim::SimStats`], each log entry as little-endian `(time_ns, kind)`
+/// followed by the case's `(events, deltas, signal changes, timestamps)`.
+///
+/// Recorded with every simulation of the suite on the reference heap,
+/// before that heap left the kernel; the two-tier kernel produced the same
+/// value then.
+const CHURN_DIGEST: u64 = 0x233f_eea0_5b7e_730d;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// End-to-end kernel equivalence: the same randomized component network
-/// produces identical delivery logs and identical [`desim::SimStats`]
-/// under both schedulers.
+/// produces the delivery logs and [`desim::SimStats`] the reference heap
+/// produced, pinned by [`CHURN_DIGEST`].
 #[test]
 fn kernel_runs_identically_under_both_schedulers() {
+    let mut bytes = Vec::new();
     for case in 0..40 {
-        let mut logs = Vec::new();
-        let mut stats = Vec::new();
-        for kind in [SchedulerKind::TwoTier, SchedulerKind::Reference] {
-            let mut sim = Simulation::with_scheduler(kind);
-            assert_eq!(sim.scheduler_kind(), kind);
-            let sig = sim.add_signal("churn", 0);
-            let c = sim.add_component(Churn {
-                rng: TinyRng::fork(0xC0DE, case),
-                sig,
-                log: Vec::new(),
-                hops: 60,
-            });
-            sim.subscribe(sig, c, 1_000_000);
-            sim.schedule(SimTime::from_ns(1), c, 0);
-            let s = sim.run_to_completion();
-            stats.push(s);
-            logs.push(sim.component::<Churn>(c).expect("churn").log.clone());
+        let mut sim = Simulation::new();
+        let sig = sim.add_signal("churn", 0);
+        let c = sim.add_component(Churn {
+            rng: TinyRng::fork(0xC0DE, case),
+            sig,
+            log: Vec::new(),
+            hops: 60,
+        });
+        sim.subscribe(sig, c, 1_000_000);
+        sim.schedule(SimTime::from_ns(1), c, 0);
+        let s = sim.run_to_completion();
+        for (t, kind) in &sim.component::<Churn>(c).expect("churn").log {
+            bytes.extend_from_slice(&t.to_le_bytes());
+            bytes.extend_from_slice(&kind.to_le_bytes());
         }
-        assert_eq!(logs[0], logs[1], "case {case}: delivery logs diverge");
-        assert_eq!(stats[0], stats[1], "case {case}: kernel stats diverge");
+        for v in [
+            s.events_processed,
+            s.delta_cycles,
+            s.signal_changes,
+            s.timestamps,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
     }
+    assert_eq!(
+        fnv1a64(&bytes),
+        CHURN_DIGEST,
+        "churn delivery logs or kernel stats moved"
+    );
 }

@@ -3,13 +3,11 @@
 //!
 //! ```text
 //! rtl2tlm abstract <file> [--clock-period NS] [--abstract-signal NAME]...
-//! rtl2tlm demo [--design des56|colorconv] [--level rtl|tlm-ca|tlm-at]
-//!              [--requests N] [--seed N] [--vcd PATH]
 //! rtl2tlm campaign [--design D] [--level L] [--runs N] [--workers N]
 //!                  [--size N] [--seed N] [--checkers with|without|both|N]
 //!                  [--deterministic] [--trace PATH]
 //! rtl2tlm trace [--design D] [--level L] [--requests N] [--seed N]
-//!               --out PATH
+//!               --out PATH [--vcd PATH]
 //! rtl2tlm mutate [--design D] [--level rtl|tlm-ca|tlm-at] [--size N]
 //!                [--seed N] [--workers N] [--json] [--trace PATH]
 //! ```
@@ -19,15 +17,13 @@
 
 use std::process::ExitCode;
 
-use rtl2tlm_abv::cli::{self, CampaignParams, CliError, DemoParams, MutateParams, TraceParams};
+use rtl2tlm_abv::cli::{self, CampaignParams, CliError, MutateParams, TraceParams};
 
 const USAGE: &str = "\
 rtl2tlm — RTL-to-TLM property abstraction (DATE 2015 reproduction)
 
 USAGE:
     rtl2tlm abstract <file> [--clock-period NS] [--abstract-signal NAME]...
-    rtl2tlm demo [--design des56|colorconv] [--level rtl|tlm-ca|tlm-at]
-                 [--requests N] [--seed N] [--vcd PATH]
     rtl2tlm campaign [--design des56|colorconv|fir]
                      [--level rtl|tlm-ca|tlm-at|tlm-at-bulk]
                      [--runs N] [--workers N] [--size N] [--seed N]
@@ -35,7 +31,7 @@ USAGE:
                      [--trace PATH]
     rtl2tlm trace [--design des56|colorconv|fir]
                   [--level rtl|tlm-ca|tlm-at|tlm-at-bulk]
-                  [--requests N] [--seed N] --out PATH
+                  [--requests N] [--seed N] --out PATH [--vcd PATH]
     rtl2tlm mutate [--design des56|colorconv|fir]
                    [--level rtl|tlm-ca|tlm-at] [--size N] [--seed N]
                    [--workers N] [--json] [--trace PATH]
@@ -43,17 +39,18 @@ USAGE:
 COMMANDS:
     abstract   Abstract the RTL properties in <file> (one `name: property`
                per line, `#` comments) into TLM properties.
-    demo       Build one of the evaluation IPs, run its checker suite and
-               report the verdicts; --vcd dumps an RTL waveform.
     campaign   Run a seeded multi-run verification campaign sharded across
                worker threads and print the merged report; the part above
                `timing:` is identical for any --workers value
                (--deterministic prints only that part). --trace writes
                the merged per-run trace as Chrome trace-event JSON.
-    trace      Run one traced simulation with the full checker suite and
-               write the checker-lifecycle spans, kernel counters and
-               transaction instants as Chrome trace-event JSON (load the
-               file in ui.perfetto.dev or chrome://tracing).
+               --runs 1 is a single verdict-only run.
+    trace      Run one traced simulation with the full checker suite,
+               report the verdicts and write the checker-lifecycle spans,
+               kernel counters and transaction instants as Chrome
+               trace-event JSON (load the file in ui.perfetto.dev or
+               chrome://tracing); at rtl, --vcd also dumps the design's
+               signals as a VCD waveform.
     mutate     Run the fault catalogue through the campaign engine and
                print the kill matrix: per-mutant verdicts at each level,
                per-level mutation scores and the cross-level detection
@@ -79,7 +76,6 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<String, CliError> {
     match args.first().map(String::as_str) {
         Some("abstract") => run_abstract(&args[1..]),
-        Some("demo") => run_demo(&args[1..]),
         Some("campaign") => run_campaign(&args[1..]),
         Some("trace") => run_trace(&args[1..]),
         Some("mutate") => run_mutate(&args[1..]),
@@ -115,31 +111,6 @@ fn run_abstract(args: &[String]) -> Result<String, CliError> {
     cli::run_abstract(&properties, clock_period, &signals)
 }
 
-fn run_demo(args: &[String]) -> Result<String, CliError> {
-    let mut params = DemoParams::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--design" => params.design = next_value(&mut it, arg)?,
-            "--level" => params.level = next_value(&mut it, arg)?,
-            "--requests" => {
-                params.requests = next_value(&mut it, arg)?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--requests expects a count".to_owned()))?;
-            }
-            "--seed" => {
-                params.seed = next_value(&mut it, arg)?
-                    .parse()
-                    .map_err(|_| CliError::Usage("--seed expects an integer".to_owned()))?;
-            }
-            "--vcd" => params.vcd = Some(next_value(&mut it, arg)?),
-            "--help" | "-h" => return Ok(USAGE.to_owned()),
-            other => return Err(CliError::Usage(format!("unexpected argument `{other}`"))),
-        }
-    }
-    cli::run_demo(&params)
-}
-
 fn run_campaign(args: &[String]) -> Result<String, CliError> {
     let mut params = CampaignParams::default();
     let mut it = args.iter();
@@ -172,6 +143,7 @@ fn run_trace(args: &[String]) -> Result<String, CliError> {
             "--requests" => params.requests = parse_num(&next_value(&mut it, arg)?, arg)?,
             "--seed" => params.seed = parse_num(&next_value(&mut it, arg)?, arg)?,
             "--out" => out = Some(next_value(&mut it, arg)?),
+            "--vcd" => params.vcd = Some(next_value(&mut it, arg)?),
             "--help" | "-h" => return Ok(USAGE.to_owned()),
             other => return Err(CliError::Usage(format!("unexpected argument `{other}`"))),
         }

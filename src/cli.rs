@@ -1,19 +1,18 @@
 //! Implementation of the `rtl2tlm` command-line tool.
 //!
-//! Two commands:
+//! Four commands:
 //!
 //! - `abstract`: read named RTL properties from a file and print their TLM
 //!   abstractions (the batch version of the paper's Fig. 3);
-//! - `demo`: build one of the two evaluation IPs at a chosen abstraction
-//!   level, run it under its checker suite and report the verdicts,
-//!   optionally dumping a VCD waveform;
 //! - `campaign`: expand a design/level/checker grid into a seeded
 //!   multi-run verification campaign, shard it across worker threads and
 //!   print the merged report (optionally with a merged trace via
-//!   `--trace`);
-//! - `trace`: run one traced simulation and export the checker-lifecycle
-//!   spans, kernel counters and transaction instants as Chrome
-//!   trace-event JSON for `ui.perfetto.dev` / `chrome://tracing`;
+//!   `--trace`); `--runs 1` is a single verdict-only run;
+//! - `trace`: run one traced simulation under the full checker suite,
+//!   report the verdicts and export the checker-lifecycle spans, kernel
+//!   counters and transaction instants as Chrome trace-event JSON for
+//!   `ui.perfetto.dev` / `chrome://tracing`, optionally dumping an RTL
+//!   VCD waveform;
 //! - `mutate`: run the fault catalogue of one or all IPs through the
 //!   campaign engine at every shared abstraction level and print the kill
 //!   matrix — per-mutant verdicts, per-level mutation scores and the
@@ -26,13 +25,12 @@
 use std::fmt::Write as _;
 
 use abv_campaign::{CampaignPlan, CheckerMode, TraceSettings};
-use abv_checker::{Binding, CheckReport, Checker};
+use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_property, AbstractionConfig};
 use abv_obs::{chrome_trace_json, TraceEvent, Tracer};
-use designs::{colorconv, des56, SuiteEntry, CLOCK_PERIOD_NS};
+use designs::{colorconv, des56, fir, AbsLevel, DesignKind};
 use psl::{ClockEdge, ClockedProperty};
 use rtlkit::WaveRecorder;
-use tlmkit::CodingStyle;
 
 /// A parsed `name: property` line from a property file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,208 +147,6 @@ pub fn run_abstract(
     Ok(out)
 }
 
-/// Parameters of the `demo` command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DemoParams {
-    /// `des56` or `colorconv`.
-    pub design: String,
-    /// `rtl`, `tlm-ca` or `tlm-at`.
-    pub level: String,
-    /// Number of workload requests.
-    pub requests: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Optional VCD output path (RTL level only).
-    pub vcd: Option<String>,
-}
-
-impl Default for DemoParams {
-    fn default() -> DemoParams {
-        DemoParams {
-            design: "des56".to_owned(),
-            level: "rtl".to_owned(),
-            requests: 16,
-            seed: 2015,
-            vcd: None,
-        }
-    }
-}
-
-/// Runs the `demo` command and returns the rendered report.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for unknown designs/levels or VCD requests
-/// at TLM levels, and I/O failures as usage errors with context.
-pub fn run_demo(params: &DemoParams) -> Result<String, CliError> {
-    let (suite, abstracted): (Vec<SuiteEntry>, Vec<&str>) = match params.design.as_str() {
-        "des56" => (des56::suite(), des56::ABSTRACTED_SIGNALS.to_vec()),
-        "colorconv" => (colorconv::suite(), colorconv::ABSTRACTED_SIGNALS.to_vec()),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown design `{other}` (expected des56 or colorconv)"
-            )))
-        }
-    };
-    if params.vcd.is_some() && params.level != "rtl" {
-        return Err(CliError::Usage(
-            "--vcd is only available at the rtl level".to_owned(),
-        ));
-    }
-
-    let rtl_props: Vec<(String, ClockedProperty)> = suite.iter().map(SuiteEntry::named).collect();
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)
-        .expect("the reference clock period is positive")
-        .abstract_signals(abstracted.iter().copied());
-    // At TLM-AT, install only the AT-compatible abstractions: CA-only
-    // properties reference instants the loose AT model never produces and
-    // review-flagged ones need manual refinement (DESIGN.md §5b).
-    let tlm_props: Vec<(String, ClockedProperty)> = suite
-        .iter()
-        .filter(|e| e.class == designs::PropertyClass::AtCompatible)
-        .filter_map(|e| {
-            abstract_property(&e.rtl, &cfg)
-                .ok()
-                .and_then(|a| a.into_property())
-                .map(|q| (e.name.to_owned(), q))
-        })
-        .collect();
-
-    let (report, header) = match (params.design.as_str(), params.level.as_str()) {
-        ("des56", "rtl") => {
-            let w = des56::DesWorkload::mixed(params.requests, params.seed);
-            let mut built = des56::build_rtl(&w, des56::DesMutation::None);
-            let rec = params.vcd.as_ref().map(|_| {
-                WaveRecorder::install(
-                    &mut built.sim,
-                    built.clk.signal,
-                    ClockEdge::Pos,
-                    des56::RTL_SIGNALS,
-                )
-            });
-            let checkers =
-                Checker::attach_all(&mut built.sim, &rtl_props, Binding::clock(built.clk.signal))
-                    .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
-            built.run();
-            if let (Some(path), Some(rec)) = (&params.vcd, rec) {
-                dump_vcd(&built.sim, rec, path, "des56", des56::RTL_SIGNALS)?;
-            }
-            let end = built.end_ns;
-            (
-                Checker::collect(&mut built.sim, &checkers, end),
-                "DES56 @ RTL",
-            )
-        }
-        ("colorconv", "rtl") => {
-            let w = colorconv::ConvWorkload::mixed(params.requests, params.seed);
-            let mut built = colorconv::build_rtl(&w, colorconv::ConvMutation::None);
-            let rec = params.vcd.as_ref().map(|_| {
-                WaveRecorder::install(
-                    &mut built.sim,
-                    built.clk.signal,
-                    ClockEdge::Pos,
-                    colorconv::RTL_SIGNALS,
-                )
-            });
-            let checkers =
-                Checker::attach_all(&mut built.sim, &rtl_props, Binding::clock(built.clk.signal))
-                    .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
-            built.run();
-            if let (Some(path), Some(rec)) = (&params.vcd, rec) {
-                dump_vcd(&built.sim, rec, path, "colorconv", colorconv::RTL_SIGNALS)?;
-            }
-            let end = built.end_ns;
-            (
-                Checker::collect(&mut built.sim, &checkers, end),
-                "ColorConv @ RTL",
-            )
-        }
-        ("des56", "tlm-ca") => {
-            let w = des56::DesWorkload::mixed(params.requests, params.seed);
-            let mut built = des56::build_tlm_ca(&w, des56::DesMutation::None);
-            let props: Vec<(String, ClockedProperty)> = suite
-                .iter()
-                .map(|e| {
-                    (
-                        e.name.to_owned(),
-                        abv_core::reuse_at_cycle_accurate(&e.rtl).expect("clock"),
-                    )
-                })
-                .collect();
-            let checkers = Checker::attach_all(&mut built.sim, &props, Binding::bus(&built.bus))
-                .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
-            built.run();
-            let end = built.end_ns;
-            (
-                Checker::collect(&mut built.sim, &checkers, end),
-                "DES56 @ TLM-CA (reused checkers)",
-            )
-        }
-        ("colorconv", "tlm-ca") => {
-            let w = colorconv::ConvWorkload::mixed(params.requests, params.seed);
-            let mut built = colorconv::build_tlm_ca(&w, colorconv::ConvMutation::None);
-            let props: Vec<(String, ClockedProperty)> = suite
-                .iter()
-                .map(|e| {
-                    (
-                        e.name.to_owned(),
-                        abv_core::reuse_at_cycle_accurate(&e.rtl).expect("clock"),
-                    )
-                })
-                .collect();
-            let checkers = Checker::attach_all(&mut built.sim, &props, Binding::bus(&built.bus))
-                .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
-            built.run();
-            let end = built.end_ns;
-            (
-                Checker::collect(&mut built.sim, &checkers, end),
-                "ColorConv @ TLM-CA (reused checkers)",
-            )
-        }
-        ("des56", "tlm-at") => {
-            let w = des56::DesWorkload::mixed(params.requests, params.seed);
-            let mut built = des56::build_tlm_at(
-                &w,
-                des56::DesMutation::None,
-                CodingStyle::ApproximatelyTimedLoose,
-            );
-            let checkers =
-                Checker::attach_all(&mut built.sim, &tlm_props, Binding::bus(&built.bus))
-                    .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
-            built.run();
-            let end = built.end_ns;
-            (
-                Checker::collect(&mut built.sim, &checkers, end),
-                "DES56 @ TLM-AT (abstracted checkers)",
-            )
-        }
-        ("colorconv", "tlm-at") => {
-            let w = colorconv::ConvWorkload::mixed(params.requests, params.seed);
-            let mut built = colorconv::build_tlm_at(
-                &w,
-                colorconv::ConvMutation::None,
-                CodingStyle::ApproximatelyTimedLoose,
-            );
-            let checkers =
-                Checker::attach_all(&mut built.sim, &tlm_props, Binding::bus(&built.bus))
-                    .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
-            built.run();
-            let end = built.end_ns;
-            (
-                Checker::collect(&mut built.sim, &checkers, end),
-                "ColorConv @ TLM-AT (abstracted checkers)",
-            )
-        }
-        (_, other) => {
-            return Err(CliError::Usage(format!(
-                "unknown level `{other}` (expected rtl, tlm-ca or tlm-at)"
-            )))
-        }
-    };
-
-    Ok(render_report(header, &report))
-}
-
 /// Parameters of the `campaign` command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignParams {
@@ -402,13 +198,13 @@ impl Default for CampaignParams {
 /// Returns [`CliError::Usage`] for unknown designs/levels/checker modes
 /// and for plans the engine rejects (e.g. zero runs).
 pub fn run_campaign(params: &CampaignParams) -> Result<String, CliError> {
-    let design = designs::DesignKind::parse(&params.design).ok_or_else(|| {
+    let design = DesignKind::parse(&params.design).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown design `{}` (expected des56, colorconv or fir)",
             params.design
         ))
     })?;
-    let level = designs::AbsLevel::parse(&params.level).ok_or_else(|| {
+    let level = AbsLevel::parse(&params.level).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown level `{}` (expected rtl, tlm-ca, tlm-at or tlm-at-bulk)",
             params.level
@@ -496,7 +292,7 @@ pub fn run_mutate(params: &MutateParams) -> Result<String, CliError> {
         .size(params.size)
         .seed(params.seed);
     if let Some(design) = &params.design {
-        let design = designs::DesignKind::parse(design).ok_or_else(|| {
+        let design = DesignKind::parse(design).ok_or_else(|| {
             CliError::Usage(format!(
                 "unknown design `{design}` (expected des56, colorconv or fir)"
             ))
@@ -504,8 +300,8 @@ pub fn run_mutate(params: &MutateParams) -> Result<String, CliError> {
         plan = plan.design(design);
     }
     if let Some(level) = &params.level {
-        let level = designs::AbsLevel::parse(level)
-            .filter(|l| designs::AbsLevel::ALL.contains(l))
+        let level = AbsLevel::parse(level)
+            .filter(|l| AbsLevel::ALL.contains(l))
             .ok_or_else(|| {
                 CliError::Usage(format!(
                     "unknown level `{level}` (expected rtl, tlm-ca or tlm-at)"
@@ -546,6 +342,8 @@ pub struct TraceParams {
     pub seed: u64,
     /// Chrome trace-event JSON output path.
     pub out: String,
+    /// Optional VCD waveform output path (RTL level only).
+    pub vcd: Option<String>,
 }
 
 impl Default for TraceParams {
@@ -556,6 +354,7 @@ impl Default for TraceParams {
             requests: 16,
             seed: 2015,
             out: "trace.json".to_owned(),
+            vcd: None,
         }
     }
 }
@@ -564,25 +363,33 @@ impl Default for TraceParams {
 /// design/level with its full checker suite attached and a memory tracer
 /// recording every span, instant and counter sample. The stream is
 /// written as Chrome trace-event JSON and the checker report is returned
-/// alongside a pointer to the file.
+/// alongside a pointer to the file. At RTL, `vcd` also records the
+/// design's signals at rising clock edges and writes them as a VCD
+/// waveform.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for unknown designs/levels, suites that
-/// do not attach, and output files that cannot be written.
+/// Returns [`CliError::Usage`] for unknown designs/levels, VCD requests
+/// above RTL (before any file is written), suites that do not attach, and
+/// output files that cannot be written.
 pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
-    let design = designs::DesignKind::parse(&params.design).ok_or_else(|| {
+    let design = DesignKind::parse(&params.design).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown design `{}` (expected des56, colorconv or fir)",
             params.design
         ))
     })?;
-    let level = designs::AbsLevel::parse(&params.level).ok_or_else(|| {
+    let level = AbsLevel::parse(&params.level).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown level `{}` (expected rtl, tlm-ca, tlm-at or tlm-at-bulk)",
             params.level
         ))
     })?;
+    if params.vcd.is_some() && level != AbsLevel::Rtl {
+        return Err(CliError::Usage(
+            "--vcd is only available at the rtl level".to_owned(),
+        ));
+    }
     let props = designs::properties_at(design, level);
     let mut built = designs::build(
         design,
@@ -598,6 +405,16 @@ pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
     let binding = built.binding();
     let checkers = Checker::attach_all(&mut built.sim, &props, binding)
         .map_err(|(i, e)| CliError::Usage(format!("property {i}: {e}")))?;
+    // The checkers take the same components, and so the same trace
+    // tracks, with or without the waveform recorder.
+    let wave = match (&params.vcd, built.clk) {
+        (Some(path), Some(clk)) => {
+            let signals = rtl_signals(design);
+            let rec = WaveRecorder::install(&mut built.sim, clk, ClockEdge::Pos, signals);
+            Some((path, signals, rec))
+        }
+        _ => None,
+    };
     built.run();
     let end = built.end_ns;
     let report = Checker::collect(&mut built.sim, &checkers, end);
@@ -611,21 +428,39 @@ pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
         events.len(),
         params.out
     );
+    if let Some((path, signals, rec)) = wave {
+        let module = design.label().to_lowercase();
+        dump_vcd(&built.sim, rec, path, &module, signals)?;
+        let _ = writeln!(
+            out,
+            "wrote a VCD waveform of {} signals to {path}",
+            signals.len()
+        );
+    }
     let _ = write!(out, "{}", render_report(&label, &report));
     Ok(out)
 }
 
-fn dump_vcd<S: AsRef<str>>(
+/// The signals of `design`'s RTL model, in VCD declaration order.
+fn rtl_signals(design: DesignKind) -> &'static [&'static str] {
+    match design {
+        DesignKind::Des56 => des56::RTL_SIGNALS,
+        DesignKind::ColorConv => colorconv::RTL_SIGNALS,
+        DesignKind::Fir => fir::RTL_SIGNALS,
+    }
+}
+
+fn dump_vcd(
     sim: &desim::Simulation,
     rec: rtlkit::RecorderHandle,
     path: &str,
     module: &str,
-    signals: impl IntoIterator<Item = S>,
+    signals: &[&str],
 ) -> Result<(), CliError> {
     let trace = WaveRecorder::take_trace(sim, rec);
     let options = rtlkit::vcd::VcdOptions {
         module: module.to_owned(),
-        comment: "rtl2tlm demo".to_owned(),
+        comment: "rtl2tlm trace".to_owned(),
     };
     let text = rtlkit::vcd::to_vcd_string(&trace, signals, &options)
         .map_err(|e| CliError::Usage(format!("vcd export failed: {e}")))?;
@@ -881,50 +716,93 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)));
     }
 
-    #[test]
-    fn demo_rtl_des56_passes() {
-        let params = DemoParams {
+    /// A [`TraceParams`] writing its trace JSON to a per-test file.
+    fn trace_params(name: &str) -> TraceParams {
+        let dir = std::env::temp_dir().join("rtl2tlm_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        TraceParams {
             requests: 4,
-            ..DemoParams::default()
+            out: dir.join(name).to_string_lossy().into_owned(),
+            ..TraceParams::default()
+        }
+    }
+
+    #[test]
+    fn trace_rtl_des56_passes() {
+        let params = TraceParams {
+            level: "rtl".to_owned(),
+            ..trace_params("rtl_des56.json")
         };
-        let out = run_demo(&params).unwrap();
+        let out = run_trace(&params).unwrap();
         assert!(out.contains("DES56 @ RTL"), "{out}");
         assert!(out.contains("ALL PASS"), "{out}");
+        std::fs::remove_file(&params.out).ok();
     }
 
     #[test]
-    fn demo_tlm_at_colorconv_reports_expected_failures() {
+    fn trace_tlm_at_colorconv_reports_expected_failures() {
         // c9 and c10 are expected to fail at loose TLM-AT (classification),
         // so the overall verdict mentions failures — still a correct run.
-        let params = DemoParams {
+        let params = TraceParams {
             design: "colorconv".to_owned(),
-            level: "tlm-at".to_owned(),
-            requests: 4,
-            ..DemoParams::default()
+            ..trace_params("at_colorconv.json")
         };
-        let out = run_demo(&params).unwrap();
+        let out = run_trace(&params).unwrap();
         assert!(out.contains("ColorConv @ TLM-AT"), "{out}");
         assert!(out.contains("c1: PASS"), "{out}");
+        std::fs::remove_file(&params.out).ok();
     }
 
     #[test]
-    fn demo_rejects_unknown_inputs() {
-        let params = DemoParams {
-            design: "nope".to_owned(),
-            ..DemoParams::default()
-        };
-        assert!(matches!(run_demo(&params), Err(CliError::Usage(_))));
-        let params = DemoParams {
-            level: "nope".to_owned(),
-            ..DemoParams::default()
-        };
-        assert!(matches!(run_demo(&params), Err(CliError::Usage(_))));
-        let params = DemoParams {
-            level: "tlm-at".to_owned(),
-            vcd: Some("x.vcd".to_owned()),
-            ..DemoParams::default()
-        };
-        assert!(matches!(run_demo(&params), Err(CliError::Usage(_))));
+    fn trace_rejects_vcd_above_rtl() {
+        let vcd = std::env::temp_dir()
+            .join("rtl2tlm_cli_test")
+            .join("rejected.vcd");
+        for level in ["tlm-ca", "tlm-at", "tlm-at-bulk"] {
+            let params = TraceParams {
+                level: level.to_owned(),
+                vcd: Some(vcd.to_string_lossy().into_owned()),
+                ..trace_params("rejected.json")
+            };
+            assert_eq!(
+                run_trace(&params),
+                Err(CliError::Usage(
+                    "--vcd is only available at the rtl level".to_owned()
+                )),
+                "{level}"
+            );
+            assert!(!std::path::Path::new(&params.out).exists(), "{level}");
+            assert!(!vcd.exists(), "{level}");
+        }
+    }
+
+    #[test]
+    fn trace_writes_vcd_at_rtl() {
+        for (design, module) in [
+            ("des56", "des56"),
+            ("colorconv", "colorconv"),
+            ("fir", "fir"),
+        ] {
+            let vcd = std::env::temp_dir()
+                .join("rtl2tlm_cli_test")
+                .join(format!("{design}.vcd"));
+            let params = TraceParams {
+                design: design.to_owned(),
+                level: "rtl".to_owned(),
+                requests: 2,
+                vcd: Some(vcd.to_string_lossy().into_owned()),
+                ..trace_params(&format!("{design}_vcd.json"))
+            };
+            let out = run_trace(&params).unwrap();
+            assert!(out.contains("ALL PASS"), "{out}");
+            assert!(out.contains("VCD waveform"), "{out}");
+            let text = std::fs::read_to_string(&vcd).unwrap();
+            assert!(text.contains("$var wire 64"), "{text}");
+            assert!(text.contains(&format!("$scope module {module}")), "{text}");
+            assert!(text.contains("rtl2tlm trace"), "{text}");
+            std::fs::remove_file(&vcd).ok();
+            std::fs::remove_file(&params.out).ok();
+        }
     }
 
     #[test]
@@ -990,22 +868,5 @@ mod tests {
             ..TraceParams::default()
         };
         assert!(matches!(run_trace(&params), Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn demo_writes_vcd() {
-        let dir = std::env::temp_dir().join("rtl2tlm_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("demo.vcd");
-        let params = DemoParams {
-            requests: 2,
-            vcd: Some(path.to_string_lossy().into_owned()),
-            ..DemoParams::default()
-        };
-        let out = run_demo(&params).unwrap();
-        assert!(out.contains("ALL PASS"), "{out}");
-        let vcd = std::fs::read_to_string(&path).unwrap();
-        assert!(vcd.contains("$var wire 64"), "{vcd}");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -45,3 +45,39 @@ fn abstract_with_positive_clock_period_succeeds() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("next_et[1, 20] rdy"), "{stdout}");
 }
+
+#[test]
+fn trace_with_vcd_above_rtl_is_a_usage_error_and_writes_nothing() {
+    let dir = std::env::temp_dir();
+    let vcd = dir.join(format!("rtl2tlm-{}-x.vcd", std::process::id()));
+    let json = dir.join(format!("rtl2tlm-{}-y.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+        .args(["trace", "--level", "tlm-at", "--vcd"])
+        .arg(&vcd)
+        .arg("--out")
+        .arg(&json)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: --vcd is only available at the rtl level"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+    assert!(!vcd.exists(), "no waveform written");
+    assert!(!json.exists(), "no trace written");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn demo_is_an_unknown_command() {
+    let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+        .arg("demo")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("error: unknown command `demo`"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}

@@ -150,3 +150,10 @@ pub fn assert_all_pass(report: &CheckReport) {
         );
     }
 }
+
+/// 64-bit FNV-1a digest, for pinning long outputs to a recorded value.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
