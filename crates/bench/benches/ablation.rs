@@ -16,15 +16,20 @@
 //! `cargo bench --bench ablation`.
 
 use abv_bench::stopwatch::bench;
-use abv_checker::{Binding, Checker};
+use abv_checker::Checker;
 use abv_core::{abstract_property, naive::naive_scale, AbstractionConfig};
-use designs::des56::{self, DesMutation, DesWorkload};
-use designs::CLOCK_PERIOD_NS;
+use designs::des56::{self, DesWorkload};
+use designs::{BuiltDesign, Fault, CLOCK_PERIOD_NS};
 use psl::{ClockedProperty, EvalContext};
 use std::hint::black_box;
-use tlmkit::{CodingStyle, TxTraceRecorder};
+use tlmkit::TxTraceRecorder;
 
 const SIZE: usize = 200;
+
+/// The loose DES56 TLM-AT model over a mixed workload.
+fn des_at(seed: u64) -> BuiltDesign {
+    des56::build_tlm_at(&DesWorkload::mixed(SIZE, seed), Fault::None, false).expect("builds")
+}
 
 fn q3() -> ClockedProperty {
     let suite = des56::suite();
@@ -42,9 +47,9 @@ fn q3() -> ClockedProperty {
 /// optimization matters), optionally with the table disabled.
 fn run_q3_ca(use_table: bool) -> u64 {
     let w = DesWorkload::mixed(SIZE, 3);
-    let mut built = des56::build_tlm_ca(&w, DesMutation::None);
-    let checker =
-        Checker::attach(&mut built.sim, "q3", &q3(), Binding::bus(&built.bus)).expect("attaches");
+    let mut built = des56::build_tlm_ca(&w, Fault::None).expect("builds");
+    let binding = built.binding();
+    let checker = Checker::attach(&mut built.sim, "q3", &q3(), binding).expect("attaches");
     if !use_table {
         checker
             .checker_mut(&mut built.sim)
@@ -74,12 +79,10 @@ fn bench_naive_vs_next_et() {
     println!("ablation/abstraction-operator");
     for (name, property) in [("naive-next-m", naive), ("next-et", next_et)] {
         bench(name, || {
-            let w = DesWorkload::mixed(SIZE, 5);
-            let mut built =
-                des56::build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedLoose);
+            let mut built = des_at(5);
+            let binding = built.binding();
             let _checker =
-                Checker::attach(&mut built.sim, "p", &property, Binding::bus(&built.bus))
-                    .expect("attaches");
+                Checker::attach(&mut built.sim, "p", &property, binding).expect("attaches");
             black_box(built.run())
         });
     }
@@ -88,18 +91,15 @@ fn bench_naive_vs_next_et() {
 fn bench_online_vs_trace_oracle() {
     println!("ablation/checking-style");
     bench("online-monitor", || {
-        let w = DesWorkload::mixed(SIZE, 9);
-        let mut built =
-            des56::build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedLoose);
-        let _checker = Checker::attach(&mut built.sim, "q3", &q3(), Binding::bus(&built.bus))
-            .expect("attaches");
+        let mut built = des_at(9);
+        let binding = built.binding();
+        let _checker = Checker::attach(&mut built.sim, "q3", &q3(), binding).expect("attaches");
         black_box(built.run())
     });
     bench("record-then-evaluate", || {
-        let w = DesWorkload::mixed(SIZE, 9);
-        let mut built =
-            des56::build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedLoose);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, des56::TLM_AT_SIGNALS);
+        let mut built = des_at(9);
+        let bus = built.bus.clone().expect("TLM bus");
+        let rec = TxTraceRecorder::install(&mut built.sim, &bus, des56::TLM_AT_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         black_box(trace.satisfies(&q3()).expect("evaluates"))

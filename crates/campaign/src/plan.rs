@@ -228,7 +228,8 @@ impl CampaignPlan {
     }
 
     /// Checks the plan is executable: non-empty, positive run count and
-    /// size, and every cell's design has a model at its level.
+    /// size, and every cell's design has a model at its level with its
+    /// fault injected ([`designs::check`]).
     ///
     /// # Errors
     ///
@@ -244,9 +245,7 @@ impl CampaignPlan {
             return Err(PlanError::ZeroSize);
         }
         for (index, cell) in self.cells.iter().enumerate() {
-            // Probe-build a minimal instance so the supported-level rule
-            // stays in one place (the design factory).
-            designs::build(cell.design, cell.level, 1, 0, cell.fault)
+            designs::check(cell.design, cell.level, cell.fault)
                 .map_err(|source| PlanError::BadCell { index, source })?;
         }
         Ok(())
@@ -282,11 +281,11 @@ pub enum PlanError {
     ZeroRuns,
     /// `size` is zero.
     ZeroSize,
-    /// A cell's design/level combination has no model.
+    /// A cell's design/level/fault combination has no model.
     BadCell {
         /// Index of the offending cell.
         index: usize,
-        /// The factory's rejection.
+        /// The [`designs::check`] rejection.
         source: BuildError,
     },
 }
@@ -357,6 +356,41 @@ mod tests {
             .cell(DesignKind::Des56, AbsLevel::Rtl, CheckerMode::None)
             .runs(0);
         assert!(matches!(plan.validate(), Err(PlanError::ZeroRuns)));
+    }
+
+    #[test]
+    fn validation_agrees_with_the_design_support_rule() {
+        let levels = [
+            AbsLevel::Rtl,
+            AbsLevel::TlmCa,
+            AbsLevel::TlmAt,
+            AbsLevel::TlmAtBulk,
+        ];
+        let faults = [
+            Fault::None,
+            Fault::LatencyShort,
+            Fault::LatencyLong,
+            Fault::CorruptData,
+            Fault::DropReady,
+            Fault::StuckControl,
+            Fault::DropTransaction,
+            Fault::DuplicateTransaction,
+            Fault::BitFlip { bit: 0 },
+            Fault::BitFlip { bit: 13 },
+        ];
+        for design in DesignKind::ALL {
+            for level in levels {
+                for fault in faults {
+                    let cell = CellSpec::new(design, level, CheckerMode::All).with_fault(fault);
+                    let validated = match CampaignPlan::new("t").cell_spec(cell).validate() {
+                        Ok(()) => Ok(()),
+                        Err(PlanError::BadCell { index: 0, source }) => Err(source),
+                        Err(other) => panic!("{cell}: {other}"),
+                    };
+                    assert_eq!(validated, designs::check(design, level, fault), "{cell}");
+                }
+            }
+        }
     }
 
     #[test]

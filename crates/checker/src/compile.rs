@@ -225,6 +225,7 @@ mod tests {
         // "the size of the array for q3 is 17" (Section IV, point 1).
         assert_eq!(checker.lifetime_bound(10), Some(17));
         assert_eq!(checker.lifetime_bound(5), Some(34));
+        assert_eq!(checker.lifetime_bound(0), None, "no period, no bound");
         let q2: ClockedProperty =
             "always (!ds || (next_et[1,10](!ds) until next_et[2,20](rdy))) @T_b"
                 .parse()

@@ -110,7 +110,7 @@ struct Instance {
 
 /// A synthesized checker for one property: monitor body, activation
 /// policy, guard, instance pool and evaluation table, plus the property's
-/// own [`FormulaArena`] holding every formula the monitor can reach.
+/// own formula arena holding every formula the monitor can reach.
 ///
 /// Built by [`compile`](crate::compile); driven by the host component
 /// that [`Checker::attach`](crate::Checker::attach) installs, which calls
@@ -198,16 +198,17 @@ impl PropertyChecker {
     /// transactions can occur within `(t_fire, t_end]`, assuming instants
     /// are aligned to `clock_period_ns` — e.g. 17 for `q3` with a 10 ns
     /// reference clock. `None` when the property is unbounded (`until`,
-    /// `release`, un-timed `next`).
+    /// `release`, un-timed `next`), and for a zero `clock_period_ns`, which
+    /// aligns no instants.
     ///
     /// The live implementation grows its pool dynamically;
     /// [`PropertyReport::max_live_instances`] can be compared against this
     /// bound (see the Fig. 5 tests).
     #[must_use]
     pub fn lifetime_bound(&self, clock_period_ns: u64) -> Option<usize> {
-        assert!(clock_period_ns > 0, "clock period must be positive");
         self.completion_bound_ns
-            .map(|b| (b / clock_period_ns) as usize)
+            .and_then(|b| b.checked_div(clock_period_ns))
+            .map(|n| n as usize)
     }
 
     /// Disables the evaluation-table optimization: every instance is

@@ -11,6 +11,7 @@
 //! work and the final result equals [`algo::convert`] exactly.
 
 use super::algo::{self, Ycbcr};
+use crate::Fault;
 
 /// Work item travelling down the pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -84,37 +85,12 @@ pub struct ConvOutputs {
     pub ov_next_cycle: bool,
 }
 
-/// Fault injections for demonstrating checker effectiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvMutation {
-    /// Correct behaviour.
-    #[default]
-    None,
-    /// Output produced one cycle early (latency 7).
-    LatencyShort,
-    /// Output produced one cycle late (latency 9).
-    LatencyLong,
-    /// Luma forced out of studio range.
-    CorruptLuma,
-    /// `out_valid` never asserted.
-    DropValid,
-    /// `out_valid` stuck at 1 every cycle.
-    StuckValid,
-    /// The second accepted pixel never enters the pipeline.
-    DropPixel,
-    /// One luma bit flipped after the clamp stage (seeded position).
-    FlipLuma {
-        /// Which luma bit (mod 8) to flip.
-        bit: u8,
-    },
-}
-
 /// Cycle-accurate 8-stage ColorConv pipeline.
 #[derive(Debug, Clone)]
 pub struct ColorConvCore {
-    mutation: ConvMutation,
+    fault: Fault,
     pipe: [Option<Work>; 9],
-    /// Pixels accepted so far (drives [`ConvMutation::DropPixel`]).
+    /// Pixels accepted so far (drives [`Fault::DropTransaction`]).
     seen: u32,
     outputs: ConvOutputs,
 }
@@ -123,17 +99,23 @@ impl ColorConvCore {
     /// The design latency in clock cycles (strobe sample → output sample).
     pub const LATENCY: u32 = 8;
 
-    /// A correct core.
+    /// A core with `fault` injected ([`Fault::None`] for the correct
+    /// design):
+    ///
+    /// - latency faults shorten or lengthen the pipe to 7 or 9 stages;
+    /// - [`Fault::CorruptData`] zeroes the luma, out of studio range;
+    /// - [`Fault::BitFlip`] flips luma bit `bit % 8` after the clamp;
+    /// - [`Fault::DropReady`] never asserts `out_valid`,
+    ///   [`Fault::StuckControl`] holds it at 1 every cycle;
+    /// - [`Fault::DropTransaction`] keeps the second accepted pixel out of
+    ///   the pipeline.
+    ///
+    /// [`Fault::DuplicateTransaction`] is outside the ColorConv catalogue
+    /// and has no effect here; the builders reject it.
     #[must_use]
-    pub fn new() -> ColorConvCore {
-        ColorConvCore::with_mutation(ConvMutation::None)
-    }
-
-    /// A core with an injected fault.
-    #[must_use]
-    pub fn with_mutation(mutation: ConvMutation) -> ColorConvCore {
+    pub fn new(fault: Fault) -> ColorConvCore {
         ColorConvCore {
-            mutation,
+            fault,
             pipe: [None; 9],
             seen: 0,
             outputs: ConvOutputs::default(),
@@ -149,9 +131,9 @@ impl ColorConvCore {
     /// Executes one clock cycle with the given input pins; returns the
     /// output pins as visible at this cycle's (postponed) sample.
     pub fn step(&mut self, px_valid: bool, r: u8, g: u8, b: u8) -> ConvOutputs {
-        let depth = match self.mutation {
-            ConvMutation::LatencyShort => 7,
-            ConvMutation::LatencyLong => 9,
+        let depth = match self.fault {
+            Fault::LatencyShort => 7,
+            Fault::LatencyLong => 9,
             _ => 8,
         };
 
@@ -161,7 +143,7 @@ impl ColorConvCore {
             self.pipe[stage] = self.pipe[stage - 1].take().map(|w| stage_fn(stage, w));
         }
         self.pipe[0] = if px_valid {
-            let drop = matches!(self.mutation, ConvMutation::DropPixel) && self.seen == 1;
+            let drop = matches!(self.fault, Fault::DropTransaction) && self.seen == 1;
             self.seen += 1;
             (!drop).then(|| Work {
                 r: i32::from(r),
@@ -181,17 +163,17 @@ impl ColorConvCore {
             for stage in depth..=7 {
                 w = stage_fn(stage, w);
             }
-            match self.mutation {
-                ConvMutation::CorruptLuma => w.y = 0,
-                ConvMutation::FlipLuma { bit } => w.y ^= 1 << (bit % 8),
+            match self.fault {
+                Fault::CorruptData => w.y = 0,
+                Fault::BitFlip { bit } => w.y ^= 1 << (bit % 8),
                 _ => {}
             }
             self.outputs.y = w.y as u64;
             self.outputs.cb = w.cb as u64;
             self.outputs.cr = w.cr as u64;
-            self.outputs.out_valid = !matches!(self.mutation, ConvMutation::DropValid);
+            self.outputs.out_valid = !matches!(self.fault, Fault::DropReady);
         }
-        if matches!(self.mutation, ConvMutation::StuckValid) {
+        if matches!(self.fault, Fault::StuckControl) {
             self.outputs.out_valid = true;
         }
         self.outputs.ov_next_cycle = self.pipe[depth - 1].is_some();
@@ -199,22 +181,16 @@ impl ColorConvCore {
     }
 
     /// Converts one pixel functionally (reference path used by the TLM-AT
-    /// model), applying the data mutations.
+    /// models), applying the data faults.
     #[must_use]
-    pub fn convert_with_mutation(mutation: ConvMutation, r: u8, g: u8, b: u8) -> Ycbcr {
+    pub fn convert(fault: Fault, r: u8, g: u8, b: u8) -> Ycbcr {
         let mut px = algo::convert(r, g, b);
-        match mutation {
-            ConvMutation::CorruptLuma => px.y = 0,
-            ConvMutation::FlipLuma { bit } => px.y ^= 1 << (bit % 8),
+        match fault {
+            Fault::CorruptData => px.y = 0,
+            Fault::BitFlip { bit } => px.y ^= 1 << (bit % 8),
             _ => {}
         }
         px
-    }
-}
-
-impl Default for ColorConvCore {
-    fn default() -> ColorConvCore {
-        ColorConvCore::new()
     }
 }
 
@@ -228,7 +204,7 @@ mod tests {
 
     #[test]
     fn latency_is_8_cycles() {
-        let mut core = ColorConvCore::new();
+        let mut core = ColorConvCore::new(Fault::None);
         let outs = run_single(&mut core, 10, 20, 30, 12);
         for (cycle, o) in outs.iter().enumerate() {
             assert_eq!(o.out_valid, cycle == 8, "out_valid wrong at cycle {cycle}");
@@ -239,7 +215,7 @@ mod tests {
     #[test]
     fn pipeline_result_matches_reference() {
         for (r, g, b) in [(0, 0, 0), (255, 255, 255), (0, 255, 0), (12, 200, 99)] {
-            let mut core = ColorConvCore::new();
+            let mut core = ColorConvCore::new(Fault::None);
             let outs = run_single(&mut core, r, g, b, 10);
             let expect = algo::convert(r, g, b);
             assert_eq!(outs[8].y, u64::from(expect.y), "({r},{g},{b})");
@@ -250,7 +226,7 @@ mod tests {
 
     #[test]
     fn full_throughput_back_to_back() {
-        let mut core = ColorConvCore::new();
+        let mut core = ColorConvCore::new(Fault::None);
         let pixels: Vec<(u8, u8, u8)> = (0..20)
             .map(|i| (i as u8, 2 * i as u8, 255 - i as u8))
             .collect();
@@ -281,7 +257,7 @@ mod tests {
 
     #[test]
     fn latency_mutations_shift_output() {
-        let mut short = ColorConvCore::with_mutation(ConvMutation::LatencyShort);
+        let mut short = ColorConvCore::new(Fault::LatencyShort);
         let outs = run_single(&mut short, 1, 2, 3, 12);
         assert!(outs[7].out_valid && !outs[8].out_valid);
         let expect = algo::convert(1, 2, 3);
@@ -291,7 +267,7 @@ mod tests {
             "short pipe still computes correctly"
         );
 
-        let mut long = ColorConvCore::with_mutation(ConvMutation::LatencyLong);
+        let mut long = ColorConvCore::new(Fault::LatencyLong);
         let outs = run_single(&mut long, 1, 2, 3, 12);
         assert!(!outs[8].out_valid && outs[9].out_valid);
         assert_eq!(outs[9].y, u64::from(expect.y));
@@ -299,7 +275,7 @@ mod tests {
 
     #[test]
     fn corrupt_luma_violates_range() {
-        let mut core = ColorConvCore::with_mutation(ConvMutation::CorruptLuma);
+        let mut core = ColorConvCore::new(Fault::CorruptData);
         let outs = run_single(&mut core, 100, 100, 100, 10);
         assert!(outs[8].out_valid);
         assert_eq!(outs[8].y, 0);
@@ -307,14 +283,14 @@ mod tests {
 
     #[test]
     fn drop_valid_never_strobes() {
-        let mut core = ColorConvCore::with_mutation(ConvMutation::DropValid);
+        let mut core = ColorConvCore::new(Fault::DropReady);
         let outs = run_single(&mut core, 100, 100, 100, 12);
         assert!(outs.iter().all(|o| !o.out_valid));
     }
 
     #[test]
     fn stuck_valid_strobes_every_cycle() {
-        let mut core = ColorConvCore::with_mutation(ConvMutation::StuckValid);
+        let mut core = ColorConvCore::new(Fault::StuckControl);
         let outs = run_single(&mut core, 100, 100, 100, 12);
         assert!(outs.iter().all(|o| o.out_valid));
         let expect = algo::convert(100, 100, 100);
@@ -323,7 +299,7 @@ mod tests {
 
     #[test]
     fn drop_pixel_swallows_the_second_pixel() {
-        let mut core = ColorConvCore::with_mutation(ConvMutation::DropPixel);
+        let mut core = ColorConvCore::new(Fault::DropTransaction);
         let mut strobes = Vec::new();
         for c in 0..30 {
             let o = core.step(c < 3, 10, 20, 30);
@@ -337,18 +313,18 @@ mod tests {
     #[test]
     fn flip_luma_perturbs_every_black_pixel() {
         for bit in 0..8 {
-            let mut core = ColorConvCore::with_mutation(ConvMutation::FlipLuma { bit });
+            let mut core = ColorConvCore::new(Fault::BitFlip { bit });
             let outs = run_single(&mut core, 0, 0, 0, 10);
             assert!(outs[8].out_valid);
             assert_ne!(outs[8].y, 16, "bit {bit} leaves black luma intact");
-            let px = ColorConvCore::convert_with_mutation(ConvMutation::FlipLuma { bit }, 0, 0, 0);
+            let px = ColorConvCore::convert(Fault::BitFlip { bit }, 0, 0, 0);
             assert_eq!(u64::from(px.y), outs[8].y, "functional path agrees");
         }
     }
 
     #[test]
     fn busy_tracks_pipeline_occupancy() {
-        let mut core = ColorConvCore::new();
+        let mut core = ColorConvCore::new(Fault::None);
         assert!(!core.busy());
         core.step(true, 1, 1, 1);
         assert!(core.busy());

@@ -21,11 +21,11 @@ mod rtl;
 mod tlm;
 mod workload;
 
-pub use core::{ColorConvCore, ConvMutation, ConvOutputs};
+pub use core::{ColorConvCore, ConvOutputs};
 pub use properties::{suite, ABSTRACTED_SIGNALS};
-pub use rtl::{build_rtl, RtlBuilt, RTL_SIGNALS};
+pub use rtl::{build_rtl, RTL_SIGNALS};
 pub use tlm::{
-    build_tlm_at, build_tlm_at_bulk, build_tlm_ca, bulk_surviving_properties, TlmBuilt,
-    TLM_AT_BULK_SIGNALS, TLM_AT_SIGNALS, TLM_CA_SIGNALS,
+    build_tlm_at, build_tlm_at_bulk, build_tlm_ca, bulk_surviving_properties, TLM_AT_BULK_SIGNALS,
+    TLM_AT_SIGNALS, TLM_CA_SIGNALS,
 };
 pub use workload::{ConvWorkload, Pixel};

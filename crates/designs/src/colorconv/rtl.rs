@@ -1,11 +1,11 @@
 //! The ColorConv RTL model: clocked pipeline plus stimulus generator.
 
-use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
-use rtlkit::{Clock, ClockHandle, EdgeDetector};
+use desim::{Component, Event, SignalId, SimCtx, Simulation};
+use rtlkit::{Clock, EdgeDetector};
 
-use super::core::{ColorConvCore, ConvMutation};
+use super::core::ColorConvCore;
 use super::workload::ConvWorkload;
-use crate::CLOCK_PERIOD_NS;
+use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
 /// Names of the ColorConv I/O signals at RTL, in declaration order.
 pub const RTL_SIGNALS: &[&str] = &[
@@ -86,26 +86,14 @@ impl Component for ConvStimulus {
     }
 }
 
-/// A fully wired RTL simulation of ColorConv.
-pub struct RtlBuilt {
-    /// The simulation, ready to run.
-    pub sim: Simulation,
-    /// The design clock.
-    pub clk: ClockHandle,
-    /// Time by which every pixel has completed.
-    pub end_ns: u64,
-}
-
-impl RtlBuilt {
-    /// Runs the simulation to its end time and returns the kernel stats.
-    pub fn run(&mut self) -> desim::SimStats {
-        self.sim.run_until(SimTime::from_ns(self.end_ns))
-    }
-}
-
-/// Builds the ColorConv RTL simulation for a workload.
-#[must_use]
-pub fn build_rtl(workload: &ConvWorkload, mutation: ConvMutation) -> RtlBuilt {
+/// Builds the ColorConv RTL simulation for a workload, with `fault`
+/// injected.
+///
+/// # Errors
+///
+/// Whatever [`check`] rejects for ColorConv at RTL.
+pub fn build_rtl(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::ColorConv, AbsLevel::Rtl, fault)?;
     let mut sim = Simulation::new();
     sim.reserve_signals(10); // pin list + clock, registered in one burst
     let clk = Clock::install(&mut sim, "clk", CLOCK_PERIOD_NS);
@@ -122,7 +110,7 @@ pub fn build_rtl(workload: &ConvWorkload, mutation: ConvMutation) -> RtlBuilt {
     let dut = sim.add_component(ColorConvRtl {
         clk: clk.signal,
         det: EdgeDetector::new(),
-        core: ColorConvCore::with_mutation(mutation),
+        core: ColorConvCore::new(fault),
         px_valid,
         r,
         g,
@@ -146,11 +134,12 @@ pub fn build_rtl(workload: &ConvWorkload, mutation: ConvMutation) -> RtlBuilt {
     });
     sim.subscribe(clk.signal, stim, 0);
 
-    RtlBuilt {
+    Ok(BuiltDesign {
         sim,
-        clk,
+        clk: Some(clk.signal),
+        bus: None,
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -168,10 +157,10 @@ mod tests {
             g: 200,
             b: 99,
         }]);
-        let mut built = build_rtl(&w, ConvMutation::None);
+        let mut built = build_rtl(&w, Fault::None).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );
@@ -192,10 +181,10 @@ mod tests {
     #[test]
     fn stream_of_pixels_all_convert() {
         let w = ConvWorkload::mixed(7, 5);
-        let mut built = build_rtl(&w, ConvMutation::None);
+        let mut built = build_rtl(&w, Fault::None).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );

@@ -1,11 +1,11 @@
 //! The ColorConv TLM models: cycle-accurate and approximately-timed.
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
-use tlmkit::{CodingStyle, Transaction, TransactionBus};
+use tlmkit::{Transaction, TransactionBus};
 
-use super::core::{ColorConvCore, ConvMutation};
+use super::core::ColorConvCore;
 use super::workload::ConvWorkload;
-use crate::CLOCK_PERIOD_NS;
+use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
 /// Mirror signals preserved at TLM-CA (full protocol).
 pub const TLM_CA_SIGNALS: &[&str] = &[
@@ -23,23 +23,6 @@ pub const TLM_CA_SIGNALS: &[&str] = &[
 /// Mirror signals preserved at TLM-AT (the pipeline prediction output is
 /// abstracted away).
 pub const TLM_AT_SIGNALS: &[&str] = &["px_valid", "r", "g", "b", "y", "cb", "cr", "out_valid"];
-
-/// A fully wired TLM simulation of ColorConv.
-pub struct TlmBuilt {
-    /// The simulation, ready to run.
-    pub sim: Simulation,
-    /// The transaction observation channel.
-    pub bus: TransactionBus,
-    /// Time by which every pixel has completed.
-    pub end_ns: u64,
-}
-
-impl TlmBuilt {
-    /// Runs the simulation to its end time and returns the kernel stats.
-    pub fn run(&mut self) -> desim::SimStats {
-        self.sim.run_until(SimTime::from_ns(self.end_ns))
-    }
-}
 
 /// The TLM-CA model: one transaction per clock period, stepping the same
 /// cycle core as RTL.
@@ -97,9 +80,14 @@ impl Component for ConvTlmCa {
     }
 }
 
-/// Builds the ColorConv TLM-CA simulation for a workload.
-#[must_use]
-pub fn build_tlm_ca(workload: &ConvWorkload, mutation: ConvMutation) -> TlmBuilt {
+/// Builds the ColorConv TLM-CA simulation for a workload, with `fault`
+/// injected.
+///
+/// # Errors
+///
+/// Whatever [`check`] rejects for ColorConv at TLM-CA.
+pub fn build_tlm_ca(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::ColorConv, AbsLevel::TlmCa, fault)?;
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let px_valid = sim.add_signal("px_valid", 0);
@@ -114,7 +102,7 @@ pub fn build_tlm_ca(workload: &ConvWorkload, mutation: ConvMutation) -> TlmBuilt
 
     let model = sim.add_component(ConvTlmCa {
         bus: bus.clone(),
-        core: ColorConvCore::with_mutation(mutation),
+        core: ColorConvCore::new(fault),
         workload: workload.clone(),
         edge: 0,
         last_edge: workload.total_edges(),
@@ -130,11 +118,12 @@ pub fn build_tlm_ca(workload: &ConvWorkload, mutation: ConvMutation) -> TlmBuilt
     });
     sim.schedule(SimTime::from_ns(CLOCK_PERIOD_NS), model, 0);
 
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 const OP_WRITE: u64 = 0;
@@ -147,7 +136,7 @@ const OP_VALID_CLEAR: u64 = 3;
 /// style adds the Def. III.1 transactions.
 struct ConvTlmAt {
     bus: TransactionBus,
-    mutation: ConvMutation,
+    fault: Fault,
     workload: ConvWorkload,
     strict: bool,
     px_valid: SignalId,
@@ -162,9 +151,9 @@ struct ConvTlmAt {
 
 impl ConvTlmAt {
     fn read_delay_ns(&self) -> u64 {
-        let cycles = match self.mutation {
-            ConvMutation::LatencyShort => 7,
-            ConvMutation::LatencyLong => 9,
+        let cycles = match self.fault {
+            Fault::LatencyShort => 7,
+            Fault::LatencyLong => 9,
             _ => 8,
         };
         cycles * CLOCK_PERIOD_NS
@@ -184,7 +173,7 @@ impl Component for ConvTlmAt {
                 ctx.write(self.b, u64::from(px.b));
                 ctx.write(
                     self.out_valid,
-                    u64::from(matches!(self.mutation, ConvMutation::StuckValid)),
+                    u64::from(matches!(self.fault, Fault::StuckControl)),
                 );
                 self.bus.publish(
                     ctx,
@@ -194,7 +183,7 @@ impl Component for ConvTlmAt {
                         ev.time,
                     ),
                 );
-                let swallowed = matches!(self.mutation, ConvMutation::DropPixel) && index == 1;
+                let swallowed = matches!(self.fault, Fault::DropTransaction) && index == 1;
                 if !swallowed {
                     ctx.schedule_self(self.read_delay_ns(), (ev.kind & !0b11) | OP_READ);
                 }
@@ -208,12 +197,12 @@ impl Component for ConvTlmAt {
             }
             OP_READ => {
                 let px = self.workload.pixels[index];
-                let res = ColorConvCore::convert_with_mutation(self.mutation, px.r, px.g, px.b);
+                let res = ColorConvCore::convert(self.fault, px.r, px.g, px.b);
                 ctx.write(self.px_valid, 0);
                 ctx.write(self.y, u64::from(res.y));
                 ctx.write(self.cb, u64::from(res.cb));
                 ctx.write(self.cr, u64::from(res.cr));
-                if !matches!(self.mutation, ConvMutation::DropValid) {
+                if !matches!(self.fault, Fault::DropReady) {
                     ctx.write(self.out_valid, 1);
                 }
                 self.bus
@@ -231,23 +220,19 @@ impl Component for ConvTlmAt {
     }
 }
 
-/// Builds the ColorConv TLM-AT simulation for a workload.
+/// Builds the ColorConv TLM-AT simulation for a workload, with `fault`
+/// injected: the paper's loose model, or with `strict` the strict Def.
+/// III.1 model (DESIGN.md §5b).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `style` is [`CodingStyle::CycleAccurate`] (use
-/// [`build_tlm_ca`]).
-#[must_use]
+/// Whatever [`check`] rejects for ColorConv at TLM-AT.
 pub fn build_tlm_at(
     workload: &ConvWorkload,
-    mutation: ConvMutation,
-    style: CodingStyle,
-) -> TlmBuilt {
-    let strict = match style {
-        CodingStyle::ApproximatelyTimedLoose => false,
-        CodingStyle::ApproximatelyTimedStrict => true,
-        CodingStyle::CycleAccurate => panic!("use build_tlm_ca for the cycle-accurate style"),
-    };
+    fault: Fault,
+    strict: bool,
+) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::ColorConv, AbsLevel::TlmAt, fault)?;
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let px_valid = sim.add_signal("px_valid", 0);
@@ -261,7 +246,7 @@ pub fn build_tlm_at(
 
     let model = sim.add_component(ConvTlmAt {
         bus: bus.clone(),
-        mutation,
+        fault,
         workload: workload.clone(),
         strict,
         px_valid,
@@ -278,11 +263,12 @@ pub fn build_tlm_at(
         sim.schedule(SimTime::from_ns(workload.request_time_ns(i)), model, kind);
     }
 
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 /// Mirror signals of the **bulk** TLM-AT model: per-pixel handshake is
@@ -312,7 +298,7 @@ pub const TLM_AT_BULK_SIGNALS: &[&str] = &[
 /// remain meaningful.
 struct ConvTlmAtBulk {
     bus: TransactionBus,
-    mutation: ConvMutation,
+    fault: Fault,
     workload: ConvWorkload,
     frame_start: SignalId,
     frame_done: SignalId,
@@ -347,7 +333,7 @@ impl Component for ConvTlmAtBulk {
                 let mut last = None;
                 let mut checksum: u64 = 0;
                 for px in &self.workload.pixels {
-                    let res = ColorConvCore::convert_with_mutation(self.mutation, px.r, px.g, px.b);
+                    let res = ColorConvCore::convert(self.fault, px.r, px.g, px.b);
                     checksum = checksum.rotate_left(7).wrapping_add(
                         u64::from(res.y) << 16 | u64::from(res.cb) << 8 | u64::from(res.cr),
                     );
@@ -360,7 +346,7 @@ impl Component for ConvTlmAtBulk {
                 ctx.write(self.y, u64::from(res.y));
                 ctx.write(self.cb, u64::from(res.cb));
                 ctx.write(self.cr, u64::from(res.cr));
-                if !matches!(self.mutation, ConvMutation::DropValid) {
+                if !matches!(self.fault, Fault::DropReady) {
                     ctx.write(self.out_valid, 1);
                 }
                 self.bus
@@ -376,11 +362,15 @@ impl Component for ConvTlmAtBulk {
 /// one read returning all results (with checksum) at the instant the RTL
 /// model would emit the last pixel.
 ///
+/// # Errors
+///
+/// Whatever [`check`] rejects for ColorConv at bulk-AT.
+///
 /// # Panics
 ///
 /// Panics if the workload is empty.
-#[must_use]
-pub fn build_tlm_at_bulk(workload: &ConvWorkload, mutation: ConvMutation) -> TlmBuilt {
+pub fn build_tlm_at_bulk(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::ColorConv, AbsLevel::TlmAtBulk, fault)?;
     assert!(
         !workload.pixels.is_empty(),
         "bulk model needs at least one pixel"
@@ -398,7 +388,7 @@ pub fn build_tlm_at_bulk(workload: &ConvWorkload, mutation: ConvMutation) -> Tlm
 
     let model = sim.add_component(ConvTlmAtBulk {
         bus: bus.clone(),
-        mutation,
+        fault,
         workload: workload.clone(),
         frame_start,
         frame_done,
@@ -415,11 +405,12 @@ pub fn build_tlm_at_bulk(workload: &ConvWorkload, mutation: ConvMutation) -> Tlm
         OP_WRITE,
     );
 
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 /// The ColorConv properties that survive at the bulk granularity: range
@@ -457,16 +448,17 @@ mod tests {
     #[test]
     fn tlm_ca_one_transaction_per_cycle() {
         let w = one_pixel();
-        let mut built = build_tlm_ca(&w, ConvMutation::None);
+        let mut built = build_tlm_ca(&w, Fault::None).unwrap();
         built.run();
-        assert_eq!(built.bus.published(), w.total_edges());
+        assert_eq!(built.bus.as_ref().unwrap().published(), w.total_edges());
     }
 
     #[test]
     fn tlm_ca_matches_rtl_completion_time() {
         let w = one_pixel();
-        let mut built = build_tlm_ca(&w, ConvMutation::None);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_CA_SIGNALS);
+        let mut built = build_tlm_ca(&w, Fault::None).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_CA_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // Pixel at edge 2 (t=20); out_valid at t = (2+8)*10 = 100.
@@ -479,10 +471,11 @@ mod tests {
     #[test]
     fn tlm_at_loose_two_transactions_per_pixel() {
         let w = one_pixel();
-        let mut built = build_tlm_at(&w, ConvMutation::None, CodingStyle::ApproximatelyTimedLoose);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::None, false).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
-        assert_eq!(built.bus.published(), 2);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 2);
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[0].time_ns, 20);
         assert_eq!(trace.steps()[1].time_ns, 100);
@@ -494,23 +487,23 @@ mod tests {
     #[test]
     fn tlm_at_strict_four_transactions_per_pixel() {
         let w = one_pixel();
-        let mut built = build_tlm_at(
-            &w,
-            ConvMutation::None,
-            CodingStyle::ApproximatelyTimedStrict,
-        );
+        let mut built = build_tlm_at(&w, Fault::None, true).unwrap();
         built.run();
-        assert_eq!(built.bus.published(), 4);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 4);
     }
 
     #[test]
     fn bulk_model_two_transactions_total() {
         let w = ConvWorkload::mixed(25, 6);
-        let mut built = build_tlm_at_bulk(&w, ConvMutation::None);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_BULK_SIGNALS);
+        let mut built = build_tlm_at_bulk(&w, Fault::None).unwrap();
+        let rec = TxTraceRecorder::install(
+            &mut built.sim,
+            built.bus.as_ref().unwrap(),
+            TLM_AT_BULK_SIGNALS,
+        );
         built.run();
         assert_eq!(
-            built.bus.published(),
+            built.bus.as_ref().unwrap().published(),
             2,
             "one write + one read for the whole frame"
         );
@@ -527,15 +520,12 @@ mod tests {
 
     #[test]
     fn bulk_surviving_properties_pass() {
-        use abv_checker::{Binding, Checker};
+        use abv_checker::Checker;
         let w = ConvWorkload::mixed(10, 8);
-        let mut built = build_tlm_at_bulk(&w, ConvMutation::None);
-        let checkers = Checker::attach_all(
-            &mut built.sim,
-            &bulk_surviving_properties(),
-            Binding::bus(&built.bus),
-        )
-        .expect("installs");
+        let mut built = build_tlm_at_bulk(&w, Fault::None).unwrap();
+        let binding = built.binding();
+        let checkers = Checker::attach_all(&mut built.sim, &bulk_surviving_properties(), binding)
+            .expect("installs");
         built.run();
         let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
         assert!(report.all_pass(), "{report}");
@@ -543,15 +533,12 @@ mod tests {
 
     #[test]
     fn bulk_catches_corrupt_luma() {
-        use abv_checker::{Binding, Checker};
+        use abv_checker::Checker;
         let w = ConvWorkload::mixed(10, 8);
-        let mut built = build_tlm_at_bulk(&w, ConvMutation::CorruptLuma);
-        let checkers = Checker::attach_all(
-            &mut built.sim,
-            &bulk_surviving_properties(),
-            Binding::bus(&built.bus),
-        )
-        .expect("installs");
+        let mut built = build_tlm_at_bulk(&w, Fault::CorruptData).unwrap();
+        let binding = built.binding();
+        let checkers = Checker::attach_all(&mut built.sim, &bulk_surviving_properties(), binding)
+            .expect("installs");
         built.run();
         let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
         assert!(report.property("c4").expect("c4").failure_count > 0);
@@ -564,25 +551,18 @@ mod tests {
             Pixel { r: 4, g: 5, b: 6 },
             Pixel { r: 7, g: 8, b: 9 },
         ]);
-        let mut built = build_tlm_at(
-            &w,
-            ConvMutation::DropPixel,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
+        let mut built = build_tlm_at(&w, Fault::DropTransaction, false).unwrap();
         built.run();
         // Three writes, two completions: pixel 1 never converts.
-        assert_eq!(built.bus.published(), 5);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 5);
     }
 
     #[test]
     fn at_stuck_valid_raises_out_valid_at_the_request() {
         let w = one_pixel();
-        let mut built = build_tlm_at(
-            &w,
-            ConvMutation::StuckValid,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::StuckControl, false).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[0].signal("px_valid"), Some(1));
@@ -593,12 +573,9 @@ mod tests {
     #[test]
     fn corrupt_luma_visible_at_read() {
         let w = one_pixel();
-        let mut built = build_tlm_at(
-            &w,
-            ConvMutation::CorruptLuma,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::CorruptData, false).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[1].signal("y"), Some(0));

@@ -16,6 +16,7 @@
 //! in the naive-scaling ablation).
 
 use super::algo::{KeySchedule, RoundState};
+use crate::Fault;
 
 /// Output interface of the core, one sample per cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,42 +31,18 @@ pub struct DesOutputs {
     pub rdy_next_next_cycle: bool,
 }
 
-/// Fault injections for demonstrating checker effectiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DesMutation {
-    /// Correct behaviour.
-    #[default]
-    None,
-    /// Result produced one cycle early (latency 16).
-    LatencyShort,
-    /// Result produced one cycle late (latency 18).
-    LatencyLong,
-    /// Result block forced to zero.
-    CorruptData,
-    /// `rdy` never asserted.
-    DropReady,
-    /// `rdy` stuck at 1 every cycle.
-    StuckControl,
-    /// The second accepted strobe is silently swallowed: its block never
-    /// enters the round pipeline.
-    DropTransaction,
-    /// Every accepted block is elaborated twice back-to-back, keeping the
-    /// core busy for 34 cycles and swallowing strobes in that window.
-    DuplicateTransaction,
-}
-
 /// Cycle-accurate DES-56 core state machine.
 #[derive(Debug, Clone)]
 pub struct Des56Core {
     ks: KeySchedule,
-    mutation: DesMutation,
+    fault: Fault,
     state: RoundState,
     decrypt: bool,
     /// Cycles since capture; `0` = idle.
     phase: u32,
-    /// Strobes accepted while idle (drives [`DesMutation::DropTransaction`]).
+    /// Strobes accepted while idle (drives [`Fault::DropTransaction`]).
     seen: u32,
-    /// The captured block, kept for [`DesMutation::DuplicateTransaction`].
+    /// The captured block, kept for [`Fault::DuplicateTransaction`].
     block: (u64, bool),
     /// True while re-running the captured block a second time.
     dup_pending: bool,
@@ -76,18 +53,24 @@ impl Des56Core {
     /// The design latency in clock cycles (strobe sample → result sample).
     pub const LATENCY: u32 = 17;
 
-    /// A core keyed with `key`.
+    /// A core keyed with `key`, with `fault` injected ([`Fault::None`] for
+    /// the correct design):
+    ///
+    /// - latency faults move the result to cycle 16 or 18;
+    /// - [`Fault::CorruptData`] forces the result block to zero;
+    /// - [`Fault::DropReady`] never asserts `rdy`, [`Fault::StuckControl`]
+    ///   holds it at 1 every cycle;
+    /// - [`Fault::DropTransaction`] swallows the second accepted strobe;
+    /// - [`Fault::DuplicateTransaction`] elaborates every block twice
+    ///   back-to-back (34 busy cycles, strobes swallowed meanwhile).
+    ///
+    /// [`Fault::BitFlip`] is outside the DES56 catalogue and has no effect
+    /// here; the builders reject it.
     #[must_use]
-    pub fn new(key: u64) -> Des56Core {
-        Des56Core::with_mutation(key, DesMutation::None)
-    }
-
-    /// A core with an injected fault.
-    #[must_use]
-    pub fn with_mutation(key: u64, mutation: DesMutation) -> Des56Core {
+    pub fn new(key: u64, fault: Fault) -> Des56Core {
         Des56Core {
             ks: KeySchedule::new(key),
-            mutation,
+            fault,
             state: RoundState { l: 0, r: 0 },
             decrypt: false,
             phase: 0,
@@ -98,10 +81,10 @@ impl Des56Core {
         }
     }
 
-    /// Accepts (or, under [`DesMutation::DropTransaction`], swallows) a
+    /// Accepts (or, under [`Fault::DropTransaction`], swallows) a
     /// strobed block while the core is idle.
     fn capture(&mut self, indata: u64, decrypt: bool) {
-        let drop = matches!(self.mutation, DesMutation::DropTransaction) && self.seen == 1;
+        let drop = matches!(self.fault, Fault::DropTransaction) && self.seen == 1;
         self.seen += 1;
         if drop {
             return;
@@ -121,13 +104,13 @@ impl Des56Core {
     /// Executes one clock cycle with the given input pins; returns the
     /// output pins as visible at this cycle's (postponed) sample.
     pub fn step(&mut self, ds: bool, indata: u64, decrypt: bool) -> DesOutputs {
-        let (emit_at, predict_base) = match self.mutation {
-            DesMutation::LatencyShort => (16, 15),
-            DesMutation::LatencyLong => (18, 17),
+        let (emit_at, predict_base) = match self.fault {
+            Fault::LatencyShort => (16, 15),
+            Fault::LatencyLong => (18, 17),
             _ => (17, 16),
         };
 
-        self.outputs.rdy = matches!(self.mutation, DesMutation::StuckControl);
+        self.outputs.rdy = matches!(self.fault, Fault::StuckControl);
         self.outputs.rdy_next_cycle = false;
         self.outputs.rdy_next_next_cycle = false;
 
@@ -151,15 +134,15 @@ impl Des56Core {
         }
 
         if self.phase == emit_at {
-            if !matches!(self.mutation, DesMutation::DropReady) {
+            if !matches!(self.fault, Fault::DropReady) {
                 self.outputs.rdy = true;
             }
             let mut out = self.state.output();
-            if matches!(self.mutation, DesMutation::CorruptData) {
+            if matches!(self.fault, Fault::CorruptData) {
                 out = 0;
             }
             self.outputs.out = out;
-            if matches!(self.mutation, DesMutation::DuplicateTransaction) && !self.dup_pending {
+            if matches!(self.fault, Fault::DuplicateTransaction) && !self.dup_pending {
                 // Re-elaborate the same block; strobes stay swallowed.
                 self.dup_pending = true;
                 self.state = RoundState::load(self.block.0);
@@ -201,7 +184,7 @@ mod tests {
 
     #[test]
     fn latency_is_17_cycles() {
-        let mut core = Des56Core::new(KEY);
+        let mut core = Des56Core::new(KEY, Fault::None);
         let outs = run(&mut core, PLAIN, false, 20);
         for (cycle, o) in outs.iter().enumerate() {
             assert_eq!(o.rdy, cycle == 17, "rdy wrong at cycle {cycle}");
@@ -211,7 +194,7 @@ mod tests {
 
     #[test]
     fn prediction_signals_lead_ready() {
-        let mut core = Des56Core::new(KEY);
+        let mut core = Des56Core::new(KEY, Fault::None);
         let outs = run(&mut core, PLAIN, false, 20);
         for (cycle, o) in outs.iter().enumerate() {
             assert_eq!(
@@ -225,14 +208,14 @@ mod tests {
 
     #[test]
     fn decrypt_mode() {
-        let mut core = Des56Core::new(KEY);
+        let mut core = Des56Core::new(KEY, Fault::None);
         let outs = run(&mut core, CIPHER, true, 20);
         assert_eq!(outs[17].out, PLAIN);
     }
 
     #[test]
     fn strobe_while_busy_is_ignored() {
-        let mut core = Des56Core::new(KEY);
+        let mut core = Des56Core::new(KEY, Fault::None);
         core.step(true, PLAIN, false);
         for _ in 0..5 {
             core.step(true, 0xFFFF, true); // ignored
@@ -247,7 +230,7 @@ mod tests {
 
     #[test]
     fn second_block_after_completion() {
-        let mut core = Des56Core::new(KEY);
+        let mut core = Des56Core::new(KEY, Fault::None);
         let _ = run(&mut core, PLAIN, false, 20);
         let outs = run(&mut core, CIPHER, true, 20);
         assert_eq!(outs[17].out, PLAIN);
@@ -262,7 +245,7 @@ mod tests {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
-            let mut core = Des56Core::new(KEY);
+            let mut core = Des56Core::new(KEY, Fault::None);
             let outs = run(&mut core, seed, false, 18);
             assert_eq!(outs[17].out, algo::encrypt(seed, &ks));
         }
@@ -270,7 +253,7 @@ mod tests {
 
     #[test]
     fn latency_short_mutation_emits_at_16() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::LatencyShort);
+        let mut core = Des56Core::new(KEY, Fault::LatencyShort);
         let outs = run(&mut core, PLAIN, false, 20);
         assert!(outs[16].rdy);
         assert!(!outs[17].rdy);
@@ -278,7 +261,7 @@ mod tests {
 
     #[test]
     fn latency_long_mutation_emits_at_18() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::LatencyLong);
+        let mut core = Des56Core::new(KEY, Fault::LatencyLong);
         let outs = run(&mut core, PLAIN, false, 20);
         assert!(!outs[17].rdy);
         assert!(outs[18].rdy);
@@ -286,7 +269,7 @@ mod tests {
 
     #[test]
     fn corrupt_data_mutation_zeroes_the_block() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::CorruptData);
+        let mut core = Des56Core::new(KEY, Fault::CorruptData);
         let outs = run(&mut core, PLAIN, false, 20);
         assert!(outs[17].rdy);
         assert_eq!(outs[17].out, 0);
@@ -294,14 +277,14 @@ mod tests {
 
     #[test]
     fn drop_ready_mutation_never_asserts_rdy() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::DropReady);
+        let mut core = Des56Core::new(KEY, Fault::DropReady);
         let outs = run(&mut core, PLAIN, false, 25);
         assert!(outs.iter().all(|o| !o.rdy));
     }
 
     #[test]
     fn stuck_control_mutation_forces_rdy_every_cycle() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::StuckControl);
+        let mut core = Des56Core::new(KEY, Fault::StuckControl);
         let outs = run(&mut core, PLAIN, false, 20);
         assert!(outs.iter().all(|o| o.rdy));
         assert_eq!(outs[17].out, CIPHER, "data path is untouched");
@@ -309,7 +292,7 @@ mod tests {
 
     #[test]
     fn drop_transaction_mutation_swallows_the_second_block() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::DropTransaction);
+        let mut core = Des56Core::new(KEY, Fault::DropTransaction);
         let first = run(&mut core, PLAIN, false, 20);
         assert!(first[17].rdy, "first block completes normally");
         let second = run(&mut core, CIPHER, true, 20);
@@ -324,7 +307,7 @@ mod tests {
 
     #[test]
     fn duplicate_transaction_mutation_emits_twice_and_stays_busy() {
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::DuplicateTransaction);
+        let mut core = Des56Core::new(KEY, Fault::DuplicateTransaction);
         let outs = run(&mut core, PLAIN, false, 40);
         for (cycle, o) in outs.iter().enumerate() {
             assert_eq!(
@@ -336,7 +319,7 @@ mod tests {
         assert_eq!(outs[17].out, CIPHER);
         assert_eq!(outs[34].out, CIPHER, "same block re-elaborated");
         // A strobe inside the duplicate window is swallowed.
-        let mut core = Des56Core::with_mutation(KEY, DesMutation::DuplicateTransaction);
+        let mut core = Des56Core::new(KEY, Fault::DuplicateTransaction);
         core.step(true, PLAIN, false);
         for c in 1..=20 {
             let o = core.step(c == 20, CIPHER, true); // strobe at cycle 20: busy

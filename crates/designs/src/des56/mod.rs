@@ -24,8 +24,8 @@ mod rtl;
 mod tlm;
 mod workload;
 
-pub use core::{Des56Core, DesMutation, DesOutputs};
+pub use core::{Des56Core, DesOutputs};
 pub use properties::{suite, ABSTRACTED_SIGNALS};
-pub use rtl::{build_rtl, RtlBuilt, DES_KEY, RTL_SIGNALS};
-pub use tlm::{build_tlm_at, build_tlm_ca, TlmBuilt, TLM_AT_SIGNALS, TLM_CA_SIGNALS};
+pub use rtl::{build_rtl, DES_KEY, RTL_SIGNALS};
+pub use tlm::{build_tlm_at, build_tlm_ca, TLM_AT_SIGNALS, TLM_CA_SIGNALS};
 pub use workload::{DesBlock, DesWorkload};

@@ -1,11 +1,11 @@
 //! The DES56 RTL model: clocked design plus stimulus generator.
 
-use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
-use rtlkit::{Clock, ClockHandle, EdgeDetector};
+use desim::{Component, Event, SignalId, SimCtx, Simulation};
+use rtlkit::{Clock, EdgeDetector};
 
-use super::core::{Des56Core, DesMutation};
+use super::core::Des56Core;
 use super::workload::DesWorkload;
-use crate::CLOCK_PERIOD_NS;
+use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
 /// The design key used by all DES56 models (the classic worked-example
 /// key; any non-weak key works).
@@ -85,29 +85,22 @@ impl Component for DesStimulus {
     }
 }
 
-/// A fully wired RTL simulation of DES56.
-pub struct RtlBuilt {
-    /// The simulation, ready to run.
-    pub sim: Simulation,
-    /// The design clock.
-    pub clk: ClockHandle,
-    /// Time by which every request has completed.
-    pub end_ns: u64,
-}
-
-/// Builds the DES56 RTL simulation for a workload.
+/// Builds the DES56 RTL simulation for a workload, with `fault` injected.
 ///
 /// ```
-/// use designs::des56::{build_rtl, DesMutation, DesWorkload};
-/// use desim::SimTime;
+/// use designs::des56::{build_rtl, DesWorkload};
+/// use designs::Fault;
 ///
 /// let w = DesWorkload::random(2, 1);
-/// let mut built = build_rtl(&w, DesMutation::None);
-/// built.sim.run_until(SimTime::from_ns(built.end_ns));
-/// assert!(built.sim.stats().events_processed > 0);
+/// let mut built = build_rtl(&w, Fault::None).expect("DES56 has an RTL model");
+/// assert!(built.run().events_processed > 0);
 /// ```
-#[must_use]
-pub fn build_rtl(workload: &DesWorkload, mutation: DesMutation) -> RtlBuilt {
+///
+/// # Errors
+///
+/// Whatever [`check`] rejects for DES56 at RTL.
+pub fn build_rtl(workload: &DesWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::Des56, AbsLevel::Rtl, fault)?;
     let mut sim = Simulation::new();
     sim.reserve_signals(10); // pin list + clock, registered in one burst
     let clk = Clock::install(&mut sim, "clk", CLOCK_PERIOD_NS);
@@ -122,7 +115,7 @@ pub fn build_rtl(workload: &DesWorkload, mutation: DesMutation) -> RtlBuilt {
     let dut = sim.add_component(Des56Rtl {
         clk: clk.signal,
         det: EdgeDetector::new(),
-        core: Des56Core::with_mutation(DES_KEY, mutation),
+        core: Des56Core::new(DES_KEY, fault),
         ds,
         indata,
         mode,
@@ -143,18 +136,12 @@ pub fn build_rtl(workload: &DesWorkload, mutation: DesMutation) -> RtlBuilt {
     });
     sim.subscribe(clk.signal, stim, 0);
 
-    RtlBuilt {
+    Ok(BuiltDesign {
         sim,
-        clk,
+        clk: Some(clk.signal),
+        bus: None,
         end_ns: workload.end_time_ns(),
-    }
-}
-
-impl RtlBuilt {
-    /// Runs the simulation to its end time and returns the kernel stats.
-    pub fn run(&mut self) -> desim::SimStats {
-        self.sim.run_until(SimTime::from_ns(self.end_ns))
-    }
+    })
 }
 
 #[cfg(test)]
@@ -167,10 +154,10 @@ mod tests {
 
     fn single_block_trace(data: u64, decrypt: bool) -> psl::Trace {
         let w = DesWorkload::new(vec![DesBlock { data, decrypt }]);
-        let mut built = build_rtl(&w, DesMutation::None);
+        let mut built = build_rtl(&w, Fault::None).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );
@@ -211,10 +198,10 @@ mod tests {
     #[test]
     fn back_to_back_requests_all_complete() {
         let w = DesWorkload::random(5, 3);
-        let mut built = build_rtl(&w, DesMutation::None);
+        let mut built = build_rtl(&w, Fault::None).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );
@@ -231,10 +218,10 @@ mod tests {
     #[test]
     fn mutated_model_shifts_ready() {
         let w = DesWorkload::random(1, 3);
-        let mut built = build_rtl(&w, DesMutation::LatencyShort);
+        let mut built = build_rtl(&w, Fault::LatencyShort).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );

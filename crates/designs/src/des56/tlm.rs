@@ -1,13 +1,13 @@
 //! The DES56 TLM models: cycle-accurate and approximately-timed.
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
-use tlmkit::{CodingStyle, Transaction, TransactionBus};
+use tlmkit::{Transaction, TransactionBus};
 
 use super::algo::{self, KeySchedule};
-use super::core::{Des56Core, DesMutation};
+use super::core::Des56Core;
 use super::rtl::DES_KEY;
 use super::workload::DesWorkload;
-use crate::CLOCK_PERIOD_NS;
+use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
 /// Mirror signals preserved at TLM-CA (full protocol).
 pub const TLM_CA_SIGNALS: &[&str] = &[
@@ -23,23 +23,6 @@ pub const TLM_CA_SIGNALS: &[&str] = &[
 /// Mirror signals preserved at TLM-AT (protocol abstracted: the ready
 /// prediction signals are gone).
 pub const TLM_AT_SIGNALS: &[&str] = &["ds", "indata", "mode", "out", "rdy"];
-
-/// A fully wired TLM simulation of DES56.
-pub struct TlmBuilt {
-    /// The simulation, ready to run.
-    pub sim: Simulation,
-    /// The transaction observation channel.
-    pub bus: TransactionBus,
-    /// Time by which every request has completed.
-    pub end_ns: u64,
-}
-
-impl TlmBuilt {
-    /// Runs the simulation to its end time and returns the kernel stats.
-    pub fn run(&mut self) -> desim::SimStats {
-        self.sim.run_until(SimTime::from_ns(self.end_ns))
-    }
-}
 
 /// The TLM-CA initiator+target: one transaction per clock period, stepping
 /// the same cycle core as the RTL model (timing equivalence by
@@ -90,9 +73,14 @@ impl Component for Des56TlmCa {
     }
 }
 
-/// Builds the DES56 TLM-CA simulation for a workload.
-#[must_use]
-pub fn build_tlm_ca(workload: &DesWorkload, mutation: DesMutation) -> TlmBuilt {
+/// Builds the DES56 TLM-CA simulation for a workload, with `fault`
+/// injected.
+///
+/// # Errors
+///
+/// Whatever [`check`] rejects for DES56 at TLM-CA.
+pub fn build_tlm_ca(workload: &DesWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::Des56, AbsLevel::TlmCa, fault)?;
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let ds = sim.add_signal("ds", 0);
@@ -105,7 +93,7 @@ pub fn build_tlm_ca(workload: &DesWorkload, mutation: DesMutation) -> TlmBuilt {
 
     let model = sim.add_component(Des56TlmCa {
         bus: bus.clone(),
-        core: Des56Core::with_mutation(DES_KEY, mutation),
+        core: Des56Core::new(DES_KEY, fault),
         workload: workload.clone(),
         edge: 0,
         last_edge: workload.total_edges(),
@@ -120,11 +108,12 @@ pub fn build_tlm_ca(workload: &DesWorkload, mutation: DesMutation) -> TlmBuilt {
     // First cycle transaction at the first rising-edge time.
     sim.schedule(SimTime::from_ns(CLOCK_PERIOD_NS), model, 0);
 
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 /// Event kinds of the TLM-AT initiator (low 2 bits; block index above).
@@ -135,18 +124,18 @@ const OP_RDY_CLEAR: u64 = 3;
 
 /// The TLM-AT initiator+target: per request, one write transaction
 /// submitting the block and one read transaction fetching the result at
-/// the RTL completion time (`t + 17 × period`). In
-/// [`CodingStyle::ApproximatelyTimedStrict`] mode it additionally produces
-/// the transactions required by strict Def. III.1 timing equivalence
-/// (strobe release at `t + period`, ready deassert at `t_end + period`).
+/// the RTL completion time (`t + 17 × period`). The strict model
+/// additionally produces the transactions required by strict Def. III.1
+/// timing equivalence (strobe release at `t + period`, ready deassert at
+/// `t_end + period`).
 struct Des56TlmAt {
     bus: TransactionBus,
     ks: KeySchedule,
-    mutation: DesMutation,
+    fault: Fault,
     workload: DesWorkload,
     strict: bool,
     /// First edge at which the core is idle again
-    /// ([`DesMutation::DuplicateTransaction`] busy window).
+    /// ([`Fault::DuplicateTransaction`] busy window).
     busy_until_edge: u64,
     ds: SignalId,
     indata: SignalId,
@@ -157,9 +146,9 @@ struct Des56TlmAt {
 
 impl Des56TlmAt {
     fn read_delay_ns(&self) -> u64 {
-        let cycles = match self.mutation {
-            DesMutation::LatencyShort => 16,
-            DesMutation::LatencyLong => 18,
+        let cycles = match self.fault {
+            Fault::LatencyShort => 16,
+            Fault::LatencyLong => 18,
             _ => 17,
         };
         cycles * CLOCK_PERIOD_NS
@@ -178,19 +167,19 @@ impl Component for Des56TlmAt {
                 ctx.write(self.mode, u64::from(block.decrypt));
                 ctx.write(
                     self.rdy,
-                    u64::from(matches!(self.mutation, DesMutation::StuckControl)),
+                    u64::from(matches!(self.fault, Fault::StuckControl)),
                 );
                 self.bus
                     .publish(ctx, Transaction::write(0, block.data, ev.time));
                 let edge = ev.time.as_ns() / CLOCK_PERIOD_NS;
-                let swallowed = match self.mutation {
-                    DesMutation::DropTransaction => index == 1,
-                    DesMutation::DuplicateTransaction => edge < self.busy_until_edge,
+                let swallowed = match self.fault {
+                    Fault::DropTransaction => index == 1,
+                    Fault::DuplicateTransaction => edge < self.busy_until_edge,
                     _ => false,
                 };
                 if !swallowed {
                     ctx.schedule_self(self.read_delay_ns(), (ev.kind & !0b11) | OP_READ);
-                    if matches!(self.mutation, DesMutation::DuplicateTransaction) {
+                    if matches!(self.fault, Fault::DuplicateTransaction) {
                         // The faulty core re-elaborates the block once more.
                         self.busy_until_edge = edge + 2 * u64::from(Des56Core::LATENCY);
                         ctx.schedule_self(2 * self.read_delay_ns(), (ev.kind & !0b11) | OP_READ);
@@ -207,12 +196,12 @@ impl Component for Des56TlmAt {
             OP_READ => {
                 let block = self.workload.blocks[index];
                 let mut result = algo::apply(block.data, &self.ks, block.decrypt);
-                if matches!(self.mutation, DesMutation::CorruptData) {
+                if matches!(self.fault, Fault::CorruptData) {
                     result = 0;
                 }
                 ctx.write(self.ds, 0);
                 ctx.write(self.out, result);
-                if matches!(self.mutation, DesMutation::DropReady) {
+                if matches!(self.fault, Fault::DropReady) {
                     // The faulty IP never raises `rdy`: no completion
                     // transaction is observable at all.
                     return;
@@ -232,23 +221,23 @@ impl Component for Des56TlmAt {
     }
 }
 
-/// Builds the DES56 TLM-AT simulation for a workload.
+/// Builds the DES56 TLM-AT simulation for a workload, with `fault`
+/// injected: the paper's loose model, or with `strict` the strict Def.
+/// III.1 model (DESIGN.md §5b).
 ///
-/// `style` must be one of the approximately-timed styles; write
-/// transactions are scheduled at the same instants where the RTL model
-/// samples the strobes, read transactions at the RTL completion instants.
+/// Write transactions are scheduled at the same instants where the RTL
+/// model samples the strobes, read transactions at the RTL completion
+/// instants.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `style` is [`CodingStyle::CycleAccurate`] (use
-/// [`build_tlm_ca`]).
-#[must_use]
-pub fn build_tlm_at(workload: &DesWorkload, mutation: DesMutation, style: CodingStyle) -> TlmBuilt {
-    let strict = match style {
-        CodingStyle::ApproximatelyTimedLoose => false,
-        CodingStyle::ApproximatelyTimedStrict => true,
-        CodingStyle::CycleAccurate => panic!("use build_tlm_ca for the cycle-accurate style"),
-    };
+/// Whatever [`check`] rejects for DES56 at TLM-AT.
+pub fn build_tlm_at(
+    workload: &DesWorkload,
+    fault: Fault,
+    strict: bool,
+) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::Des56, AbsLevel::TlmAt, fault)?;
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let ds = sim.add_signal("ds", 0);
@@ -260,7 +249,7 @@ pub fn build_tlm_at(workload: &DesWorkload, mutation: DesMutation, style: Coding
     let model = sim.add_component(Des56TlmAt {
         bus: bus.clone(),
         ks: KeySchedule::new(DES_KEY),
-        mutation,
+        fault,
         workload: workload.clone(),
         strict,
         busy_until_edge: 0,
@@ -275,11 +264,12 @@ pub fn build_tlm_at(workload: &DesWorkload, mutation: DesMutation, style: Coding
         sim.schedule(SimTime::from_ns(workload.request_time_ns(i)), model, kind);
     }
 
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -299,16 +289,17 @@ mod tests {
     #[test]
     fn tlm_ca_produces_one_transaction_per_cycle() {
         let w = one_block();
-        let mut built = build_tlm_ca(&w, DesMutation::None);
+        let mut built = build_tlm_ca(&w, Fault::None).unwrap();
         built.run();
-        assert_eq!(built.bus.published(), w.total_edges());
+        assert_eq!(built.bus.as_ref().unwrap().published(), w.total_edges());
     }
 
     #[test]
     fn tlm_ca_result_at_completion_edge() {
         let w = one_block();
-        let mut built = build_tlm_ca(&w, DesMutation::None);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_CA_SIGNALS);
+        let mut built = build_tlm_ca(&w, Fault::None).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_CA_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // Request at edge 2 (t=20); rdy at t = (2+17)*10 = 190.
@@ -324,24 +315,25 @@ mod tests {
     #[test]
     fn tlm_at_loose_two_transactions_per_block() {
         let w = one_block();
-        let mut built = build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedLoose);
+        let mut built = build_tlm_at(&w, Fault::None, false).unwrap();
         built.run();
-        assert_eq!(built.bus.published(), 2);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 2);
     }
 
     #[test]
     fn tlm_at_strict_four_transactions_per_block() {
         let w = one_block();
-        let mut built = build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedStrict);
+        let mut built = build_tlm_at(&w, Fault::None, true).unwrap();
         built.run();
-        assert_eq!(built.bus.published(), 4);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 4);
     }
 
     #[test]
     fn tlm_at_read_lands_at_rtl_completion_time() {
         let w = one_block();
-        let mut built = build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedLoose);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::None, false).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.len(), 2);
@@ -360,22 +352,17 @@ mod tests {
     #[test]
     fn tlm_at_latency_mutations_shift_read() {
         let w = one_block();
-        for (mutation, expected) in [
-            (DesMutation::LatencyShort, 180),
-            (DesMutation::LatencyLong, 200),
-        ] {
-            let mut built = build_tlm_at(&w, mutation, CodingStyle::ApproximatelyTimedLoose);
-            let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        for (fault, expected) in [(Fault::LatencyShort, 180), (Fault::LatencyLong, 200)] {
+            let mut built = build_tlm_at(&w, fault, false).unwrap();
+            let rec = TxTraceRecorder::install(
+                &mut built.sim,
+                built.bus.as_ref().unwrap(),
+                TLM_AT_SIGNALS,
+            );
             built.sim.run_until(SimTime::from_ns(1000));
             let trace = TxTraceRecorder::take_trace(&built.sim, rec);
             assert_eq!(trace.steps()[1].time_ns, expected);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "use build_tlm_ca")]
-    fn at_builder_rejects_ca_style() {
-        let _ = build_tlm_at(&one_block(), DesMutation::None, CodingStyle::CycleAccurate);
     }
 
     fn two_blocks() -> DesWorkload {
@@ -394,37 +381,30 @@ mod tests {
     #[test]
     fn tlm_at_drop_ready_publishes_no_completion() {
         let w = one_block();
-        let mut built = build_tlm_at(
-            &w,
-            DesMutation::DropReady,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
+        let mut built = build_tlm_at(&w, Fault::DropReady, false).unwrap();
         built.run();
-        assert_eq!(built.bus.published(), 1, "only the request is observable");
+        assert_eq!(
+            built.bus.as_ref().unwrap().published(),
+            1,
+            "only the request is observable"
+        );
     }
 
     #[test]
     fn tlm_at_drop_transaction_swallows_second_request() {
         let w = two_blocks();
-        let mut built = build_tlm_at(
-            &w,
-            DesMutation::DropTransaction,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
+        let mut built = build_tlm_at(&w, Fault::DropTransaction, false).unwrap();
         built.run();
         // Two writes, but only the first request completes.
-        assert_eq!(built.bus.published(), 3);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 3);
     }
 
     #[test]
     fn tlm_at_duplicate_transaction_completes_twice_and_swallows_busy_strobes() {
         let w = two_blocks();
-        let mut built = build_tlm_at(
-            &w,
-            DesMutation::DuplicateTransaction,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::DuplicateTransaction, false).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.sim.run_until(SimTime::from_ns(1000));
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // Request 0 at 20 ns completes at 190 and again at 360; the request
@@ -436,12 +416,9 @@ mod tests {
     #[test]
     fn tlm_at_stuck_control_raises_rdy_at_the_request() {
         let w = one_block();
-        let mut built = build_tlm_at(
-            &w,
-            DesMutation::StuckControl,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::StuckControl, false).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[0].signal("ds"), Some(1));

@@ -2,16 +2,17 @@
 //! declarative `(design, level, size, seed, fault)` spec.
 //!
 //! This is what lets a verification campaign construct isolated runs
-//! without knowing each IP's builder signatures: every combination yields
-//! a [`BuiltDesign`] carrying the simulation, the observable attachment
-//! points (clock signal and/or transaction bus — exactly what a
-//! checker [`Binding`](abv_checker::Binding) needs), the nominal end time,
-//! and a uniform `run()`.
+//! without knowing each IP's builder signatures: [`check`] decides which
+//! combinations exist, and every builder — [`build`] and the per-IP ones
+//! it dispatches to — yields a [`BuiltDesign`] carrying the simulation,
+//! the observable attachment points (clock signal and/or transaction bus
+//! — exactly what a checker [`Binding`](abv_checker::Binding) needs), the
+//! nominal end time, and a uniform `run()`.
 
 use abv_core::{abstract_property, reuse_at_cycle_accurate, AbstractionConfig};
 use desim::{SignalId, SimStats, Simulation};
 use psl::ClockedProperty;
-use tlmkit::{CodingStyle, TransactionBus};
+use tlmkit::TransactionBus;
 
 use crate::{colorconv, des56, fir, SuiteEntry, CLOCK_PERIOD_NS};
 
@@ -120,11 +121,11 @@ impl AbsLevel {
     }
 }
 
-/// An optional injected fault, selected design-independently; each maps to
-/// the IP's corresponding mutation.
+/// An optional injected fault, selected design-independently: every model
+/// of every IP stores one and injects its own form of it.
 ///
 /// Not every IP supports every fault — [`Fault::catalogue`] lists the
-/// supported set per design, and [`build`] returns
+/// supported set per design, and [`check`] (hence every builder) returns
 /// [`BuildError::UnsupportedFault`] for pairs outside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fault {
@@ -236,7 +237,7 @@ pub struct BuiltDesign {
     pub end_ns: u64,
 }
 
-/// Errors from [`build`].
+/// Errors from [`check`], and so from every builder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The design does not support the requested level (only ColorConv has
@@ -272,18 +273,44 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Checks that `design` has a model at `level` with `fault` injected — the
+/// one rule deciding which `(design, level, fault)` triples exist.
+///
+/// A fault is supported when [`Fault::catalogue`] lists it for the design
+/// ([`Fault::BitFlip`] at any bit); bulk-AT exists for ColorConv only. The
+/// fault is checked first. Every builder calls this before wiring a
+/// simulation, and campaign plans call it to validate their cells.
+///
+/// # Errors
+///
+/// [`BuildError::UnsupportedFault`] for a fault outside the design's
+/// catalogue, else [`BuildError::UnsupportedLevel`] for
+/// [`AbsLevel::TlmAtBulk`] on designs other than ColorConv.
+pub fn check(design: DesignKind, level: AbsLevel, fault: Fault) -> Result<(), BuildError> {
+    let kind = std::mem::discriminant(&fault);
+    if !Fault::catalogue(design)
+        .iter()
+        .any(|f| std::mem::discriminant(f) == kind)
+    {
+        return Err(BuildError::UnsupportedFault { design, fault });
+    }
+    if level == AbsLevel::TlmAtBulk && design != DesignKind::ColorConv {
+        return Err(BuildError::UnsupportedLevel { design, level });
+    }
+    Ok(())
+}
+
 /// Builds a fresh `design` instance at `level` over a seeded workload of
 /// `size` requests, with `fault` injected.
 ///
 /// Equal arguments produce behaviourally identical simulations — the
 /// whole stimulus is derived from `seed` — which is the foundation of the
-/// campaign engine's determinism guarantee.
+/// campaign engine's determinism guarantee. TLM-AT is the paper's loose
+/// style; the strict variants are built through the per-IP builders.
 ///
 /// # Errors
 ///
-/// [`BuildError::UnsupportedLevel`] for [`AbsLevel::TlmAtBulk`] on designs
-/// other than ColorConv; [`BuildError::UnsupportedFault`] for `(design,
-/// fault)` pairs outside [`Fault::catalogue`].
+/// Whatever [`check`] rejects.
 pub fn build(
     design: DesignKind,
     level: AbsLevel,
@@ -291,84 +318,26 @@ pub fn build(
     seed: u64,
     fault: Fault,
 ) -> Result<BuiltDesign, BuildError> {
-    let style = CodingStyle::ApproximatelyTimedLoose;
-    match design {
-        DesignKind::Des56 => {
-            let w = des56::DesWorkload::mixed(size, seed);
-            let m = des_mutation(fault).ok_or(BuildError::UnsupportedFault { design, fault })?;
-            match level {
-                AbsLevel::Rtl => Ok(from_des_rtl(des56::build_rtl(&w, m))),
-                AbsLevel::TlmCa => Ok(from_des_tlm(des56::build_tlm_ca(&w, m))),
-                AbsLevel::TlmAt => Ok(from_des_tlm(des56::build_tlm_at(&w, m, style))),
-                AbsLevel::TlmAtBulk => Err(BuildError::UnsupportedLevel { design, level }),
-            }
+    use AbsLevel as L;
+    use DesignKind as D;
+    let des = || des56::DesWorkload::mixed(size, seed);
+    let conv = || colorconv::ConvWorkload::mixed(size, seed);
+    let fir = || fir::FirWorkload::random(size, seed);
+    match (design, level) {
+        (D::Des56, L::Rtl) => des56::build_rtl(&des(), fault),
+        (D::Des56, L::TlmCa) => des56::build_tlm_ca(&des(), fault),
+        (D::Des56, L::TlmAt) => des56::build_tlm_at(&des(), fault, false),
+        (D::ColorConv, L::Rtl) => colorconv::build_rtl(&conv(), fault),
+        (D::ColorConv, L::TlmCa) => colorconv::build_tlm_ca(&conv(), fault),
+        (D::ColorConv, L::TlmAt) => colorconv::build_tlm_at(&conv(), fault, false),
+        (D::ColorConv, L::TlmAtBulk) => colorconv::build_tlm_at_bulk(&conv(), fault),
+        (D::Fir, L::Rtl) => fir::build_rtl(&fir(), fault),
+        (D::Fir, L::TlmCa) => fir::build_tlm_ca(&fir(), fault),
+        (D::Fir, L::TlmAt) => fir::build_tlm_at(&fir(), fault),
+        (D::Des56 | D::Fir, L::TlmAtBulk) => {
+            check(design, level, fault)?;
+            unreachable!("check admits bulk-AT for ColorConv only")
         }
-        DesignKind::ColorConv => {
-            let w = colorconv::ConvWorkload::mixed(size, seed);
-            let m = conv_mutation(fault).ok_or(BuildError::UnsupportedFault { design, fault })?;
-            match level {
-                AbsLevel::Rtl => Ok(from_conv_rtl(colorconv::build_rtl(&w, m))),
-                AbsLevel::TlmCa => Ok(from_conv_tlm(colorconv::build_tlm_ca(&w, m))),
-                AbsLevel::TlmAt => Ok(from_conv_tlm(colorconv::build_tlm_at(&w, m, style))),
-                AbsLevel::TlmAtBulk => Ok(from_conv_tlm(colorconv::build_tlm_at_bulk(&w, m))),
-            }
-        }
-        DesignKind::Fir => {
-            let w = fir::FirWorkload::random(size, seed);
-            let m = fir_mutation(fault).ok_or(BuildError::UnsupportedFault { design, fault })?;
-            match level {
-                AbsLevel::Rtl => Ok(from_fir_rtl(fir::build_rtl(&w, m))),
-                AbsLevel::TlmCa => Ok(from_fir_tlm(fir::build_tlm_ca(&w, m))),
-                AbsLevel::TlmAt => Ok(from_fir_tlm(fir::build_tlm_at(&w, m, style))),
-                AbsLevel::TlmAtBulk => Err(BuildError::UnsupportedLevel { design, level }),
-            }
-        }
-    }
-}
-
-/// Maps the design-independent fault onto the DES56 mutation catalogue.
-fn des_mutation(fault: Fault) -> Option<des56::DesMutation> {
-    use des56::DesMutation as M;
-    match fault {
-        Fault::None => Some(M::None),
-        Fault::LatencyShort => Some(M::LatencyShort),
-        Fault::LatencyLong => Some(M::LatencyLong),
-        Fault::CorruptData => Some(M::CorruptData),
-        Fault::DropReady => Some(M::DropReady),
-        Fault::StuckControl => Some(M::StuckControl),
-        Fault::DropTransaction => Some(M::DropTransaction),
-        Fault::DuplicateTransaction => Some(M::DuplicateTransaction),
-        Fault::BitFlip { .. } => None,
-    }
-}
-
-/// Maps the design-independent fault onto the ColorConv mutation catalogue.
-fn conv_mutation(fault: Fault) -> Option<colorconv::ConvMutation> {
-    use colorconv::ConvMutation as M;
-    match fault {
-        Fault::None => Some(M::None),
-        Fault::LatencyShort => Some(M::LatencyShort),
-        Fault::LatencyLong => Some(M::LatencyLong),
-        Fault::CorruptData => Some(M::CorruptLuma),
-        Fault::DropReady => Some(M::DropValid),
-        Fault::StuckControl => Some(M::StuckValid),
-        Fault::DropTransaction => Some(M::DropPixel),
-        Fault::BitFlip { bit } => Some(M::FlipLuma { bit }),
-        Fault::DuplicateTransaction => None,
-    }
-}
-
-/// Maps the design-independent fault onto the FIR mutation catalogue.
-fn fir_mutation(fault: Fault) -> Option<fir::FirMutation> {
-    use fir::FirMutation as M;
-    match fault {
-        Fault::None => Some(M::None),
-        Fault::LatencyShort => Some(M::LatencyShort),
-        Fault::CorruptData => Some(M::CorruptResult),
-        Fault::DropReady => Some(M::DropValid),
-        Fault::DropTransaction => Some(M::DropSample),
-        Fault::BitFlip { bit } => Some(M::FlipResult { bit }),
-        Fault::LatencyLong | Fault::StuckControl | Fault::DuplicateTransaction => None,
     }
 }
 
@@ -380,12 +349,18 @@ fn fir_mutation(fault: Fault) -> Option<fir::FirMutation> {
 /// - bulk-AT: the subset of the abstracted suite whose deadline structure
 ///   survives row-level transaction batching.
 ///
+/// Empty for every `(design, level)` pair [`check`] rejects (bulk-AT on
+/// DES56 or FIR), since no model exists to verify.
+///
 /// # Panics
 ///
 /// Panics if a suite property fails to abstract (the shipped suites always
 /// abstract).
 #[must_use]
 pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, ClockedProperty)> {
+    if check(design, level, Fault::None).is_err() {
+        return Vec::new();
+    }
     let suite = design.suite();
     match level {
         AbsLevel::Rtl => suite.iter().map(SuiteEntry::named).collect(),
@@ -419,7 +394,8 @@ pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, Clocke
 /// subset (abstracted) at TLM-AT, the surviving range checks at bulk-AT.
 ///
 /// This is the baseline a mutation campaign measures against — a mutant is
-/// killed exactly when one of these fails.
+/// killed exactly when one of these fails. Empty, like [`properties_at`],
+/// for every pair [`check`] rejects.
 ///
 /// # Panics
 ///
@@ -431,7 +407,7 @@ pub fn passing_properties_at(
     level: AbsLevel,
 ) -> Vec<(String, ClockedProperty)> {
     match level {
-        AbsLevel::Rtl | AbsLevel::TlmCa => properties_at(design, level),
+        AbsLevel::Rtl | AbsLevel::TlmCa | AbsLevel::TlmAtBulk => properties_at(design, level),
         AbsLevel::TlmAt => {
             let cfg = design.config();
             design
@@ -446,7 +422,6 @@ pub fn passing_properties_at(
                 })
                 .collect()
         }
-        AbsLevel::TlmAtBulk => colorconv::bulk_surviving_properties(),
     }
 }
 
@@ -480,60 +455,6 @@ impl BuiltDesign {
     }
 }
 
-fn from_des_rtl(b: des56::RtlBuilt) -> BuiltDesign {
-    BuiltDesign {
-        clk: Some(b.clk.signal),
-        bus: None,
-        end_ns: b.end_ns,
-        sim: b.sim,
-    }
-}
-
-fn from_des_tlm(b: des56::TlmBuilt) -> BuiltDesign {
-    BuiltDesign {
-        clk: None,
-        bus: Some(b.bus),
-        end_ns: b.end_ns,
-        sim: b.sim,
-    }
-}
-
-fn from_conv_rtl(b: colorconv::RtlBuilt) -> BuiltDesign {
-    BuiltDesign {
-        clk: Some(b.clk.signal),
-        bus: None,
-        end_ns: b.end_ns,
-        sim: b.sim,
-    }
-}
-
-fn from_conv_tlm(b: colorconv::TlmBuilt) -> BuiltDesign {
-    BuiltDesign {
-        clk: None,
-        bus: Some(b.bus),
-        end_ns: b.end_ns,
-        sim: b.sim,
-    }
-}
-
-fn from_fir_rtl(b: fir::RtlBuilt) -> BuiltDesign {
-    BuiltDesign {
-        clk: Some(b.clk.signal),
-        bus: None,
-        end_ns: b.end_ns,
-        sim: b.sim,
-    }
-}
-
-fn from_fir_tlm(b: fir::TlmBuilt) -> BuiltDesign {
-    BuiltDesign {
-        clk: None,
-        bus: Some(b.bus),
-        end_ns: b.end_ns,
-        sim: b.sim,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,8 +479,11 @@ mod tests {
 
     #[test]
     fn bulk_is_colorconv_only() {
-        assert!(build(DesignKind::Des56, AbsLevel::TlmAtBulk, 2, 0, Fault::None).is_err());
-        assert!(build(DesignKind::Fir, AbsLevel::TlmAtBulk, 2, 0, Fault::None).is_err());
+        for design in [DesignKind::Des56, DesignKind::Fir] {
+            assert!(build(design, AbsLevel::TlmAtBulk, 2, 0, Fault::None).is_err());
+            assert!(properties_at(design, AbsLevel::TlmAtBulk).is_empty());
+            assert!(passing_properties_at(design, AbsLevel::TlmAtBulk).is_empty());
+        }
         assert!(build(
             DesignKind::ColorConv,
             AbsLevel::TlmAtBulk,
@@ -568,6 +492,84 @@ mod tests {
             Fault::None
         )
         .is_ok());
+        assert_eq!(
+            properties_at(DesignKind::ColorConv, AbsLevel::TlmAtBulk).len(),
+            4
+        );
+    }
+
+    /// Every `Fault` variant, bit-flip at two positions.
+    fn every_fault() -> [Fault; 10] {
+        [
+            Fault::None,
+            Fault::LatencyShort,
+            Fault::LatencyLong,
+            Fault::CorruptData,
+            Fault::DropReady,
+            Fault::StuckControl,
+            Fault::DropTransaction,
+            Fault::DuplicateTransaction,
+            Fault::BitFlip { bit: 0 },
+            Fault::BitFlip { bit: 13 },
+        ]
+    }
+
+    /// The IP's own builder for `(design, level)`, over a 1-request
+    /// workload; `None` where the IP has no such builder.
+    fn per_ip_build(
+        design: DesignKind,
+        level: AbsLevel,
+        fault: Fault,
+    ) -> Option<Result<BuiltDesign, BuildError>> {
+        let des = || des56::DesWorkload::mixed(1, 0);
+        let conv = || colorconv::ConvWorkload::mixed(1, 0);
+        let fir = || fir::FirWorkload::random(1, 0);
+        Some(match (design, level) {
+            (DesignKind::Des56, AbsLevel::Rtl) => des56::build_rtl(&des(), fault),
+            (DesignKind::Des56, AbsLevel::TlmCa) => des56::build_tlm_ca(&des(), fault),
+            (DesignKind::Des56, AbsLevel::TlmAt) => des56::build_tlm_at(&des(), fault, true),
+            (DesignKind::ColorConv, AbsLevel::Rtl) => colorconv::build_rtl(&conv(), fault),
+            (DesignKind::ColorConv, AbsLevel::TlmCa) => colorconv::build_tlm_ca(&conv(), fault),
+            (DesignKind::ColorConv, AbsLevel::TlmAt) => {
+                colorconv::build_tlm_at(&conv(), fault, true)
+            }
+            (DesignKind::ColorConv, AbsLevel::TlmAtBulk) => {
+                colorconv::build_tlm_at_bulk(&conv(), fault)
+            }
+            (DesignKind::Fir, AbsLevel::Rtl) => fir::build_rtl(&fir(), fault),
+            (DesignKind::Fir, AbsLevel::TlmCa) => fir::build_tlm_ca(&fir(), fault),
+            (DesignKind::Fir, AbsLevel::TlmAt) => fir::build_tlm_at(&fir(), fault),
+            (DesignKind::Des56 | DesignKind::Fir, AbsLevel::TlmAtBulk) => return None,
+        })
+    }
+
+    #[test]
+    fn check_decides_exactly_what_builds() {
+        let levels = [
+            AbsLevel::Rtl,
+            AbsLevel::TlmCa,
+            AbsLevel::TlmAt,
+            AbsLevel::TlmAtBulk,
+        ];
+        let mut accepted = 0;
+        for design in DesignKind::ALL {
+            for level in levels {
+                for fault in every_fault() {
+                    let what = format!("{} {} {fault}", design.label(), level.label());
+                    let checked = check(design, level, fault);
+                    let built = build(design, level, 1, 0, fault).map(|_| ());
+                    assert_eq!(checked, built, "{what}");
+                    match per_ip_build(design, level, fault) {
+                        Some(direct) => assert_eq!(direct.map(|_| ()), checked, "{what}"),
+                        None => assert!(checked.is_err(), "{what} has no builder"),
+                    }
+                    accepted += usize::from(checked.is_ok());
+                }
+            }
+        }
+        // Catalogue sizes 8 + 8 + 6, bit-flip counted at both positions,
+        // at the three shared levels; ColorConv's 9 also at bulk-AT.
+        assert_eq!(accepted, 3 * (8 + 9 + 7) + 9);
     }
 
     #[test]
@@ -624,7 +626,9 @@ mod tests {
     #[test]
     fn unsupported_faults_are_structured_errors() {
         // DES56 has no payload bit-flip; ColorConv no duplicate; FIR
-        // neither latency-long nor stuck-control nor duplicate.
+        // neither latency-long nor stuck-control nor duplicate. The fault
+        // is checked before the level, so bulk-AT on DES56/FIR reports it
+        // too.
         let cases = [
             (DesignKind::Des56, Fault::BitFlip { bit: 3 }),
             (DesignKind::ColorConv, Fault::DuplicateTransaction),
@@ -633,7 +637,7 @@ mod tests {
             (DesignKind::Fir, Fault::DuplicateTransaction),
         ];
         for (design, fault) in cases {
-            for level in AbsLevel::ALL {
+            for level in AbsLevel::ALL.into_iter().chain([AbsLevel::TlmAtBulk]) {
                 let err = match build(design, level, 2, 0, fault) {
                     Err(err) => err,
                     Ok(_) => panic!("{} {fault} must not fall back", design.label()),

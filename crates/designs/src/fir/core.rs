@@ -4,6 +4,8 @@
 //! filtered output at edge `e5` (capture, four multiply-accumulate stages,
 //! output register). Samples may arrive back-to-back (throughput 1).
 
+use crate::Fault;
+
 /// The fixed filter taps (Q8 fixed point: a gentle low-pass).
 pub const TAPS: [u32; 4] = [32, 96, 96, 32];
 
@@ -16,29 +18,6 @@ pub struct FirOutputs {
     pub out_valid: bool,
     /// Prediction: `out_valid` rises at the next cycle.
     pub res_next_cycle: bool,
-}
-
-/// Fault injections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FirMutation {
-    /// Correct behaviour.
-    #[default]
-    None,
-    /// Output produced one cycle early.
-    LatencyShort,
-    /// Wrong arithmetic: the first tap is dropped.
-    DropTap,
-    /// Result forced above the 16-bit output bound.
-    CorruptResult,
-    /// `out_valid` never asserted.
-    DropValid,
-    /// The second accepted sample never enters the filter.
-    DropSample,
-    /// A high result bit (16 + `bit % 8`) flipped on.
-    FlipResult {
-        /// Which high bit (mod 8, offset 16) to flip.
-        bit: u8,
-    },
 }
 
 /// The reference (functional) filter over a sample history, newest first.
@@ -63,10 +42,10 @@ struct Work {
 /// Cycle-accurate 4-tap FIR pipeline (latency 5).
 #[derive(Debug, Clone)]
 pub struct FirCore {
-    mutation: FirMutation,
+    fault: Fault,
     delay_line: [u64; 4],
     pipe: [Option<Work>; 5],
-    /// Samples accepted so far (drives [`FirMutation::DropSample`]).
+    /// Samples accepted so far (drives [`Fault::DropTransaction`]).
     seen: u32,
     outputs: FirOutputs,
 }
@@ -75,11 +54,23 @@ impl FirCore {
     /// The design latency in clock cycles (strobe sample → result sample).
     pub const LATENCY: u32 = 5;
 
-    /// A core with an injected fault (or [`FirMutation::None`]).
+    /// A core with `fault` injected ([`Fault::None`] for the correct
+    /// design):
+    ///
+    /// - [`Fault::LatencyShort`] shortens the pipe to 4 stages;
+    /// - [`Fault::CorruptData`] sets result bit 16, above the 16-bit
+    ///   output bound;
+    /// - [`Fault::BitFlip`] flips result bit `16 + bit % 8`;
+    /// - [`Fault::DropReady`] never asserts `out_valid`;
+    /// - [`Fault::DropTransaction`] keeps the second accepted sample out of
+    ///   the filter.
+    ///
+    /// The other faults are outside the FIR catalogue and have no effect
+    /// here; the builders reject them.
     #[must_use]
-    pub fn new(mutation: FirMutation) -> FirCore {
+    pub fn new(fault: Fault) -> FirCore {
         FirCore {
-            mutation,
+            fault,
             delay_line: [0; 4],
             pipe: [None; 5],
             seen: 0,
@@ -89,28 +80,24 @@ impl FirCore {
 
     /// Executes one clock cycle with the given input pins.
     pub fn step(&mut self, in_valid: bool, sample: u64) -> FirOutputs {
-        let depth = match self.mutation {
-            FirMutation::LatencyShort => 4,
+        let depth = match self.fault {
+            Fault::LatencyShort => 4,
             _ => 5,
         };
 
         let exiting = self.pipe[depth - 1].take();
         for stage in (1..depth).rev() {
-            let mutation = self.mutation;
             self.pipe[stage] = self.pipe[stage - 1].take().map(|mut w| {
                 // Stages 1..=4 each accumulate one tap.
                 if (1..=4).contains(&w.stage) {
-                    let dropped = matches!(mutation, FirMutation::DropTap) && w.stage == 1;
-                    if !dropped {
-                        w.acc += u64::from(TAPS[w.stage - 1]) * w.history[w.stage - 1];
-                    }
+                    w.acc += u64::from(TAPS[w.stage - 1]) * w.history[w.stage - 1];
                 }
                 w.stage += 1;
                 w
             });
         }
         if in_valid {
-            let drop = matches!(self.mutation, FirMutation::DropSample) && self.seen == 1;
+            let drop = matches!(self.fault, Fault::DropTransaction) && self.seen == 1;
             self.seen += 1;
             if !drop {
                 self.delay_line.rotate_right(1);
@@ -131,13 +118,13 @@ impl FirCore {
                 w.stage += 1;
             }
             let mut result = w.acc >> 8;
-            match self.mutation {
-                FirMutation::CorruptResult => result |= 1 << 16,
-                FirMutation::FlipResult { bit } => result ^= 1 << (16 + bit % 8),
+            match self.fault {
+                Fault::CorruptData => result |= 1 << 16,
+                Fault::BitFlip { bit } => result ^= 1 << (16 + bit % 8),
                 _ => {}
             }
             self.outputs.result = result;
-            self.outputs.out_valid = !matches!(self.mutation, FirMutation::DropValid);
+            self.outputs.out_valid = !matches!(self.fault, Fault::DropReady);
         }
         self.outputs.res_next_cycle = self.pipe[depth - 1].is_some();
         self.outputs
@@ -154,7 +141,7 @@ mod tests {
 
     #[test]
     fn latency_is_5_cycles() {
-        let mut core = FirCore::new(FirMutation::None);
+        let mut core = FirCore::new(Fault::None);
         let outs = run_single(&mut core, 256, 8);
         for (cycle, o) in outs.iter().enumerate() {
             assert_eq!(o.out_valid, cycle == 5, "cycle {cycle}");
@@ -167,7 +154,7 @@ mod tests {
     #[test]
     fn streaming_matches_reference() {
         let samples: Vec<u64> = (1..=20).map(|k| k * 37).collect();
-        let mut core = FirCore::new(FirMutation::None);
+        let mut core = FirCore::new(Fault::None);
         let mut results = Vec::new();
         for c in 0..30 {
             let (valid, sample) = match samples.get(c) {
@@ -190,7 +177,7 @@ mod tests {
 
     #[test]
     fn latency_short_mutation() {
-        let mut core = FirCore::new(FirMutation::LatencyShort);
+        let mut core = FirCore::new(Fault::LatencyShort);
         let outs = run_single(&mut core, 256, 8);
         assert!(outs[4].out_valid && !outs[5].out_valid);
         assert_eq!(
@@ -201,16 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_tap_mutation_corrupts_value() {
-        let mut core = FirCore::new(FirMutation::DropTap);
-        let outs = run_single(&mut core, 256, 8);
-        assert!(outs[5].out_valid);
-        assert_ne!(outs[5].result, reference(&[256, 0, 0, 0]));
-    }
-
-    #[test]
     fn corrupt_result_exceeds_output_bound() {
-        let mut core = FirCore::new(FirMutation::CorruptResult);
+        let mut core = FirCore::new(Fault::CorruptData);
         let outs = run_single(&mut core, 256, 8);
         assert!(outs[5].out_valid);
         assert!(outs[5].result > 65535);
@@ -218,14 +197,14 @@ mod tests {
 
     #[test]
     fn drop_valid_never_strobes() {
-        let mut core = FirCore::new(FirMutation::DropValid);
+        let mut core = FirCore::new(Fault::DropReady);
         let outs = run_single(&mut core, 256, 8);
         assert!(outs.iter().all(|o| !o.out_valid));
     }
 
     #[test]
     fn drop_sample_swallows_the_second_sample() {
-        let mut core = FirCore::new(FirMutation::DropSample);
+        let mut core = FirCore::new(Fault::DropTransaction);
         let mut strobes = Vec::new();
         for c in 0..20 {
             let o = core.step(c < 3, 512);
@@ -239,7 +218,7 @@ mod tests {
     #[test]
     fn flip_result_sets_a_high_bit() {
         for bit in 0..8 {
-            let mut core = FirCore::new(FirMutation::FlipResult { bit });
+            let mut core = FirCore::new(Fault::BitFlip { bit });
             let outs = run_single(&mut core, 512, 8);
             assert!(outs[5].out_valid);
             assert!(outs[5].result > 65535, "bit {bit} stays in range");

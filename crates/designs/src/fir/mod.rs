@@ -22,8 +22,8 @@ mod rtl;
 mod tlm;
 mod workload;
 
-pub use core::{reference, FirCore, FirMutation, FirOutputs, TAPS};
+pub use core::{reference, FirCore, FirOutputs, TAPS};
 pub use properties::{suite, ABSTRACTED_SIGNALS};
-pub use rtl::{build_rtl, RtlBuilt, RTL_SIGNALS};
-pub use tlm::{build_tlm_at, build_tlm_ca, TlmBuilt, TLM_AT_SIGNALS, TLM_CA_SIGNALS};
+pub use rtl::{build_rtl, RTL_SIGNALS};
+pub use tlm::{build_tlm_at, build_tlm_ca, TLM_AT_SIGNALS, TLM_CA_SIGNALS};
 pub use workload::FirWorkload;

@@ -1,11 +1,11 @@
 //! The FIR RTL model: clocked pipeline plus stimulus generator.
 
-use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
-use rtlkit::{Clock, ClockHandle, EdgeDetector};
+use desim::{Component, Event, SignalId, SimCtx, Simulation};
+use rtlkit::{Clock, EdgeDetector};
 
-use super::core::{FirCore, FirMutation};
+use super::core::FirCore;
 use super::workload::FirWorkload;
-use crate::CLOCK_PERIOD_NS;
+use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
 /// Names of the FIR I/O signals at RTL, in declaration order.
 pub const RTL_SIGNALS: &[&str] = &[
@@ -65,26 +65,13 @@ impl Component for FirStimulus {
     }
 }
 
-/// A fully wired RTL simulation of the FIR filter.
-pub struct RtlBuilt {
-    /// The simulation, ready to run.
-    pub sim: Simulation,
-    /// The design clock.
-    pub clk: ClockHandle,
-    /// Time by which every sample has retired.
-    pub end_ns: u64,
-}
-
-impl RtlBuilt {
-    /// Runs the simulation to its end time and returns the kernel stats.
-    pub fn run(&mut self) -> desim::SimStats {
-        self.sim.run_until(SimTime::from_ns(self.end_ns))
-    }
-}
-
-/// Builds the FIR RTL simulation for a workload.
-#[must_use]
-pub fn build_rtl(workload: &FirWorkload, mutation: FirMutation) -> RtlBuilt {
+/// Builds the FIR RTL simulation for a workload, with `fault` injected.
+///
+/// # Errors
+///
+/// Whatever [`check`] rejects for FIR at RTL.
+pub fn build_rtl(workload: &FirWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::Fir, AbsLevel::Rtl, fault)?;
     let mut sim = Simulation::new();
     sim.reserve_signals(10); // pin list + clock, registered in one burst
     let clk = Clock::install(&mut sim, "clk", CLOCK_PERIOD_NS);
@@ -97,7 +84,7 @@ pub fn build_rtl(workload: &FirWorkload, mutation: FirMutation) -> RtlBuilt {
     let dut = sim.add_component(FirRtl {
         clk: clk.signal,
         det: EdgeDetector::new(),
-        core: FirCore::new(mutation),
+        core: FirCore::new(fault),
         in_valid,
         sample,
         result,
@@ -115,11 +102,12 @@ pub fn build_rtl(workload: &FirWorkload, mutation: FirMutation) -> RtlBuilt {
     });
     sim.subscribe(clk.signal, stim, 0);
 
-    RtlBuilt {
+    Ok(BuiltDesign {
         sim,
-        clk,
+        clk: Some(clk.signal),
+        bus: None,
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -132,10 +120,10 @@ mod tests {
     #[test]
     fn single_sample_filters_5_cycles_after_strobe() {
         let w = FirWorkload::new(vec![512]);
-        let mut built = build_rtl(&w, FirMutation::None);
+        let mut built = build_rtl(&w, Fault::None).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );
@@ -154,10 +142,10 @@ mod tests {
     #[test]
     fn stream_retires_every_sample() {
         let w = FirWorkload::random(6, 9);
-        let mut built = build_rtl(&w, FirMutation::None);
+        let mut built = build_rtl(&w, Fault::None).unwrap();
         let rec = WaveRecorder::install(
             &mut built.sim,
-            built.clk.signal,
+            built.clk.unwrap(),
             ClockEdge::Pos,
             RTL_SIGNALS,
         );

@@ -1,11 +1,11 @@
 //! The FIR TLM models: cycle-accurate and approximately-timed.
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
-use tlmkit::{CodingStyle, Transaction, TransactionBus};
+use tlmkit::{Transaction, TransactionBus};
 
-use super::core::{reference, FirCore, FirMutation};
+use super::core::{reference, FirCore};
 use super::workload::FirWorkload;
-use crate::CLOCK_PERIOD_NS;
+use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
 /// Mirror signals preserved at TLM-CA (full protocol).
 pub const TLM_CA_SIGNALS: &[&str] = &[
@@ -18,23 +18,6 @@ pub const TLM_CA_SIGNALS: &[&str] = &[
 
 /// Mirror signals preserved at TLM-AT (prediction output abstracted).
 pub const TLM_AT_SIGNALS: &[&str] = &["in_valid", "sample", "result", "out_valid"];
-
-/// A fully wired TLM simulation of the FIR filter.
-pub struct TlmBuilt {
-    /// The simulation, ready to run.
-    pub sim: Simulation,
-    /// The transaction observation channel.
-    pub bus: TransactionBus,
-    /// Time by which every sample has retired.
-    pub end_ns: u64,
-}
-
-impl TlmBuilt {
-    /// Runs the simulation to its end time and returns the kernel stats.
-    pub fn run(&mut self) -> desim::SimStats {
-        self.sim.run_until(SimTime::from_ns(self.end_ns))
-    }
-}
 
 struct FirTlmCa {
     bus: TransactionBus,
@@ -74,9 +57,13 @@ impl Component for FirTlmCa {
     }
 }
 
-/// Builds the FIR TLM-CA simulation for a workload.
-#[must_use]
-pub fn build_tlm_ca(workload: &FirWorkload, mutation: FirMutation) -> TlmBuilt {
+/// Builds the FIR TLM-CA simulation for a workload, with `fault` injected.
+///
+/// # Errors
+///
+/// Whatever [`check`] rejects for FIR at TLM-CA.
+pub fn build_tlm_ca(workload: &FirWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::Fir, AbsLevel::TlmCa, fault)?;
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let in_valid = sim.add_signal("in_valid", 0);
@@ -86,7 +73,7 @@ pub fn build_tlm_ca(workload: &FirWorkload, mutation: FirMutation) -> TlmBuilt {
     let res_nc = sim.add_signal("res_next_cycle", 0);
     let model = sim.add_component(FirTlmCa {
         bus: bus.clone(),
-        core: FirCore::new(mutation),
+        core: FirCore::new(fault),
         workload: workload.clone(),
         edge: 0,
         last_edge: workload.total_edges(),
@@ -97,11 +84,12 @@ pub fn build_tlm_ca(workload: &FirWorkload, mutation: FirMutation) -> TlmBuilt {
         res_nc,
     });
     sim.schedule(SimTime::from_ns(CLOCK_PERIOD_NS), model, 0);
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 const OP_WRITE: u64 = 0;
@@ -112,7 +100,7 @@ const OP_READ: u64 = 1;
 /// delay line.
 struct FirTlmAt {
     bus: TransactionBus,
-    mutation: FirMutation,
+    fault: Fault,
     workload: FirWorkload,
     history: [u64; 4],
     in_valid: SignalId,
@@ -134,10 +122,10 @@ impl Component for FirTlmAt {
                 self.bus.publish(ctx, Transaction::write(0, s, ev.time));
                 // A swallowed sample neither completes nor enters the
                 // functional delay line (the read op does both).
-                let swallowed = matches!(self.mutation, FirMutation::DropSample) && index == 1;
+                let swallowed = matches!(self.fault, Fault::DropTransaction) && index == 1;
                 if !swallowed {
-                    let delay = match self.mutation {
-                        FirMutation::LatencyShort => 4,
+                    let delay = match self.fault {
+                        Fault::LatencyShort => 4,
                         _ => 5,
                     } * CLOCK_PERIOD_NS;
                     ctx.schedule_self(delay, (ev.kind & !1) | OP_READ);
@@ -148,19 +136,14 @@ impl Component for FirTlmAt {
                 self.history.rotate_right(1);
                 self.history[0] = s;
                 let mut r = reference(&self.history);
-                match self.mutation {
-                    FirMutation::DropTap => {
-                        r = r.saturating_sub(
-                            (u64::from(super::core::TAPS[0]) * self.history[0]) >> 8,
-                        );
-                    }
-                    FirMutation::CorruptResult => r |= 1 << 16,
-                    FirMutation::FlipResult { bit } => r ^= 1 << (16 + bit % 8),
+                match self.fault {
+                    Fault::CorruptData => r |= 1 << 16,
+                    Fault::BitFlip { bit } => r ^= 1 << (16 + bit % 8),
                     _ => {}
                 }
                 ctx.write(self.in_valid, 0);
                 ctx.write(self.result, r);
-                if !matches!(self.mutation, FirMutation::DropValid) {
+                if !matches!(self.fault, Fault::DropReady) {
                     ctx.write(self.out_valid, 1);
                 }
                 self.bus.publish(ctx, Transaction::read(0, r, ev.time));
@@ -169,17 +152,14 @@ impl Component for FirTlmAt {
     }
 }
 
-/// Builds the FIR TLM-AT simulation for a workload.
+/// Builds the FIR TLM-AT simulation for a workload, with `fault` injected.
+/// FIR has the loose model only (no strict Def. III.1 variant).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `style` is [`CodingStyle::CycleAccurate`].
-#[must_use]
-pub fn build_tlm_at(workload: &FirWorkload, mutation: FirMutation, style: CodingStyle) -> TlmBuilt {
-    assert!(
-        !matches!(style, CodingStyle::CycleAccurate),
-        "use build_tlm_ca for the cycle-accurate style"
-    );
+/// Whatever [`check`] rejects for FIR at TLM-AT.
+pub fn build_tlm_at(workload: &FirWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
+    check(DesignKind::Fir, AbsLevel::TlmAt, fault)?;
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let in_valid = sim.add_signal("in_valid", 0);
@@ -188,7 +168,7 @@ pub fn build_tlm_at(workload: &FirWorkload, mutation: FirMutation, style: Coding
     let out_valid = sim.add_signal("out_valid", 0);
     let model = sim.add_component(FirTlmAt {
         bus: bus.clone(),
-        mutation,
+        fault,
         workload: workload.clone(),
         history: [0; 4],
         in_valid,
@@ -203,11 +183,12 @@ pub fn build_tlm_at(workload: &FirWorkload, mutation: FirMutation, style: Coding
             ((i as u64) << 1) | OP_WRITE,
         );
     }
-    TlmBuilt {
+    Ok(BuiltDesign {
         sim,
-        bus,
+        clk: None,
+        bus: Some(bus),
         end_ns: workload.end_time_ns(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -219,8 +200,9 @@ mod tests {
     #[test]
     fn ca_matches_rtl_completion_instants() {
         let w = FirWorkload::new(vec![512, 64]);
-        let mut built = build_tlm_ca(&w, FirMutation::None);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_CA_SIGNALS);
+        let mut built = build_tlm_ca(&w, Fault::None).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_CA_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // First sample at edge 2 → result at edge 7 (t = 70).
@@ -235,10 +217,11 @@ mod tests {
     #[test]
     fn at_two_transactions_per_sample_with_matching_values() {
         let w = FirWorkload::new(vec![512, 64]);
-        let mut built = build_tlm_at(&w, FirMutation::None, CodingStyle::ApproximatelyTimedLoose);
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::None).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
-        assert_eq!(built.bus.published(), 4);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 4);
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[1].time_ns, 70);
         assert_eq!(
@@ -254,15 +237,12 @@ mod tests {
     #[test]
     fn at_drop_sample_skips_completion_and_history() {
         let w = FirWorkload::new(vec![512, 64, 128]);
-        let mut built = build_tlm_at(
-            &w,
-            FirMutation::DropSample,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::DropTransaction).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
         // Three writes, two completions.
-        assert_eq!(built.bus.published(), 5);
+        assert_eq!(built.bus.as_ref().unwrap().published(), 5);
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         let reads: Vec<u64> = trace
             .steps()
@@ -280,12 +260,9 @@ mod tests {
     #[test]
     fn at_drop_valid_completes_without_the_strobe() {
         let w = FirWorkload::new(vec![512]);
-        let mut built = build_tlm_at(
-            &w,
-            FirMutation::DropValid,
-            CodingStyle::ApproximatelyTimedLoose,
-        );
-        let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, TLM_AT_SIGNALS);
+        let mut built = build_tlm_at(&w, Fault::DropReady).unwrap();
+        let rec =
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[1].time_ns, 70);

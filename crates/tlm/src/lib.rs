@@ -12,10 +12,11 @@
 //!   "evaluates q at the end of every TLM transaction" (Def. III.2);
 //! - [`TxTraceRecorder`]: builds a [`psl::Trace`] with one step per
 //!   transaction end, sampling the model's mirror signals — the TLM
-//!   counterpart of `rtlkit`'s waveform recorder;
-//! - [`CodingStyle`]: the TLM coding styles of the paper's evaluation
-//!   (cycle-accurate and approximately-timed, the latter in a *loose* and a
-//!   *strict* timing-equivalence variant — see DESIGN.md §5b).
+//!   counterpart of `rtlkit`'s waveform recorder.
+//!
+//! Which coding style a model follows (cycle-accurate, or
+//! approximately-timed in the loose or strict variant — DESIGN.md §5b) is
+//! up to the model; this layer only carries its transactions.
 //!
 //! Models keep a set of kernel signals mirroring their I/O interface
 //! ("preserved signals" in the paper's terms); observers evaluate property
@@ -27,4 +28,4 @@ mod transaction;
 
 pub use bus::{TransactionBus, TX_TRACE_TRACK};
 pub use recorder::TxTraceRecorder;
-pub use transaction::{CodingStyle, Transaction, TxKind};
+pub use transaction::{Transaction, TxKind};

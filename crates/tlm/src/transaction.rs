@@ -1,4 +1,4 @@
-//! Transaction records and coding styles.
+//! Transaction records.
 
 use std::fmt;
 
@@ -73,42 +73,6 @@ impl fmt::Display for Transaction {
     }
 }
 
-/// TLM coding styles used in the paper's evaluation (Section V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodingStyle {
-    /// Cycle-accurate TLM: one transaction per clock period, protocol
-    /// preserved — the level at which *unabstracted* RTL properties remain
-    /// checkable by counting transactions instead of clock cycles.
-    CycleAccurate,
-    /// Approximately-timed TLM as described in Section V: one write
-    /// transaction submitting the inputs and one read transaction fetching
-    /// the results.
-    ApproximatelyTimedLoose,
-    /// Approximately-timed TLM with the additional transactions required
-    /// for strict Def. III.1 timing equivalence: one transaction at *every*
-    /// instant where a preserved I/O signal changes (strobe release, ready
-    /// deassert).
-    ApproximatelyTimedStrict,
-}
-
-impl CodingStyle {
-    /// Short label used in reports and benchmark tables.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CodingStyle::CycleAccurate => "TLM-CA",
-            CodingStyle::ApproximatelyTimedLoose => "TLM-AT",
-            CodingStyle::ApproximatelyTimedStrict => "TLM-AT(strict)",
-        }
-    }
-}
-
-impl fmt::Display for CodingStyle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,15 +85,5 @@ mod tests {
         let r = Transaction::read(0, 2, SimTime::from_ns(170));
         assert_eq!(r.kind, TxKind::Read);
         assert!(r.to_string().starts_with("read @170ns"));
-    }
-
-    #[test]
-    fn style_labels() {
-        assert_eq!(CodingStyle::CycleAccurate.label(), "TLM-CA");
-        assert_eq!(CodingStyle::ApproximatelyTimedLoose.to_string(), "TLM-AT");
-        assert_eq!(
-            CodingStyle::ApproximatelyTimedStrict.label(),
-            "TLM-AT(strict)"
-        );
     }
 }

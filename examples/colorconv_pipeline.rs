@@ -6,25 +6,33 @@
 //! cargo run --example colorconv_pipeline
 //! ```
 
-use abv_checker::{Binding, Checker};
+use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_property, AbstractionConfig};
-use designs::colorconv::{self, ConvMutation, ConvWorkload};
-use designs::{PropertyClass, CLOCK_PERIOD_NS};
+use designs::colorconv::{self, ConvWorkload};
+use designs::{BuiltDesign, Fault, PropertyClass, CLOCK_PERIOD_NS};
 use psl::ClockedProperty;
-use tlmkit::CodingStyle;
+
+/// Attaches `props` through the design's own binding (clock at RTL, bus
+/// at TLM), runs it to its end and returns the report.
+fn verify(
+    mut built: BuiltDesign,
+    props: &[(String, ClockedProperty)],
+) -> Result<CheckReport, Box<dyn std::error::Error>> {
+    let binding = built.binding();
+    let checkers = Checker::attach_all(&mut built.sim, props, binding)
+        .map_err(|(i, e)| format!("property {i}: {e}"))?;
+    built.run();
+    Ok(Checker::collect(&mut built.sim, &checkers, built.end_ns))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = ConvWorkload::mixed(24, 601);
     let suite = colorconv::suite();
 
     println!("== RTL verification (12 properties) ==");
-    let mut rtl = colorconv::build_rtl(&workload, ConvMutation::None);
     let named: Vec<(String, ClockedProperty)> =
         suite.iter().map(designs::SuiteEntry::named).collect();
-    let checkers = Checker::attach_all(&mut rtl.sim, &named, Binding::clock(rtl.clk.signal))
-        .map_err(|(i, e)| format!("property {i}: {e}"))?;
-    rtl.run();
-    let report = Checker::collect(&mut rtl.sim, &checkers, rtl.end_ns);
+    let report = verify(colorconv::build_rtl(&workload, Fault::None)?, &named)?;
     print!("{report}");
     assert!(report.all_pass());
 
@@ -50,28 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n== TLM-AT verification ({} AT-compatible properties) ==",
         at_props.len()
     );
-    let mut tlm = colorconv::build_tlm_at(
-        &workload,
-        ConvMutation::None,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
-    let checkers = Checker::attach_all(&mut tlm.sim, &at_props, Binding::bus(&tlm.bus))
-        .map_err(|(i, e)| format!("property {i}: {e}"))?;
-    tlm.run();
-    let report = Checker::collect(&mut tlm.sim, &checkers, tlm.end_ns);
+    let tlm = colorconv::build_tlm_at(&workload, Fault::None, false)?;
+    let report = verify(tlm, &at_props)?;
     print!("{report}");
     assert!(report.all_pass());
 
     println!("\n== TLM-AT with corrupted luma (injected bug) ==");
-    let mut buggy = colorconv::build_tlm_at(
-        &workload,
-        ConvMutation::CorruptLuma,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
-    let checkers = Checker::attach_all(&mut buggy.sim, &at_props, Binding::bus(&buggy.bus))
-        .map_err(|(i, e)| format!("property {i}: {e}"))?;
-    buggy.run();
-    let report = Checker::collect(&mut buggy.sim, &checkers, buggy.end_ns);
+    let buggy = colorconv::build_tlm_at(&workload, Fault::CorruptData, false)?;
+    let report = verify(buggy, &at_props)?;
     let failing: Vec<&str> = report
         .properties
         .iter()

@@ -7,12 +7,24 @@
 //! cargo run --example des56_verification
 //! ```
 
-use abv_checker::{Binding, Checker};
+use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_suite, AbstractionConfig};
-use designs::des56::{self, DesMutation, DesWorkload};
-use designs::CLOCK_PERIOD_NS;
+use designs::des56::{self, DesWorkload};
+use designs::{BuiltDesign, Fault, CLOCK_PERIOD_NS};
 use psl::ClockedProperty;
-use tlmkit::CodingStyle;
+
+/// Attaches `props` through the design's own binding (clock at RTL, bus
+/// at TLM), runs it to its end and returns the report.
+fn verify(
+    mut built: BuiltDesign,
+    props: &[(String, ClockedProperty)],
+) -> Result<CheckReport, Box<dyn std::error::Error>> {
+    let binding = built.binding();
+    let checkers = Checker::attach_all(&mut built.sim, props, binding)
+        .map_err(|(i, e)| format!("property {i}: {e}"))?;
+    built.run();
+    Ok(Checker::collect(&mut built.sim, &checkers, built.end_ns))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = DesWorkload::mixed(16, 2026);
@@ -20,13 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Dynamic ABV of the RTL model with the original properties.
     println!("== RTL verification (9 properties) ==");
-    let mut rtl = des56::build_rtl(&workload, DesMutation::None);
     let named: Vec<(String, ClockedProperty)> =
         suite.iter().map(designs::SuiteEntry::named).collect();
-    let checkers = Checker::attach_all(&mut rtl.sim, &named, Binding::clock(rtl.clk.signal))
-        .map_err(|(i, e)| format!("property {i}: {e}"))?;
-    rtl.run();
-    let report = Checker::collect(&mut rtl.sim, &checkers, rtl.end_ns);
+    let report = verify(des56::build_rtl(&workload, Fault::None)?, &named)?;
     print!("{report}");
 
     // 2. Abstract the suite for the TLM-AT model.
@@ -50,29 +58,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Dynamic ABV of the correct TLM-AT model.
     println!("\n== TLM-AT verification (abstracted properties) ==");
-    let mut tlm = des56::build_tlm_at(
-        &workload,
-        DesMutation::None,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
-    let checkers = Checker::attach_all(&mut tlm.sim, &tlm_props, Binding::bus(&tlm.bus))
-        .map_err(|(i, e)| format!("property {i}: {e}"))?;
-    tlm.run();
-    let report = Checker::collect(&mut tlm.sim, &checkers, tlm.end_ns);
+    let tlm = des56::build_tlm_at(&workload, Fault::None, false)?;
+    let report = verify(tlm, &tlm_props)?;
     print!("{report}");
     assert!(report.all_pass(), "the correct TLM model must pass");
 
     // 4. Inject a bug: the TLM model completes one cycle late.
     println!("\n== TLM-AT verification of a buggy abstraction (latency 18) ==");
-    let mut buggy = des56::build_tlm_at(
-        &workload,
-        DesMutation::LatencyLong,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
-    let checkers = Checker::attach_all(&mut buggy.sim, &tlm_props, Binding::bus(&buggy.bus))
-        .map_err(|(i, e)| format!("property {i}: {e}"))?;
-    buggy.run();
-    let report = Checker::collect(&mut buggy.sim, &checkers, buggy.end_ns);
+    let buggy = des56::build_tlm_at(&workload, Fault::LatencyLong, false)?;
+    let report = verify(buggy, &tlm_props)?;
     print!("{report}");
     let failing: Vec<&str> = report
         .properties

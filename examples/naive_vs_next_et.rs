@@ -6,20 +6,21 @@
 //! cargo run --example naive_vs_next_et
 //! ```
 
-use abv_checker::{Binding, Checker};
+use abv_checker::Checker;
 use abv_core::{abstract_property, naive::naive_scale, AbstractionConfig};
-use designs::des56::{self, DesMutation, DesWorkload};
-use designs::CLOCK_PERIOD_NS;
+use designs::des56::{self, DesWorkload};
+use designs::{Fault, CLOCK_PERIOD_NS};
 use psl::{ClockedProperty, EvalContext};
-use tlmkit::CodingStyle;
 
-fn check(name: &str, property: &ClockedProperty, style: CodingStyle) -> String {
+/// Checks `property` on the loose or `strict` DES56 TLM-AT model.
+fn check(name: &str, property: &ClockedProperty, strict: bool) -> String {
     let workload = DesWorkload::mixed(10, 77);
-    let mut built = des56::build_tlm_at(&workload, DesMutation::None, style);
+    let mut built = des56::build_tlm_at(&workload, Fault::None, strict).expect("DES56 has TLM-AT");
+    let binding = built.binding();
     let checkers = Checker::attach_all(
         &mut built.sim,
         &[(name.to_owned(), property.clone())],
-        Binding::bus(&built.bus),
+        binding,
     )
     .expect("installs");
     built.run();
@@ -50,20 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q4 = abstract_property(p4, &cfg)?.into_property().expect("kept");
     println!("next_et         : {q4}\n");
 
-    for style in [
-        CodingStyle::ApproximatelyTimedLoose,
-        CodingStyle::ApproximatelyTimedStrict,
-    ] {
-        println!(
-            "{style} (transactions per block: {}):",
-            if style == CodingStyle::ApproximatelyTimedLoose {
-                2
-            } else {
-                4
-            }
-        );
-        println!("  naive   : {}", check("naive", &naive, style));
-        println!("  next_et : {}", check("q4", &q4, style));
+    for (strict, label, per_block) in [(false, "TLM-AT", 2), (true, "TLM-AT(strict)", 4)] {
+        println!("{label} (transactions per block: {per_block}):");
+        println!("  naive   : {}", check("naive", &naive, strict));
+        println!("  next_et : {}", check("q4", &q4, strict));
         println!();
     }
     println!(

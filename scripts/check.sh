@@ -33,7 +33,7 @@ echo "==> cargo bench -p abv-bench --bench kernel_throughput (smoke)"
 ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 ABV_BENCH_STRESS=500 \
     cargo bench -p abv-bench --bench kernel_throughput
 
-echo "==> cargo doc --no-deps -p abv-obs (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p abv-obs
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "All checks passed."

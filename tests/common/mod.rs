@@ -1,14 +1,24 @@
-//! Shared helpers for the integration tests: configured abstractions and
-//! fully-wired verification runs for both IPs at all abstraction levels.
+//! Shared helpers for the integration tests: configured abstractions,
+//! property lists per level, and fully-wired verification and recording
+//! runs over any built design.
 //!
 //! Each integration-test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
-use abv_checker::{Binding, CheckReport, Checker};
+use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_property, reuse_at_cycle_accurate, AbstractionConfig};
-use designs::{colorconv, des56, PropertyClass, SuiteEntry, CLOCK_PERIOD_NS};
-use psl::ClockedProperty;
-use tlmkit::CodingStyle;
+use designs::{
+    colorconv, des56, BuildError, BuiltDesign, PropertyClass, SuiteEntry, CLOCK_PERIOD_NS,
+};
+use psl::{ClockEdge, ClockedProperty, Trace};
+use rtlkit::WaveRecorder;
+use tlmkit::TxTraceRecorder;
+
+/// Named properties, ready for [`Checker::attach_all`].
+pub type Named = Vec<(String, ClockedProperty)>;
+
+/// Each property's name with its cross-level classification.
+pub type Classes = Vec<(String, PropertyClass)>;
 
 /// The DES56 abstraction configuration (10 ns clock, prediction outputs
 /// removed).
@@ -25,41 +35,15 @@ pub fn conv_config() -> AbstractionConfig {
         .abstract_signals(colorconv::ABSTRACTED_SIGNALS.iter().copied())
 }
 
-/// Abstracts a suite into named TLM properties, dropping deleted ones.
-/// Panics on abstraction errors (suite properties are all abstractable).
-pub fn abstract_suite_for_tlm(
-    suite: &[SuiteEntry],
-    cfg: &AbstractionConfig,
-) -> Vec<(String, ClockedProperty, PropertyClass)> {
+/// A suite's original clock-context properties, named.
+pub fn rtl_properties(suite: &[SuiteEntry]) -> Named {
+    suite.iter().map(SuiteEntry::named).collect()
+}
+
+/// A suite's *unabstracted* properties re-clocked to the basic transaction
+/// context (the paper's TLM-CA experiment).
+pub fn reused_properties(suite: &[SuiteEntry]) -> Named {
     suite
-        .iter()
-        .filter_map(|entry| {
-            let a = abstract_property(&entry.rtl, cfg).expect("suite property abstracts");
-            a.into_property()
-                .map(|q| (entry.name.to_owned(), q, entry.class))
-        })
-        .collect()
-}
-
-/// Runs the full RTL verification of DES56 and returns the report.
-pub fn verify_des_rtl(workload: &des56::DesWorkload, mutation: des56::DesMutation) -> CheckReport {
-    let mut built = des56::build_rtl(workload, mutation);
-    let props: Vec<(String, ClockedProperty)> =
-        des56::suite().iter().map(SuiteEntry::named).collect();
-    let checkers = Checker::attach_all(&mut built.sim, &props, Binding::clock(built.clk.signal))
-        .expect("RTL properties install");
-    built.run();
-    Checker::collect(&mut built.sim, &checkers, built.end_ns)
-}
-
-/// Runs DES56 TLM-CA with the *unabstracted* RTL properties re-clocked to
-/// the basic transaction context (the paper's TLM-CA experiment).
-pub fn verify_des_tlm_ca_reused(
-    workload: &des56::DesWorkload,
-    mutation: des56::DesMutation,
-) -> CheckReport {
-    let mut built = des56::build_tlm_ca(workload, mutation);
-    let props: Vec<(String, ClockedProperty)> = des56::suite()
         .iter()
         .map(|e| {
             (
@@ -67,73 +51,51 @@ pub fn verify_des_tlm_ca_reused(
                 reuse_at_cycle_accurate(&e.rtl).expect("clock context"),
             )
         })
-        .collect();
-    let checkers = Checker::attach_all(&mut built.sim, &props, Binding::bus(&built.bus))
-        .expect("CA properties install");
-    built.run();
-    Checker::collect(&mut built.sim, &checkers, built.end_ns)
+        .collect()
 }
 
-/// Runs DES56 at a TLM level with the *abstracted* properties.
-pub fn verify_des_tlm_abstracted(
-    workload: &des56::DesWorkload,
-    mutation: des56::DesMutation,
-    style: CodingStyle,
-) -> (CheckReport, Vec<(String, PropertyClass)>) {
-    let mut built = match style {
-        CodingStyle::CycleAccurate => des56::build_tlm_ca(workload, mutation),
-        _ => des56::build_tlm_at(workload, mutation, style),
-    };
-    let abstracted = abstract_suite_for_tlm(&des56::suite(), &des_config());
-    let classes: Vec<(String, PropertyClass)> =
-        abstracted.iter().map(|(n, _, c)| (n.clone(), *c)).collect();
-    let props: Vec<(String, ClockedProperty)> =
-        abstracted.into_iter().map(|(n, q, _)| (n, q)).collect();
-    let checkers = Checker::attach_all(&mut built.sim, &props, Binding::bus(&built.bus))
-        .expect("TLM properties install");
-    built.run();
-    (
-        Checker::collect(&mut built.sim, &checkers, built.end_ns),
-        classes,
-    )
+/// Abstracts a suite into named TLM properties, dropping deleted ones, and
+/// returns them with each survivor's classification. Panics on abstraction
+/// errors (suite properties are all abstractable).
+pub fn abstract_suite_for_tlm(suite: &[SuiteEntry], cfg: &AbstractionConfig) -> (Named, Classes) {
+    suite
+        .iter()
+        .filter_map(|entry| {
+            let a = abstract_property(&entry.rtl, cfg).expect("suite property abstracts");
+            a.into_property().map(|q| {
+                let name = entry.name.to_owned();
+                ((name.clone(), q), (name, entry.class))
+            })
+        })
+        .unzip()
 }
 
-/// Runs the full RTL verification of ColorConv.
-pub fn verify_conv_rtl(
-    workload: &colorconv::ConvWorkload,
-    mutation: colorconv::ConvMutation,
+/// Attaches `props` to the built design through its own binding (clock at
+/// RTL, bus at TLM), runs it to its end and returns the report.
+pub fn verify(
+    built: Result<BuiltDesign, BuildError>,
+    props: &[(String, ClockedProperty)],
 ) -> CheckReport {
-    let mut built = colorconv::build_rtl(workload, mutation);
-    let props: Vec<(String, ClockedProperty)> =
-        colorconv::suite().iter().map(SuiteEntry::named).collect();
-    let checkers = Checker::attach_all(&mut built.sim, &props, Binding::clock(built.clk.signal))
-        .expect("RTL properties install");
+    let mut built = built.expect("the design builds");
+    let binding = built.binding();
+    let checkers = Checker::attach_all(&mut built.sim, props, binding).expect("properties install");
     built.run();
     Checker::collect(&mut built.sim, &checkers, built.end_ns)
 }
 
-/// Runs ColorConv at a TLM level with the *abstracted* properties.
-pub fn verify_conv_tlm_abstracted(
-    workload: &colorconv::ConvWorkload,
-    mutation: colorconv::ConvMutation,
-    style: CodingStyle,
-) -> (CheckReport, Vec<(String, PropertyClass)>) {
-    let mut built = match style {
-        CodingStyle::CycleAccurate => colorconv::build_tlm_ca(workload, mutation),
-        _ => colorconv::build_tlm_at(workload, mutation, style),
-    };
-    let abstracted = abstract_suite_for_tlm(&colorconv::suite(), &conv_config());
-    let classes: Vec<(String, PropertyClass)> =
-        abstracted.iter().map(|(n, _, c)| (n.clone(), *c)).collect();
-    let props: Vec<(String, ClockedProperty)> =
-        abstracted.into_iter().map(|(n, q, _)| (n, q)).collect();
-    let checkers = Checker::attach_all(&mut built.sim, &props, Binding::bus(&built.bus))
-        .expect("TLM properties install");
+/// Runs the built design to its end and returns the trace of `signals`,
+/// sampled at every rising clock edge (RTL) or transaction end (TLM).
+pub fn record(built: Result<BuiltDesign, BuildError>, signals: &[&str]) -> Trace {
+    let mut built = built.expect("the design builds");
+    if let Some(clk) = built.clk {
+        let rec = WaveRecorder::install(&mut built.sim, clk, ClockEdge::Pos, signals);
+        built.run();
+        return WaveRecorder::take_trace(&built.sim, rec);
+    }
+    let bus = built.bus.clone().expect("a TLM model has a bus");
+    let rec = TxTraceRecorder::install(&mut built.sim, &bus, signals);
     built.run();
-    (
-        Checker::collect(&mut built.sim, &checkers, built.end_ns),
-        classes,
-    )
+    TxTraceRecorder::take_trace(&built.sim, rec)
 }
 
 /// Asserts that every property in `report` passes; includes the failing

@@ -2,18 +2,38 @@
 
 mod common;
 
+use abv_checker::CheckReport;
 use common::*;
-use designs::colorconv::{ConvMutation, ConvWorkload};
-use designs::PropertyClass;
-use tlmkit::CodingStyle;
+use designs::colorconv::{self, ConvWorkload};
+use designs::{BuildError, BuiltDesign, Fault, PropertyClass};
 
 fn workload() -> ConvWorkload {
     ConvWorkload::mixed(18, 0xCC)
 }
 
+/// The full RTL suite on the RTL model.
+fn verify_rtl(fault: Fault) -> CheckReport {
+    verify(
+        colorconv::build_rtl(&workload(), fault),
+        &rtl_properties(&colorconv::suite()),
+    )
+}
+
+/// The abstracted suite on a TLM model, with each property's
+/// classification.
+fn verify_abstracted(built: Result<BuiltDesign, BuildError>) -> (CheckReport, Classes) {
+    let (props, classes) = abstract_suite_for_tlm(&colorconv::suite(), &conv_config());
+    (verify(built, &props), classes)
+}
+
+/// The abstracted suite on the loose TLM-AT model.
+fn verify_at(fault: Fault) -> (CheckReport, Classes) {
+    verify_abstracted(colorconv::build_tlm_at(&workload(), fault, false))
+}
+
 #[test]
 fn rtl_suite_passes_on_correct_design() {
-    let report = verify_conv_rtl(&workload(), ConvMutation::None);
+    let report = verify_rtl(Fault::None);
     assert_eq!(report.properties.len(), 12);
     assert_all_pass(&report);
     assert_eq!(report.property("c1").unwrap().completions, 18);
@@ -33,8 +53,7 @@ fn rtl_suite_passes_on_correct_design() {
 
 #[test]
 fn abstracted_suite_at_tlm_ca_matches_classification() {
-    let (report, classes) =
-        verify_conv_tlm_abstracted(&workload(), ConvMutation::None, CodingStyle::CycleAccurate);
+    let (report, classes) = verify_abstracted(colorconv::build_tlm_ca(&workload(), Fault::None));
     assert_eq!(classes.len(), 12, "no ColorConv property is fully deleted");
     for (name, class) in &classes {
         let p = report.property(name).unwrap();
@@ -60,11 +79,7 @@ fn abstracted_suite_at_tlm_ca_matches_classification() {
 
 #[test]
 fn abstracted_suite_at_tlm_at_loose_matches_classification() {
-    let (report, classes) = verify_conv_tlm_abstracted(
-        &workload(),
-        ConvMutation::None,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
+    let (report, classes) = verify_at(Fault::None);
     for (name, class) in &classes {
         let p = report.property(name).unwrap();
         match class {
@@ -84,7 +99,7 @@ fn abstracted_suite_at_tlm_at_loose_matches_classification() {
 
 #[test]
 fn corrupt_luma_mutant_caught_by_range_and_anchor_properties() {
-    let report = verify_conv_rtl(&workload(), ConvMutation::CorruptLuma);
+    let report = verify_rtl(Fault::CorruptData);
     assert!(
         report.property("c4").unwrap().failure_count > 0,
         "luma floor violated"
@@ -94,36 +109,27 @@ fn corrupt_luma_mutant_caught_by_range_and_anchor_properties() {
         "black anchor violated"
     );
 
-    let (report, _) = verify_conv_tlm_abstracted(
-        &workload(),
-        ConvMutation::CorruptLuma,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
+    let (report, _) = verify_at(Fault::CorruptData);
     assert!(report.property("c4").unwrap().failure_count > 0);
     assert!(report.property("c2").unwrap().failure_count > 0);
 }
 
 #[test]
 fn latency_mutants_caught_at_tlm_at() {
-    for mutation in [ConvMutation::LatencyShort, ConvMutation::LatencyLong] {
-        let (report, _) =
-            verify_conv_tlm_abstracted(&workload(), mutation, CodingStyle::ApproximatelyTimedLoose);
+    for fault in [Fault::LatencyShort, Fault::LatencyLong] {
+        let (report, _) = verify_at(fault);
         assert!(
             report.property("c1").unwrap().failure_count > 0,
-            "{mutation:?} must violate the abstracted c1"
+            "{fault} must violate the abstracted c1"
         );
     }
 }
 
 #[test]
 fn drop_valid_mutant_caught() {
-    let report = verify_conv_rtl(&workload(), ConvMutation::DropValid);
+    let report = verify_rtl(Fault::DropReady);
     assert!(report.property("c1").unwrap().failure_count > 0);
-    let (report, _) = verify_conv_tlm_abstracted(
-        &workload(),
-        ConvMutation::DropValid,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
+    let (report, _) = verify_at(Fault::DropReady);
     assert!(report.property("c1").unwrap().failure_count > 0);
 }
 

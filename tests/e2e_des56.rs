@@ -5,18 +5,34 @@
 
 mod common;
 
+use abv_checker::CheckReport;
 use common::*;
-use designs::des56::{DesMutation, DesWorkload};
-use designs::PropertyClass;
-use tlmkit::CodingStyle;
+use designs::des56::{self, DesWorkload};
+use designs::{Fault, PropertyClass};
 
 fn workload() -> DesWorkload {
     DesWorkload::mixed(12, 0xD5)
 }
 
+/// The full RTL suite on the RTL model.
+fn verify_rtl(fault: Fault) -> CheckReport {
+    verify(
+        des56::build_rtl(&workload(), fault),
+        &rtl_properties(&des56::suite()),
+    )
+}
+
+/// The abstracted suite on the TLM-AT model (`strict` per DESIGN.md §5b),
+/// with each property's classification.
+fn verify_at(fault: Fault, strict: bool) -> (CheckReport, Classes) {
+    let (props, classes) = abstract_suite_for_tlm(&des56::suite(), &des_config());
+    let built = des56::build_tlm_at(&workload(), fault, strict);
+    (verify(built, &props), classes)
+}
+
 #[test]
 fn rtl_suite_passes_on_correct_design() {
-    let report = verify_des_rtl(&workload(), DesMutation::None);
+    let report = verify_rtl(Fault::None);
     assert_eq!(report.properties.len(), 9);
     assert_all_pass(&report);
     // The timed properties actually fired (non-vacuous evidence).
@@ -28,7 +44,7 @@ fn rtl_suite_passes_on_correct_design() {
 
 #[test]
 fn rtl_until_property_p9_completes_once() {
-    let report = verify_des_rtl(&workload(), DesMutation::None);
+    let report = verify_rtl(Fault::None);
     let p9 = report.property("p9").unwrap();
     assert_eq!(p9.activations, 1);
     assert_eq!(p9.completions, 1);
@@ -36,7 +52,10 @@ fn rtl_until_property_p9_completes_once() {
 
 #[test]
 fn unabstracted_suite_reused_at_tlm_ca_passes() {
-    let report = verify_des_tlm_ca_reused(&workload(), DesMutation::None);
+    let report = verify(
+        des56::build_tlm_ca(&workload(), Fault::None),
+        &reused_properties(&des56::suite()),
+    );
     assert_eq!(report.properties.len(), 9);
     assert_all_pass(&report);
 }
@@ -47,19 +66,15 @@ fn abstracted_suite_at_tlm_ca_passes_entirely() {
     // abstracted property (including q2 and the review-flagged ones that
     // merely weakened) must hold, except disjunct-dropped rewrites which
     // changed intent — DES56 has none that survive.
-    let (report, classes) =
-        verify_des_tlm_abstracted(&workload(), DesMutation::None, CodingStyle::CycleAccurate);
+    let (props, classes) = abstract_suite_for_tlm(&des56::suite(), &des_config());
+    let report = verify(des56::build_tlm_ca(&workload(), Fault::None), &props);
     assert_eq!(classes.len(), 8, "p8 is deleted by signal abstraction");
     assert_all_pass(&report);
 }
 
 #[test]
 fn abstracted_suite_at_tlm_at_loose_matches_classification() {
-    let (report, classes) = verify_des_tlm_abstracted(
-        &workload(),
-        DesMutation::None,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
+    let (report, classes) = verify_at(Fault::None, false);
     for (name, class) in &classes {
         let p = report.property(name).unwrap();
         match class {
@@ -95,11 +110,7 @@ fn abstracted_suite_at_tlm_at_loose_matches_classification() {
 fn abstracted_suite_at_tlm_at_strict_same_verdicts() {
     // The strict Def. III.1 transactions (strobe release, ready clear) do
     // not break the AT-compatible properties…
-    let (report, classes) = verify_des_tlm_abstracted(
-        &workload(),
-        DesMutation::None,
-        CodingStyle::ApproximatelyTimedStrict,
-    );
+    let (report, classes) = verify_at(Fault::None, true);
     for (name, class) in &classes {
         let p = report.property(name).unwrap();
         if *class == PropertyClass::AtCompatible {
@@ -110,43 +121,38 @@ fn abstracted_suite_at_tlm_at_strict_same_verdicts() {
 
 #[test]
 fn latency_mutants_caught_at_rtl() {
-    for mutation in [DesMutation::LatencyShort, DesMutation::LatencyLong] {
-        let report = verify_des_rtl(&workload(), mutation);
+    for fault in [Fault::LatencyShort, Fault::LatencyLong] {
+        let report = verify_rtl(fault);
         let p4 = report.property("p4").unwrap();
-        assert!(p4.failure_count > 0, "{mutation:?} must violate p4 at RTL");
+        assert!(p4.failure_count > 0, "{fault} must violate p4 at RTL");
     }
 }
 
 #[test]
 fn latency_mutants_caught_by_abstracted_checkers_at_tlm_at() {
-    for mutation in [DesMutation::LatencyShort, DesMutation::LatencyLong] {
-        let (report, _) =
-            verify_des_tlm_abstracted(&workload(), mutation, CodingStyle::ApproximatelyTimedLoose);
+    for fault in [Fault::LatencyShort, Fault::LatencyLong] {
+        let (report, _) = verify_at(fault, false);
         let p4 = report.property("p4").unwrap();
         assert!(
             p4.failure_count > 0,
-            "{mutation:?} must violate the abstracted p4 at TLM-AT"
+            "{fault} must violate the abstracted p4 at TLM-AT"
         );
     }
 }
 
 #[test]
 fn drop_ready_mutant_caught_everywhere() {
-    let report = verify_des_rtl(&workload(), DesMutation::DropReady);
+    let report = verify_rtl(Fault::DropReady);
     assert!(report.property("p4").unwrap().failure_count > 0);
 
-    let (report, _) = verify_des_tlm_abstracted(
-        &workload(),
-        DesMutation::DropReady,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
+    let (report, _) = verify_at(Fault::DropReady, false);
     assert!(report.property("p4").unwrap().failure_count > 0);
     assert!(report.property("p3").unwrap().failure_count > 0);
 }
 
 #[test]
 fn vacuity_is_tracked() {
-    let report = verify_des_rtl(&workload(), DesMutation::None);
+    let report = verify_rtl(Fault::None);
     let p1 = report.property("p1").unwrap();
     // p1 only fires on zero-data blocks; everything else is vacuous.
     assert!(p1.vacuous > p1.completions);

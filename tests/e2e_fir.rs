@@ -1,12 +1,12 @@
 //! End-to-end verification of the FIR extension IP: the abstraction flow
 //! generalizes beyond the paper's two evaluation designs.
 
-use abv_checker::{Binding, Checker};
+mod common;
+
 use abv_core::{abstract_property, AbstractionConfig};
-use designs::fir::{self, FirMutation, FirWorkload};
-use designs::{PropertyClass, SuiteEntry, CLOCK_PERIOD_NS};
-use psl::ClockedProperty;
-use tlmkit::CodingStyle;
+use common::{abstract_suite_for_tlm, rtl_properties, verify};
+use designs::fir::{self, FirWorkload};
+use designs::{Fault, PropertyClass, CLOCK_PERIOD_NS};
 
 fn cfg() -> AbstractionConfig {
     AbstractionConfig::new(CLOCK_PERIOD_NS)
@@ -17,13 +17,10 @@ fn cfg() -> AbstractionConfig {
 #[test]
 fn rtl_suite_passes() {
     let w = FirWorkload::random(10, 0xF1);
-    let mut built = fir::build_rtl(&w, FirMutation::None);
-    let props: Vec<(String, ClockedProperty)> =
-        fir::suite().iter().map(SuiteEntry::named).collect();
-    let checkers = Checker::attach_all(&mut built.sim, &props, Binding::clock(built.clk.signal))
-        .expect("installs");
-    built.run();
-    let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
+    let report = verify(
+        fir::build_rtl(&w, Fault::None),
+        &rtl_properties(&fir::suite()),
+    );
     for p in &report.properties {
         assert_eq!(p.failure_count, 0, "{p}");
     }
@@ -50,26 +47,9 @@ fn abstraction_produces_expected_forms() {
 #[test]
 fn abstracted_suite_matches_classification_at_tlm_at() {
     let w = FirWorkload::random(10, 0xF2);
-    let mut built = fir::build_tlm_at(&w, FirMutation::None, CodingStyle::ApproximatelyTimedLoose);
-    let entries = fir::suite();
-    let props: Vec<(String, ClockedProperty, PropertyClass)> = entries
-        .iter()
-        .filter_map(|e| {
-            abstract_property(&e.rtl, &cfg())
-                .unwrap()
-                .into_property()
-                .map(|q| (e.name.to_owned(), q, e.class))
-        })
-        .collect();
-    let named: Vec<(String, ClockedProperty)> = props
-        .iter()
-        .map(|(n, q, _)| (n.clone(), q.clone()))
-        .collect();
-    let checkers =
-        Checker::attach_all(&mut built.sim, &named, Binding::bus(&built.bus)).expect("installs");
-    built.run();
-    let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
-    for (name, _, class) in &props {
+    let (props, classes) = abstract_suite_for_tlm(&fir::suite(), &cfg());
+    let report = verify(fir::build_tlm_at(&w, Fault::None), &props);
+    for (name, class) in &classes {
         let p = report.property(name).unwrap();
         match class {
             PropertyClass::AtCompatible => assert_eq!(p.failure_count, 0, "{p}"),
@@ -84,23 +64,14 @@ fn abstracted_suite_matches_classification_at_tlm_at() {
 #[test]
 fn latency_mutant_caught_by_abstracted_f1() {
     let w = FirWorkload::random(6, 0xF3);
-    let mut built = fir::build_tlm_at(
-        &w,
-        FirMutation::LatencyShort,
-        CodingStyle::ApproximatelyTimedLoose,
-    );
     let suite = fir::suite();
     let q1 = abstract_property(&suite[0].rtl, &cfg())
         .unwrap()
         .into_property()
         .unwrap();
-    let checkers = Checker::attach_all(
-        &mut built.sim,
+    let report = verify(
+        fir::build_tlm_at(&w, Fault::LatencyShort),
         &[("f1".to_owned(), q1)],
-        Binding::bus(&built.bus),
-    )
-    .expect("installs");
-    built.run();
-    let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
+    );
     assert!(report.properties[0].failure_count > 0);
 }

@@ -11,12 +11,11 @@
 
 mod common;
 
-use abv_checker::{Binding, Checker};
 use abv_core::{abstract_property, naive::naive_scale};
-use common::des_config;
-use designs::des56::{self, DesMutation, DesWorkload};
+use common::{des_config, verify};
+use designs::des56::{self, DesWorkload};
+use designs::Fault;
 use psl::{ClockedProperty, EvalContext, Property};
-use tlmkit::CodingStyle;
 
 /// `p4` naively rescaled: 17 cycles ↦ 1 transaction.
 fn naive_q4() -> ClockedProperty {
@@ -39,17 +38,11 @@ fn q4() -> ClockedProperty {
         .unwrap()
 }
 
-fn run(property: ClockedProperty, style: CodingStyle) -> abv_checker::PropertyReport {
+/// Checks `property` on the DES56 TLM-AT model, loose or `strict`.
+fn run(property: ClockedProperty, strict: bool) -> abv_checker::PropertyReport {
     let w = DesWorkload::mixed(8, 0x7A);
-    let mut built = des56::build_tlm_at(&w, DesMutation::None, style);
-    let checkers = Checker::attach_all(
-        &mut built.sim,
-        &[("q".to_owned(), property)],
-        Binding::bus(&built.bus),
-    )
-    .expect("installs");
-    built.run();
-    Checker::collect(&mut built.sim, &checkers, built.end_ns)
+    let built = des56::build_tlm_at(&w, Fault::None, strict);
+    verify(built, &[("q".to_owned(), property)])
         .properties
         .remove(0)
 }
@@ -57,7 +50,7 @@ fn run(property: ClockedProperty, style: CodingStyle) -> abv_checker::PropertyRe
 #[test]
 fn naive_scaling_passes_only_on_the_exact_expected_schedule() {
     // Two transactions per block: the event after the write IS the read.
-    let report = run(naive_q4(), CodingStyle::ApproximatelyTimedLoose);
+    let report = run(naive_q4(), false);
     assert_eq!(report.failure_count, 0, "{:?}", report.failures.first());
     assert_eq!(report.completions, 8);
 }
@@ -68,7 +61,7 @@ fn overlapping_transaction_breaks_naive_scaling() {
     // write: "the arrival of an overlapping (unexpected) transaction …
     // could introduce an extra evaluation point for that property causing
     // its inopportune failure" (Section III-A).
-    let report = run(naive_q4(), CodingStyle::ApproximatelyTimedStrict);
+    let report = run(naive_q4(), true);
     assert!(
         report.failure_count > 0,
         "the extra transaction must break next[1]"
@@ -77,15 +70,12 @@ fn overlapping_transaction_breaks_naive_scaling() {
 
 #[test]
 fn next_et_abstraction_is_robust_to_extra_transactions() {
-    for style in [
-        CodingStyle::ApproximatelyTimedLoose,
-        CodingStyle::ApproximatelyTimedStrict,
-    ] {
-        let report = run(q4(), style);
+    for strict in [false, true] {
+        let report = run(q4(), strict);
         assert_eq!(
             report.failure_count,
             0,
-            "{style}: next_et anchors to absolute time, extra events are ignored: {:?}",
+            "strict {strict}: next_et anchors to absolute time, extra events are ignored: {:?}",
             report.failures.first()
         );
         assert_eq!(report.completions, 8);
@@ -104,14 +94,9 @@ fn naive_scaling_breaks_even_at_ca_granularity_without_exact_knowledge() {
     let q = ClockedProperty::new(wrong, EvalContext::tb());
 
     let w = DesWorkload::mixed(4, 0x7B);
-    let mut built = des56::build_tlm_ca(&w, DesMutation::None);
-    let checkers = Checker::attach_all(
-        &mut built.sim,
+    let report = verify(
+        des56::build_tlm_ca(&w, Fault::None),
         &[("wrong".to_owned(), q)],
-        Binding::bus(&built.bus),
-    )
-    .unwrap();
-    built.run();
-    let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
+    );
     assert!(report.properties[0].failure_count > 0);
 }

@@ -6,13 +6,11 @@
 mod common;
 
 use abv_core::abstract_property;
-use common::{conv_config, des_config};
-use designs::colorconv::{self, ConvMutation, ConvWorkload};
-use designs::des56::{self, DesMutation, DesWorkload};
-use designs::PropertyClass;
-use psl::{ClockEdge, Trace};
-use rtlkit::WaveRecorder;
-use tlmkit::{CodingStyle, TxTraceRecorder};
+use common::{conv_config, des_config, record};
+use designs::colorconv::{self, ConvWorkload};
+use designs::des56::{self, DesWorkload};
+use designs::{Fault, PropertyClass};
+use psl::Trace;
 
 struct DesTraces {
     rtl: Trace,
@@ -22,28 +20,14 @@ struct DesTraces {
 
 fn des_traces(seed: u64) -> DesTraces {
     let w = DesWorkload::mixed(8, seed);
-    let mut rtl_built = des56::build_rtl(&w, DesMutation::None);
-    let rec = WaveRecorder::install(
-        &mut rtl_built.sim,
-        rtl_built.clk.signal,
-        ClockEdge::Pos,
-        des56::RTL_SIGNALS,
-    );
-    rtl_built.run();
-    let rtl = WaveRecorder::take_trace(&rtl_built.sim, rec);
-
-    let mut ca_built = des56::build_tlm_ca(&w, DesMutation::None);
-    let rec = TxTraceRecorder::install(&mut ca_built.sim, &ca_built.bus, des56::TLM_CA_SIGNALS);
-    ca_built.run();
-    let ca = TxTraceRecorder::take_trace(&ca_built.sim, rec);
-
-    let mut at_built =
-        des56::build_tlm_at(&w, DesMutation::None, CodingStyle::ApproximatelyTimedLoose);
-    let rec = TxTraceRecorder::install(&mut at_built.sim, &at_built.bus, des56::TLM_AT_SIGNALS);
-    at_built.run();
-    let at = TxTraceRecorder::take_trace(&at_built.sim, rec);
-
-    DesTraces { rtl, ca, at }
+    DesTraces {
+        rtl: record(des56::build_rtl(&w, Fault::None), des56::RTL_SIGNALS),
+        ca: record(des56::build_tlm_ca(&w, Fault::None), des56::TLM_CA_SIGNALS),
+        at: record(
+            des56::build_tlm_at(&w, Fault::None, false),
+            des56::TLM_AT_SIGNALS,
+        ),
+    }
 }
 
 #[test]
@@ -121,20 +105,14 @@ fn ca_only_abstraction_fails_on_sparse_at_trace() {
 #[test]
 fn colorconv_theorems_on_the_oracle_path() {
     let w = ConvWorkload::mixed(10, 0xAB);
-    let mut rtl_built = colorconv::build_rtl(&w, ConvMutation::None);
-    let rec = WaveRecorder::install(
-        &mut rtl_built.sim,
-        rtl_built.clk.signal,
-        ClockEdge::Pos,
+    let rtl = record(
+        colorconv::build_rtl(&w, Fault::None),
         colorconv::RTL_SIGNALS,
     );
-    rtl_built.run();
-    let rtl = WaveRecorder::take_trace(&rtl_built.sim, rec);
-
-    let mut ca_built = colorconv::build_tlm_ca(&w, ConvMutation::None);
-    let rec = TxTraceRecorder::install(&mut ca_built.sim, &ca_built.bus, colorconv::TLM_CA_SIGNALS);
-    ca_built.run();
-    let ca = TxTraceRecorder::take_trace(&ca_built.sim, rec);
+    let ca = record(
+        colorconv::build_tlm_ca(&w, Fault::None),
+        colorconv::TLM_CA_SIGNALS,
+    );
 
     for entry in colorconv::suite() {
         assert!(
@@ -161,14 +139,10 @@ fn mutated_tlm_model_fails_the_abstraction_as_theorem_iii_2_contrapositive() {
     // If q fails at TLM on a timing-equivalent stimulus, the abstraction of
     // the design was wrong — here, an injected latency bug.
     let w = DesWorkload::mixed(6, 0xAC);
-    let mut at_built = des56::build_tlm_at(
-        &w,
-        DesMutation::LatencyLong,
-        CodingStyle::ApproximatelyTimedLoose,
+    let at = record(
+        des56::build_tlm_at(&w, Fault::LatencyLong, false),
+        des56::TLM_AT_SIGNALS,
     );
-    let rec = TxTraceRecorder::install(&mut at_built.sim, &at_built.bus, des56::TLM_AT_SIGNALS);
-    at_built.run();
-    let at = TxTraceRecorder::take_trace(&at_built.sim, rec);
 
     let suite = des56::suite();
     let p4 = suite.iter().find(|e| e.name == "p4").unwrap();

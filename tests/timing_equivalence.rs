@@ -4,36 +4,28 @@
 //! every TLM-AT transaction instant must agree with the RTL trace at that
 //! time.
 
-use designs::colorconv::{self, ConvMutation, ConvWorkload};
-use designs::des56::{self, DesMutation, DesWorkload};
-use psl::{ClockEdge, SignalEnv, Trace};
-use rtlkit::WaveRecorder;
-use tlmkit::{CodingStyle, TxTraceRecorder};
+mod common;
+
+use common::record;
+use designs::colorconv::{self, ConvWorkload};
+use designs::des56::{self, DesWorkload};
+use designs::Fault;
+use psl::{SignalEnv, Trace};
 
 fn des_rtl_trace(w: &DesWorkload) -> Trace {
-    let mut built = des56::build_rtl(w, DesMutation::None);
-    let rec = WaveRecorder::install(
-        &mut built.sim,
-        built.clk.signal,
-        ClockEdge::Pos,
-        des56::RTL_SIGNALS,
-    );
-    built.run();
-    WaveRecorder::take_trace(&built.sim, rec)
+    record(des56::build_rtl(w, Fault::None), des56::RTL_SIGNALS)
 }
 
 fn des_ca_trace(w: &DesWorkload) -> Trace {
-    let mut built = des56::build_tlm_ca(w, DesMutation::None);
-    let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, des56::TLM_CA_SIGNALS);
-    built.run();
-    TxTraceRecorder::take_trace(&built.sim, rec)
+    record(des56::build_tlm_ca(w, Fault::None), des56::TLM_CA_SIGNALS)
 }
 
-fn des_at_trace(w: &DesWorkload, style: CodingStyle) -> Trace {
-    let mut built = des56::build_tlm_at(w, DesMutation::None, style);
-    let rec = TxTraceRecorder::install(&mut built.sim, &built.bus, des56::TLM_AT_SIGNALS);
-    built.run();
-    TxTraceRecorder::take_trace(&built.sim, rec)
+/// The loose or `strict` TLM-AT trace.
+fn des_at_trace(w: &DesWorkload, strict: bool) -> Trace {
+    record(
+        des56::build_tlm_at(w, Fault::None, strict),
+        des56::TLM_AT_SIGNALS,
+    )
 }
 
 /// Asserts both traces define `signals` identically at every instant of
@@ -73,11 +65,8 @@ fn des56_rtl_and_tlm_ca_traces_are_identical() {
 fn des56_tlm_at_transactions_agree_with_rtl_at_their_instants() {
     let w = DesWorkload::mixed(6, 0xE2);
     let rtl = des_rtl_trace(&w);
-    for style in [
-        CodingStyle::ApproximatelyTimedLoose,
-        CodingStyle::ApproximatelyTimedStrict,
-    ] {
-        let at = des_at_trace(&w, style);
+    for strict in [false, true] {
+        let at = des_at_trace(&w, strict);
         assert_subset_equal(&at, &rtl, des56::TLM_AT_SIGNALS);
     }
 }
@@ -89,7 +78,7 @@ fn des56_strict_at_covers_every_preserved_io_change() {
     // changes on the RTL model.
     let w = DesWorkload::mixed(4, 0xE3);
     let rtl = des_rtl_trace(&w);
-    let at = des_at_trace(&w, CodingStyle::ApproximatelyTimedStrict);
+    let at = des_at_trace(&w, true);
     let steps = rtl.steps();
     for k in 1..steps.len() {
         let changed = des56::TLM_AT_SIGNALS
@@ -111,7 +100,7 @@ fn des56_loose_at_misses_some_io_changes() {
     // equivalent: the strobe release instant has no transaction.
     let w = DesWorkload::mixed(4, 0xE4);
     let rtl = des_rtl_trace(&w);
-    let at = des_at_trace(&w, CodingStyle::ApproximatelyTimedLoose);
+    let at = des_at_trace(&w, false);
     let steps = rtl.steps();
     let mut missed = 0;
     for k in 1..steps.len() {
@@ -131,21 +120,14 @@ fn des56_loose_at_misses_some_io_changes() {
 #[test]
 fn colorconv_rtl_and_tlm_ca_traces_are_identical() {
     let w = ConvWorkload::mixed(12, 0xE5);
-    let mut rtl_built = colorconv::build_rtl(&w, ConvMutation::None);
-    let rtl_rec = WaveRecorder::install(
-        &mut rtl_built.sim,
-        rtl_built.clk.signal,
-        ClockEdge::Pos,
+    let rtl = record(
+        colorconv::build_rtl(&w, Fault::None),
         colorconv::RTL_SIGNALS,
     );
-    rtl_built.run();
-    let rtl = WaveRecorder::take_trace(&rtl_built.sim, rtl_rec);
-
-    let mut ca_built = colorconv::build_tlm_ca(&w, ConvMutation::None);
-    let ca_rec =
-        TxTraceRecorder::install(&mut ca_built.sim, &ca_built.bus, colorconv::TLM_CA_SIGNALS);
-    ca_built.run();
-    let ca = TxTraceRecorder::take_trace(&ca_built.sim, ca_rec);
+    let ca = record(
+        colorconv::build_tlm_ca(&w, Fault::None),
+        colorconv::TLM_CA_SIGNALS,
+    );
 
     assert_eq!(rtl.len(), ca.len());
     assert_subset_equal(&ca, &rtl, colorconv::TLM_CA_SIGNALS);
@@ -154,22 +136,14 @@ fn colorconv_rtl_and_tlm_ca_traces_are_identical() {
 #[test]
 fn colorconv_tlm_at_agrees_with_rtl_at_transaction_instants() {
     let w = ConvWorkload::mixed(8, 0xE6);
-    let mut rtl_built = colorconv::build_rtl(&w, ConvMutation::None);
-    let rtl_rec = WaveRecorder::install(
-        &mut rtl_built.sim,
-        rtl_built.clk.signal,
-        ClockEdge::Pos,
+    let rtl = record(
+        colorconv::build_rtl(&w, Fault::None),
         colorconv::RTL_SIGNALS,
     );
-    rtl_built.run();
-    let rtl = WaveRecorder::take_trace(&rtl_built.sim, rtl_rec);
-
-    let mut at_built =
-        colorconv::build_tlm_at(&w, ConvMutation::None, CodingStyle::ApproximatelyTimedLoose);
-    let at_rec =
-        TxTraceRecorder::install(&mut at_built.sim, &at_built.bus, colorconv::TLM_AT_SIGNALS);
-    at_built.run();
-    let at = TxTraceRecorder::take_trace(&at_built.sim, at_rec);
+    let at = record(
+        colorconv::build_tlm_at(&w, Fault::None, false),
+        colorconv::TLM_AT_SIGNALS,
+    );
 
     assert_subset_equal(&at, &rtl, colorconv::TLM_AT_SIGNALS);
 }
