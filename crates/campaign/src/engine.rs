@@ -68,13 +68,13 @@ impl TraceSettings {
 /// from `(cell, seed)`, attach the cell's checker selection, simulate,
 /// finalize.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the spec's cell is not buildable — campaign plans are
-/// validated before expansion, so specs from [`CampaignPlan::run_specs`]
-/// of a validated plan cannot hit this.
-#[must_use]
-pub fn execute_run(spec: &RunSpec) -> RunOutcome {
+/// [`PlanError::BadCell`] (indexed by the spec's cell) when [`designs::check`]
+/// rejects the spec's design, level and fault: a spec from
+/// [`CampaignPlan::run_specs`] of a validated plan never does, but the
+/// spec's fields are public.
+pub fn execute_run(spec: &RunSpec) -> Result<RunOutcome, PlanError> {
     execute_run_with(spec, TraceSettings::off())
 }
 
@@ -83,11 +83,21 @@ pub fn execute_run(spec: &RunSpec) -> RunOutcome {
 /// and one `run` span covering the simulation — is captured into
 /// [`RunOutcome::trace`].
 ///
-/// # Panics
+/// # Errors
 ///
 /// See [`execute_run`].
-#[must_use]
-pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> RunOutcome {
+pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> Result<RunOutcome, PlanError> {
+    let mut built = designs::build(
+        spec.spec.design,
+        spec.spec.level,
+        spec.size,
+        spec.seed,
+        spec.spec.fault,
+    )
+    .map_err(|source| PlanError::BadCell {
+        index: spec.cell,
+        source,
+    })?;
     let all = if matches!(
         spec.spec.checkers,
         crate::plan::CheckerMode::ExpectedPassing
@@ -97,14 +107,6 @@ pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> RunOutcome {
         designs::properties_at(spec.spec.design, spec.spec.level)
     };
     let props = spec.spec.checkers.select(all);
-    let mut built = designs::build(
-        spec.spec.design,
-        spec.spec.level,
-        spec.size,
-        spec.seed,
-        spec.spec.fault,
-    )
-    .expect("validated plan cell must build");
     let sink = settings
         .enabled
         .then(|| Rc::new(RefCell::new(MemorySink::new())));
@@ -138,12 +140,12 @@ pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> RunOutcome {
     let trace = sink
         .map(|sink| sink.borrow_mut().take_events())
         .unwrap_or_default();
-    RunOutcome {
+    Ok(RunOutcome {
         wall,
         stats,
         report,
         trace,
-    }
+    })
 }
 
 /// Runs `plan` on `workers` threads (clamped to `1..=total_runs`) and
@@ -179,7 +181,7 @@ pub fn run_campaign_with(
     let specs = plan.run_specs();
     let workers = workers.clamp(1, specs.len());
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, RunOutcome)>();
+    let (tx, rx) = mpsc::channel::<(usize, Result<RunOutcome, PlanError>)>();
     let started = Instant::now();
 
     let outcomes = thread::scope(|scope| {
@@ -197,12 +199,19 @@ pub fn run_campaign_with(
             });
         }
         drop(tx);
-        let mut outcomes: Vec<Option<RunOutcome>> = vec![None; specs.len()];
+        let mut outcomes: Vec<Option<Result<RunOutcome, PlanError>>> =
+            std::iter::repeat_with(|| None).take(specs.len()).collect();
         for (index, outcome) in rx {
             outcomes[index] = Some(outcome);
         }
         outcomes
     });
+    // Validation makes every run buildable; should one fail anyway, the
+    // first failure in plan order is the campaign's error.
+    let outcomes = outcomes
+        .into_iter()
+        .map(Option::transpose)
+        .collect::<Result<Vec<_>, _>>()?;
 
     Ok(CampaignReport::assemble(
         plan,
@@ -232,7 +241,7 @@ mod tests {
             .size(6)
             .seed(99);
         let report = run_campaign(&plan, 1).expect("valid plan");
-        let direct = execute_run(&plan.run_specs()[0]);
+        let direct = execute_run(&plan.run_specs()[0]).expect("buildable");
         assert_eq!(report.cells[0].stats, direct.stats);
         assert_eq!(report.cells[0].report, direct.report);
         assert!(report.all_pass());

@@ -270,9 +270,26 @@ impl ArenaStats {
 
 impl FormulaArena {
     /// An arena holding only the `true`/`false` constants.
+    #[cfg(test)]
     #[must_use]
     pub fn new() -> FormulaArena {
+        FormulaArena::with_capacity(0)
+    }
+
+    /// An empty arena (constants only) with room for `nodes` more nodes
+    /// and as many literals, so lowering a property of `nodes` AST nodes
+    /// never regrows its tables.
+    #[must_use]
+    pub fn with_capacity(nodes: usize) -> FormulaArena {
+        let total = nodes + 2;
         let mut arena = FormulaArena {
+            nodes: Vec::with_capacity(total),
+            index: HashMap::with_capacity_and_hasher(total, FxBuild::default()),
+            lits: Vec::with_capacity(nodes),
+            lit_index: HashMap::with_capacity_and_hasher(nodes, FxBuild::default()),
+            temporal: Vec::with_capacity(total),
+            perm: Vec::with_capacity(total),
+            memo: Vec::with_capacity(total),
             epoch: 1,
             compact_at: COMPACT_FLOOR,
             ..FormulaArena::default()

@@ -69,17 +69,18 @@ pub fn compile(
         other => (other, false),
     };
     let completion_bound_ns = body.completion_bound_ns();
-    let mut arena = FormulaArena::new();
-    let body = translate(&body, sim, &mut arena)?;
     let (guard, edge) = match &property.context {
-        EvalContext::Clock { edge, guard } => (guard.as_deref(), Some(*edge)),
-        EvalContext::Transaction { guard } => (guard.as_deref(), None),
+        EvalContext::Clock { edge, guard } => (guard.as_deref().map(to_nnf), Some(*edge)),
+        EvalContext::Transaction { guard } => (guard.as_deref().map(to_nnf), None),
     };
-    let guard = match guard {
-        Some(g) => Some(translate(&to_nnf(g), sim, &mut arena)?),
+    let mut arena =
+        FormulaArena::with_capacity(body.size() + guard.as_ref().map_or(0, Property::size));
+    let body = translate(&body, sim, &mut arena)?;
+    let guard = match &guard {
+        Some(g) => Some(translate(g, sim, &mut arena)?),
         None => None,
     };
-    let mut checker = PropertyChecker::new(name.to_owned(), arena, body, repeating, guard);
+    let mut checker = PropertyChecker::new(name, arena, body, repeating, guard);
     checker.set_completion_bound_ns(completion_bound_ns);
     Ok((checker, edge))
 }
@@ -143,11 +144,11 @@ fn translate(
 }
 
 pub(crate) fn resolve(atom: &Atom, negated: bool, sim: &Simulation) -> Result<Lit, CompileError> {
-    let name = atom.signal();
+    let name = atom.signal_name();
     let sig = sim
         .signal_id(name)
         .ok_or_else(|| CompileError::MissingSignal {
-            signal: name.to_owned(),
+            signal: name.to_string(),
         })?;
     let test = match atom {
         Atom::Bool(_) => LitTest::Bool,
@@ -155,7 +156,7 @@ pub(crate) fn resolve(atom: &Atom, negated: bool, sim: &Simulation) -> Result<Li
     };
     Ok(Lit {
         sig,
-        name: name.into(),
+        name: name.clone(),
         test,
         negated,
     })
@@ -236,6 +237,35 @@ mod tests {
             None,
             "until makes the lifetime unbounded"
         );
+    }
+
+    #[test]
+    fn the_deepest_parseable_property_compiles_and_monitors_on_a_small_stack() {
+        use psl::parser::MAX_DEPTH;
+        // `next (` / `!(` levels around a conjunction chain, at the
+        // parser's recursion limit.
+        let pairs = (MAX_DEPTH - 2) / 2;
+        let levels: String = (0..pairs)
+            .map(|i| if i % 2 == 0 { "next (" } else { "!(" })
+            .collect();
+        let chain = vec!["rdy"; MAX_DEPTH - 2 - pairs].join(" && ");
+        let src = format!("always {levels}({chain}){} @clk_pos", ")".repeat(pairs));
+        let live = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let sim = sim_with(&["rdy"]);
+                let rdy = sim.signal_id("rdy").expect("added");
+                let p: ClockedProperty = src.parse().expect("at the limit");
+                let (mut checker, _) = compile("deep", &p, &sim).expect("compiles");
+                for now in 0..(2 * MAX_DEPTH as u64) {
+                    checker.on_event(&|sig| u64::from(sig == rdy && now % 3 != 0), now);
+                }
+                checker.live_instances()
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+        assert!(live > 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! allocates nothing in steady state.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use abv_obs::{trace, TraceEvent, Tracer, ARENA_COUNTER_TRACK};
 use desim::SignalId;
@@ -58,7 +58,7 @@ impl<F: Fn(SignalId) -> u64 + ?Sized> SignalRead for F {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Lit {
     pub sig: SignalId,
-    pub name: Rc<str>,
+    pub name: Arc<str>,
     pub test: LitTest,
     pub negated: bool,
 }
@@ -117,7 +117,6 @@ struct Instance {
 /// [`on_event`](PropertyChecker::on_event) at each evaluation point.
 #[derive(Debug)]
 pub struct PropertyChecker {
-    name: String,
     arena: FormulaArena,
     body: NodeId,
     /// True for `always φ`: a new instance activates at every evaluation
@@ -146,15 +145,14 @@ pub struct PropertyChecker {
 
 impl PropertyChecker {
     pub(crate) fn new(
-        name: String,
+        name: &str,
         arena: FormulaArena,
         body: NodeId,
         repeating: bool,
         guard: Option<NodeId>,
     ) -> PropertyChecker {
         PropertyChecker {
-            report: PropertyReport::new(name.clone()),
-            name,
+            report: PropertyReport::new(name.to_owned()),
             arena,
             body,
             repeating,
@@ -223,7 +221,7 @@ impl PropertyChecker {
     /// The property's display name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.report.name
     }
 
     /// Number of currently live instances.
@@ -340,7 +338,7 @@ impl PropertyChecker {
                     );
                     trace!(
                         tracer,
-                        TraceEvent::span_begin(&self.name, 0, self.instance_tid(slot), now)
+                        TraceEvent::span_begin(&self.report.name, 0, self.instance_tid(slot), now)
                             .with_arg("slot", slot as u64)
                             .with_arg("reused", u64::from(reused))
                     );
@@ -512,7 +510,7 @@ impl PropertyChecker {
                     TraceEvent::thread_name(
                         0,
                         self.instance_tid(slot),
-                        &format!("{}#{slot}", self.name)
+                        &format!("{}#{slot}", self.report.name)
                     )
                 );
                 (slot, false)
@@ -621,7 +619,7 @@ mod tests {
         let rdy = arena.lit(&mk_lit(1, "rdy", false));
         let et = arena.next_et(170, rdy);
         let body = arena.or(nds, et);
-        PropertyChecker::new("q3".into(), arena, body, true, None)
+        PropertyChecker::new("q3", arena, body, true, None)
     }
 
     #[test]
@@ -699,7 +697,7 @@ mod tests {
         let left = arena.or(na, ex);
         let right = arena.or(nb, ey);
         let body = arena.and(left, right);
-        PropertyChecker::new("two".into(), arena, body, true, None)
+        PropertyChecker::new("two", arena, body, true, None)
     }
 
     fn fire_times(c: &PropertyChecker) -> Vec<u64> {
@@ -738,7 +736,7 @@ mod tests {
         let ez = arena.next_et(25, z);
         let right = arena.or(nb, ez);
         let body = arena.and(left, right);
-        let mut c = PropertyChecker::new("drain".into(), arena, body, true, None);
+        let mut c = PropertyChecker::new("drain", arena, body, true, None);
 
         c.on_event(&env(&[(0, 1)]), 10); // slot 0: x at 20 or y at 40
         c.on_event(&env(&[(1, 1)]), 15); // slot 1: z at 40
@@ -773,7 +771,7 @@ mod tests {
         let mut arena = FormulaArena::new();
         let body = arena.lit(&mk_lit(0, "ds", true));
         let guard = arena.lit(&mk_lit(1, "en", false));
-        let mut c = PropertyChecker::new("g".into(), arena, body, true, Some(guard));
+        let mut c = PropertyChecker::new("g", arena, body, true, Some(guard));
         c.on_event(&env(&[(0, 1)]), 10); // en low: invisible, no activation
         assert_eq!(c.report().activations, 0);
         c.on_event(&env(&[(0, 1), (1, 1)]), 20); // visible, !ds violated
@@ -788,7 +786,7 @@ mod tests {
         let nrdy = arena.lit(&mk_lit(1, "rdy", true));
         let ds = arena.lit(&mk_lit(0, "ds", false));
         let body = arena.until(nrdy, ds);
-        let mut c = PropertyChecker::new("p9".into(), arena, body, false, None);
+        let mut c = PropertyChecker::new("p9", arena, body, false, None);
         c.on_event(&env(&[]), 10);
         c.on_event(&env(&[]), 20);
         assert_eq!(c.report().activations, 1);
@@ -856,7 +854,7 @@ mod tests {
         let nrdy = arena.lit(&mk_lit(1, "rdy", true));
         let ds = arena.lit(&mk_lit(0, "ds", false));
         let body = arena.until(nrdy, ds);
-        let mut c = PropertyChecker::new("u".into(), arena, body, true, None);
+        let mut c = PropertyChecker::new("u", arena, body, true, None);
         for k in 0..10u64 {
             c.on_event(&env(&[]), 10 + 10 * k);
         }

@@ -9,12 +9,13 @@
 //! — exactly what a checker [`Binding`](abv_checker::Binding) needs), the
 //! nominal end time, and a uniform `run()`.
 
-use abv_core::{abstract_property, reuse_at_cycle_accurate, AbstractionConfig};
+use abv_core::AbstractionConfig;
 use desim::{SignalId, SimStats, Simulation};
 use psl::ClockedProperty;
 use tlmkit::TransactionBus;
 
-use crate::{colorconv, des56, fir, SuiteEntry, CLOCK_PERIOD_NS};
+use crate::suite::SuiteTable;
+use crate::{colorconv, des56, fir, PropertyClass, SuiteEntry, CLOCK_PERIOD_NS};
 
 /// Which IP to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -352,41 +353,16 @@ pub fn build(
 /// Empty for every `(design, level)` pair [`check`] rejects (bulk-AT on
 /// DES56 or FIR), since no model exists to verify.
 ///
+/// The flow runs once per design and process; later calls clone its
+/// stored results.
+///
 /// # Panics
 ///
 /// Panics if a suite property fails to abstract (the shipped suites always
 /// abstract).
 #[must_use]
 pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, ClockedProperty)> {
-    if check(design, level, Fault::None).is_err() {
-        return Vec::new();
-    }
-    let suite = design.suite();
-    match level {
-        AbsLevel::Rtl => suite.iter().map(SuiteEntry::named).collect(),
-        AbsLevel::TlmCa => suite
-            .iter()
-            .map(|e| {
-                (
-                    e.name.to_owned(),
-                    reuse_at_cycle_accurate(&e.rtl).expect("clock context"),
-                )
-            })
-            .collect(),
-        AbsLevel::TlmAt => {
-            let cfg = design.config();
-            suite
-                .iter()
-                .filter_map(|e| {
-                    abstract_property(&e.rtl, &cfg)
-                        .expect("suite abstracts")
-                        .into_property()
-                        .map(|q| (e.name.to_owned(), q))
-                })
-                .collect()
-        }
-        AbsLevel::TlmAtBulk => colorconv::bulk_surviving_properties(),
-    }
+    SuiteTable::of(design).at(level, |_| true)
 }
 
 /// The subset of [`properties_at`] expected to **pass** on the unmutated
@@ -406,23 +382,9 @@ pub fn passing_properties_at(
     design: DesignKind,
     level: AbsLevel,
 ) -> Vec<(String, ClockedProperty)> {
-    match level {
-        AbsLevel::Rtl | AbsLevel::TlmCa | AbsLevel::TlmAtBulk => properties_at(design, level),
-        AbsLevel::TlmAt => {
-            let cfg = design.config();
-            design
-                .suite()
-                .iter()
-                .filter(|e| e.class == crate::PropertyClass::AtCompatible)
-                .filter_map(|e| {
-                    abstract_property(&e.rtl, &cfg)
-                        .expect("suite abstracts")
-                        .into_property()
-                        .map(|q| (e.name.to_owned(), q))
-                })
-                .collect()
-        }
-    }
+    SuiteTable::of(design).at(level, |class| {
+        level != AbsLevel::TlmAt || class == PropertyClass::AtCompatible
+    })
 }
 
 impl BuiltDesign {

@@ -1,6 +1,12 @@
-//! Property-suite metadata shared by both IPs.
+//! Property-suite metadata shared by every IP, and the per-process table
+//! of each suite's properties at every level.
 
+use std::sync::OnceLock;
+
+use abv_core::{abstract_property, reuse_at_cycle_accurate};
 use psl::ClockedProperty;
+
+use crate::{colorconv, AbsLevel, DesignKind};
 
 /// Expected behaviour of a property across abstraction levels — the
 /// classification discussed in DESIGN.md §5b.
@@ -46,6 +52,97 @@ impl SuiteEntry {
     }
 }
 
+/// One suite entry at every level, derived once.
+#[derive(Debug)]
+struct Derived {
+    name: &'static str,
+    class: PropertyClass,
+    rtl: ClockedProperty,
+    /// The RTL property re-clocked onto `T_b`.
+    tlm_ca: ClockedProperty,
+    /// The result of Methodology III.1; `None` when abstraction deletes
+    /// the property.
+    tlm_at: Option<ClockedProperty>,
+}
+
+/// An IP's suite at every level, in suite order.
+#[derive(Debug)]
+pub(crate) struct SuiteTable {
+    entries: Vec<Derived>,
+    /// The bulk-AT survivors (ColorConv only; empty for the other IPs).
+    bulk: Vec<(String, ClockedProperty)>,
+}
+
+impl SuiteTable {
+    /// `design`'s table, derived on the first call in the process.
+    ///
+    /// The suites are constants, so one derivation serves every run; the
+    /// `OnceLock` lets concurrent campaign workers share it, and a worker
+    /// racing the first derivation blocks until it is stored.
+    pub(crate) fn of(design: DesignKind) -> &'static SuiteTable {
+        const N: usize = DesignKind::ALL.len();
+        static TABLES: [OnceLock<SuiteTable>; N] = [const { OnceLock::new() }; N];
+        TABLES[design as usize].get_or_init(|| SuiteTable::derive(design))
+    }
+
+    /// Runs the abstraction flow over `design`'s RTL suite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a suite property fails to re-clock or abstract (the
+    /// shipped suites always do).
+    fn derive(design: DesignKind) -> SuiteTable {
+        let cfg = design.config();
+        let entries = design
+            .suite()
+            .into_iter()
+            .map(|e| Derived {
+                tlm_ca: reuse_at_cycle_accurate(&e.rtl).expect("clock context"),
+                tlm_at: abstract_property(&e.rtl, &cfg)
+                    .expect("suite abstracts")
+                    .into_property(),
+                name: e.name,
+                class: e.class,
+                rtl: e.rtl,
+            })
+            .collect();
+        let bulk = if design == DesignKind::ColorConv {
+            colorconv::bulk_surviving_properties()
+        } else {
+            Vec::new()
+        };
+        SuiteTable { entries, bulk }
+    }
+
+    /// The `(name, property)` pairs at `level` whose class `keep` admits,
+    /// in suite order (bulk-AT ignores `keep`: its survivors all pass).
+    pub(crate) fn at(
+        &self,
+        level: AbsLevel,
+        keep: impl Fn(PropertyClass) -> bool,
+    ) -> Vec<(String, ClockedProperty)> {
+        if level == AbsLevel::TlmAtBulk {
+            return self.bulk.clone();
+        }
+        // Sized once: regrowing the vector cost about as much as the clones.
+        let mut out = Vec::with_capacity(self.entries.len());
+        out.extend(
+            self.entries
+                .iter()
+                .filter(|e| keep(e.class))
+                .filter_map(|e| {
+                    let p = match level {
+                        AbsLevel::Rtl => Some(&e.rtl),
+                        AbsLevel::TlmCa => Some(&e.tlm_ca),
+                        AbsLevel::TlmAt | AbsLevel::TlmAtBulk => e.tlm_at.as_ref(),
+                    };
+                    p.map(|p| (e.name.to_owned(), p.clone()))
+                }),
+        );
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,5 +158,67 @@ mod tests {
         let (n, p) = e.named();
         assert_eq!(n, "p1");
         assert_eq!(p, e.rtl);
+    }
+
+    fn render(props: &[(String, ClockedProperty)]) -> Vec<String> {
+        props.iter().map(|(n, p)| format!("{n}: {p}")).collect()
+    }
+
+    /// The flow run afresh from `suite()` for one call: the stored table
+    /// must render exactly this.
+    fn fresh(design: DesignKind, level: AbsLevel, passing_only: bool) -> Vec<String> {
+        if crate::check(design, level, crate::Fault::None).is_err() {
+            return Vec::new();
+        }
+        if level == AbsLevel::TlmAtBulk {
+            return render(&colorconv::bulk_surviving_properties());
+        }
+        let cfg = design.config();
+        let props: Vec<(String, ClockedProperty)> = design
+            .suite()
+            .into_iter()
+            .filter(|e| {
+                !passing_only || level != AbsLevel::TlmAt || e.class == PropertyClass::AtCompatible
+            })
+            .filter_map(|e| {
+                let p = match level {
+                    AbsLevel::Rtl => Some(e.rtl),
+                    AbsLevel::TlmCa => Some(reuse_at_cycle_accurate(&e.rtl).unwrap()),
+                    AbsLevel::TlmAt | AbsLevel::TlmAtBulk => {
+                        abstract_property(&e.rtl, &cfg).unwrap().into_property()
+                    }
+                };
+                p.map(|p| (e.name.to_owned(), p))
+            })
+            .collect();
+        render(&props)
+    }
+
+    #[test]
+    fn stored_suites_render_like_a_fresh_derivation() {
+        let levels = [
+            AbsLevel::Rtl,
+            AbsLevel::TlmCa,
+            AbsLevel::TlmAt,
+            AbsLevel::TlmAtBulk,
+        ];
+        for design in DesignKind::ALL {
+            for level in levels {
+                let what = format!("{} {}", design.label(), level.label());
+                // Twice: the first call may derive, the second reads.
+                for _ in 0..2 {
+                    assert_eq!(
+                        render(&crate::properties_at(design, level)),
+                        fresh(design, level, false),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        render(&crate::passing_properties_at(design, level)),
+                        fresh(design, level, true),
+                        "{what} passing"
+                    );
+                }
+            }
+        }
     }
 }

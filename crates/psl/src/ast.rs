@@ -91,13 +91,17 @@ impl Property {
 
     /// A boolean-signal atom.
     #[must_use]
-    pub fn bool_signal(name: impl Into<String>) -> Property {
+    pub fn bool_signal(name: impl Into<std::sync::Arc<str>>) -> Property {
         Property::Atom(Atom::bool(name))
     }
 
     /// A comparison atom `signal op value`.
     #[must_use]
-    pub fn cmp(signal: impl Into<String>, op: crate::atom::CmpOp, value: u64) -> Property {
+    pub fn cmp(
+        signal: impl Into<std::sync::Arc<str>>,
+        op: crate::atom::CmpOp,
+        value: u64,
+    ) -> Property {
         Property::Atom(Atom::cmp(signal, op, value))
     }
 

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Comparison operator of an [`Atom::Cmp`] atomic proposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,14 +83,17 @@ impl fmt::Display for CmpOp {
 }
 
 /// An atomic proposition over design-under-verification signals.
+///
+/// Signal names are shared, so cloning an atom (and so a property) copies
+/// no name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Atom {
     /// A boolean signal used directly as a proposition (true iff non-zero).
-    Bool(String),
+    Bool(Arc<str>),
     /// A comparison between a signal and an integer literal.
     Cmp {
         /// Signal name on the left-hand side.
-        signal: String,
+        signal: Arc<str>,
         /// Comparison operator.
         op: CmpOp,
         /// Literal on the right-hand side.
@@ -100,13 +104,13 @@ pub enum Atom {
 impl Atom {
     /// A boolean-signal atom.
     #[must_use]
-    pub fn bool(signal: impl Into<String>) -> Atom {
+    pub fn bool(signal: impl Into<Arc<str>>) -> Atom {
         Atom::Bool(signal.into())
     }
 
     /// A comparison atom `signal op value`.
     #[must_use]
-    pub fn cmp(signal: impl Into<String>, op: CmpOp, value: u64) -> Atom {
+    pub fn cmp(signal: impl Into<Arc<str>>, op: CmpOp, value: u64) -> Atom {
         Atom::Cmp {
             signal: signal.into(),
             op,
@@ -117,6 +121,12 @@ impl Atom {
     /// Name of the signal the atom observes.
     #[must_use]
     pub fn signal(&self) -> &str {
+        self.signal_name()
+    }
+
+    /// The shared name of the signal the atom observes.
+    #[must_use]
+    pub fn signal_name(&self) -> &Arc<str> {
         match self {
             Atom::Bool(s) => s,
             Atom::Cmp { signal, .. } => signal,

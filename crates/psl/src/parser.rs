@@ -27,6 +27,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::ast::{ClockedProperty, Property};
 use crate::atom::{Atom, CmpOp};
@@ -45,6 +46,16 @@ const KEYWORDS: &[&str] = &[
     "true",
     "false",
 ];
+
+/// The deepest property the parser accepts. It bounds both the parser's
+/// recursion (each parenthesis and each prefix operator, `!`, `next`,
+/// `always`, …, is one level; so is each right-nested `->`) and the height
+/// of the tree it builds, so that the parser and every pass recursing over
+/// a parsed property (NNF, push-ahead, abstraction, display, checker
+/// synthesis) stay well within a 2 MiB thread stack: 64 nested
+/// parentheses take about 0.6 MB of stack in an unoptimised build. The
+/// shipped suites nest at most 9 deep.
+pub const MAX_DEPTH: usize = 64;
 
 /// Error produced when a property fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,12 +96,8 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_property(src: &str) -> Result<Property, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens: &tokens,
-        idx: 0,
-        len: src.len(),
-    };
-    let prop = p.property()?;
+    let mut p = Parser::new(&tokens, src);
+    let (prop, _) = p.property()?;
     p.expect_end()?;
     Ok(prop)
 }
@@ -109,12 +116,8 @@ pub fn parse_property(src: &str) -> Result<Property, ParseError> {
 /// ```
 pub fn parse_clocked(src: &str) -> Result<ClockedProperty, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens: &tokens,
-        idx: 0,
-        len: src.len(),
-    };
-    let prop = p.property()?;
+    let mut p = Parser::new(&tokens, src);
+    let (prop, _) = p.property()?;
     let context = if p.eat(&Token::At) {
         p.context()?
     } else {
@@ -140,13 +143,77 @@ impl FromStr for ClockedProperty {
     }
 }
 
+/// A parsed subtree and its height (nodes on its longest root-to-leaf
+/// path).
+type Tree = (Property, usize);
+
 struct Parser<'a> {
     tokens: &'a [Spanned],
     idx: usize,
     len: usize,
+    /// Current recursion depth, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(tokens: &'a [Spanned], src: &str) -> Parser<'a> {
+        Parser {
+            tokens,
+            idx: 0,
+            len: src.len(),
+            depth: 0,
+        }
+    }
+
+    /// The error for input nesting deeper than [`MAX_DEPTH`].
+    fn too_deep(&self) -> ParseError {
+        self.error(format!("property nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// `height`, checked against [`MAX_DEPTH`].
+    fn height(&self, height: usize) -> Result<usize, ParseError> {
+        if height > MAX_DEPTH {
+            Err(self.too_deep())
+        } else {
+            Ok(height)
+        }
+    }
+
+    /// Parses with `f` one recursion level down, failing before the
+    /// recursion exceeds [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// `inner` under `levels` more nodes built by `wrap`.
+    fn wrap(
+        &self,
+        (inner, height): Tree,
+        levels: usize,
+        wrap: impl FnOnce(Property) -> Property,
+    ) -> Result<Tree, ParseError> {
+        Ok((wrap(inner), self.height(height + levels)?))
+    }
+
+    /// `lhs` and `rhs` joined under one node built by `join`.
+    fn join(
+        &self,
+        (lhs, lh): Tree,
+        (rhs, rh): Tree,
+        join: impl FnOnce(Property, Property) -> Property,
+    ) -> Result<Tree, ParseError> {
+        Ok((join(lhs, rhs), self.height(lh.max(rh) + 1)?))
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.idx).map(|s| &s.token)
     }
@@ -210,21 +277,21 @@ impl Parser<'_> {
         }
     }
 
-    fn property(&mut self) -> Result<Property, ParseError> {
+    fn property(&mut self) -> Result<Tree, ParseError> {
         self.implies()
     }
 
-    fn implies(&mut self) -> Result<Property, ParseError> {
+    fn implies(&mut self) -> Result<Tree, ParseError> {
         let lhs = self.until_release()?;
         if self.eat(&Token::Arrow) {
-            let rhs = self.implies()?;
-            Ok(lhs.implies(rhs))
+            let rhs = self.nested(Self::implies)?;
+            self.join(lhs, rhs, Property::implies)
         } else {
             Ok(lhs)
         }
     }
 
-    fn until_release(&mut self) -> Result<Property, ParseError> {
+    fn until_release(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.or()?;
         loop {
             let is_until = matches!(self.peek(), Some(Token::Ident(k)) if k == "until");
@@ -232,39 +299,44 @@ impl Parser<'_> {
             if is_until {
                 self.idx += 1;
                 let rhs = self.or()?;
-                lhs = lhs.until(rhs);
+                lhs = self.join(lhs, rhs, Property::until)?;
             } else if is_release {
                 self.idx += 1;
                 let rhs = self.or()?;
-                lhs = lhs.release(rhs);
+                lhs = self.join(lhs, rhs, Property::release)?;
             } else {
                 return Ok(lhs);
             }
         }
     }
 
-    fn or(&mut self) -> Result<Property, ParseError> {
+    fn or(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.and()?;
         while self.eat(&Token::OrOr) {
             let rhs = self.and()?;
-            lhs = lhs.or(rhs);
+            lhs = self.join(lhs, rhs, Property::or)?;
         }
         Ok(lhs)
     }
 
-    fn and(&mut self) -> Result<Property, ParseError> {
+    fn and(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.unary()?;
         while self.eat(&Token::AndAnd) {
             let rhs = self.unary()?;
-            lhs = lhs.and(rhs);
+            lhs = self.join(lhs, rhs, Property::and)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Property, ParseError> {
+    /// The operand of a prefix operator, one recursion level down.
+    fn operand(&mut self) -> Result<Tree, ParseError> {
+        self.nested(Self::unary)
+    }
+
+    fn unary(&mut self) -> Result<Tree, ParseError> {
         if self.eat(&Token::Bang) {
-            let p = self.unary()?;
-            return Ok(Property::not(p));
+            let p = self.operand()?;
+            return self.wrap(p, 1, Property::not);
         }
         if let Some(Token::Ident(k)) = self.peek() {
             match k.as_str() {
@@ -280,8 +352,8 @@ impl Parser<'_> {
                     } else {
                         1
                     };
-                    let inner = self.unary()?;
-                    return Ok(Property::next_n(n, inner));
+                    let inner = self.operand()?;
+                    return self.wrap(inner, 1, |p| Property::next_n(n, p));
                 }
                 "next_et" => {
                     self.idx += 1;
@@ -292,24 +364,24 @@ impl Parser<'_> {
                     self.expect(&Token::Comma)?;
                     let eps = self.int()?;
                     self.expect(&Token::RBracket)?;
-                    let inner = self.unary()?;
-                    return Ok(Property::next_et(tau, eps, inner));
+                    let inner = self.operand()?;
+                    return self.wrap(inner, 1, |p| Property::next_et(tau, eps, p));
                 }
                 "always" => {
                     self.idx += 1;
-                    let inner = self.unary()?;
-                    return Ok(Property::always(inner));
+                    let inner = self.operand()?;
+                    return self.wrap(inner, 1, Property::always);
                 }
                 // PSL's `never p` is sugar for `always !p`.
                 "never" => {
                     self.idx += 1;
-                    let inner = self.unary()?;
-                    return Ok(Property::always(Property::not(inner)));
+                    let inner = self.operand()?;
+                    return self.wrap(inner, 2, |p| Property::always(Property::not(p)));
                 }
                 "eventually" => {
                     self.idx += 1;
-                    let inner = self.unary()?;
-                    return Ok(Property::eventually(inner));
+                    let inner = self.operand()?;
+                    return self.wrap(inner, 1, Property::eventually);
                 }
                 _ => {}
             }
@@ -317,27 +389,27 @@ impl Parser<'_> {
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Property, ParseError> {
+    fn primary(&mut self) -> Result<Tree, ParseError> {
         match self.peek() {
             Some(Token::LParen) => {
                 self.idx += 1;
-                let p = self.property()?;
+                let p = self.nested(Self::property)?;
                 self.expect(&Token::RParen)?;
                 Ok(p)
             }
             Some(Token::Ident(k)) if k == "true" => {
                 self.idx += 1;
-                Ok(Property::t())
+                Ok((Property::t(), 1))
             }
             Some(Token::Ident(k)) if k == "false" => {
                 self.idx += 1;
-                Ok(Property::f())
+                Ok((Property::f(), 1))
             }
             Some(Token::Ident(name)) => {
                 if KEYWORDS.contains(&name.as_str()) {
                     return Err(self.error(format!("keyword `{name}` cannot start a term here")));
                 }
-                let name = name.clone();
+                let name: Arc<str> = name.as_str().into();
                 self.idx += 1;
                 let op = match self.peek() {
                     Some(Token::EqEq) => Some(CmpOp::Eq),
@@ -348,13 +420,14 @@ impl Parser<'_> {
                     Some(Token::Ge) => Some(CmpOp::Ge),
                     _ => None,
                 };
-                if let Some(op) = op {
+                let atom = if let Some(op) = op {
                     self.idx += 1;
                     let value = self.int()?;
-                    Ok(Property::Atom(Atom::cmp(name, op, value)))
+                    Atom::cmp(name, op, value)
                 } else {
-                    Ok(Property::Atom(Atom::bool(name)))
-                }
+                    Atom::bool(name)
+                };
+                Ok((Property::Atom(atom), 1))
             }
             other => {
                 let msg = match other {
@@ -370,7 +443,7 @@ impl Parser<'_> {
         if self.eat(&Token::LParen) {
             let head = self.context_head()?;
             self.expect(&Token::AndAnd)?;
-            let guard = self.property()?;
+            let (guard, _) = self.nested(Self::property)?;
             self.expect(&Token::RParen)?;
             if !guard.is_boolean() {
                 return Err(self.error("context guard must be a boolean expression"));
@@ -565,6 +638,64 @@ mod tests {
         assert_eq!(p, expected);
         // Round-trips through the desugared form.
         assert_eq!(p.to_string().parse::<Property>().unwrap(), p);
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_a_parse_error() {
+        let deep = 10 * MAX_DEPTH;
+        let parens = format!("{}rdy{}", "(".repeat(deep), ")".repeat(deep));
+        let bangs = format!("{}rdy", "!".repeat(2 * deep));
+        let nexts = format!("{}rdy", "next ".repeat(deep));
+        let chain = vec!["rdy"; deep].join(" && ");
+        let implications = vec!["rdy"; deep].join(" -> ");
+        let guard = format!("rdy @(clk_pos && {parens})");
+        for src in [&parens, &bangs, &nexts, &chain, &implications, &guard] {
+            let err = src.parse::<ClockedProperty>().unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("property nests deeper than {MAX_DEPTH} levels"),
+                "{}…",
+                &src[..20]
+            );
+            assert!(err.pos > 0 && err.pos < src.len(), "{err}");
+        }
+        // The 257th parenthesis is the one that does not fit.
+        let err = parens.parse::<Property>().unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH + 1);
+    }
+
+    #[test]
+    fn the_deepest_accepted_property_survives_every_pass_on_a_small_stack() {
+        // MAX_DEPTH levels of recursion (`always`, then `!(` … `)` pairs,
+        // two levels each) and a tree of height MAX_DEPTH - 1 from a
+        // conjunction chain inside.
+        let pairs = (MAX_DEPTH - 2) / 2;
+        let chain = vec!["rdy"; MAX_DEPTH - 2 - pairs].join(" && ");
+        let src = format!(
+            "always {}({chain}){} @clk_pos",
+            "!(".repeat(pairs),
+            ")".repeat(pairs)
+        );
+        let over = src.replacen("always ", "always !", 1);
+        let sizes = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let p: ClockedProperty = src.parse().expect("at the limit");
+                let nnf = crate::nnf::to_nnf(&p.property);
+                let pushed = crate::push_ahead::push_ahead(&nnf).expect("pushes");
+                (
+                    p.property.size(),
+                    nnf.size(),
+                    pushed.size(),
+                    p.to_string().len(),
+                )
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+        assert!(sizes.0 > MAX_DEPTH && sizes.1 > 0 && sizes.2 > 0 && sizes.3 > 0);
+        // One level more is refused.
+        assert!(over.parse::<ClockedProperty>().is_err());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 # Runs kernel_throughput (two-tier scheduler events/s per cell; the
 # committed BENCH_kernel.json is the record of that scheduler against the
 # binary heap it replaced, and this script leaves it as it is), then the
-# mutation_throughput campaign scaling run (mutants/s at 1/2/8 workers,
-# BENCH_mutation.json), then a checker_overhead smoke. Knobs (defaults
-# chosen for a minutes-scale run):
+# mutation_throughput campaign scaling run (median mutants/s at 1 and 2
+# workers with IQR and sample count; writes BENCH_mutation.json, which is
+# committed), then a checker_overhead smoke. Knobs (defaults chosen for a
+# minutes-scale run):
 #
 #   ABV_BENCH_BUDGET_MS  per-cell time budget      (default 1000)
 #   ABV_BENCH_SIZE       RTL workload size         (default 400)

@@ -6,8 +6,10 @@
 
 mod common;
 
-use abv_campaign::{run_campaign, CampaignPlan, CellSpec, CheckerMode};
-use designs::{AbsLevel, DesignKind, Fault};
+use abv_campaign::{
+    execute_run, run_campaign, CampaignPlan, CellSpec, CheckerMode, PlanError, RunSpec,
+};
+use designs::{AbsLevel, BuildError, DesignKind, Fault};
 
 /// FNV-1a digest of [`mixed_plan`]'s 3738-byte deterministic summary.
 ///
@@ -96,7 +98,7 @@ fn first_failure_seed_reproduces_the_failure_solo() {
         spec.seed, first.seed,
         "captured seed matches the spec's derived seed"
     );
-    let solo = abv_campaign::execute_run(&spec);
+    let solo = execute_run(&spec).expect("the spec comes from a validated plan");
     let property = solo
         .report
         .property(&first.property)
@@ -126,4 +128,43 @@ fn colorconv_at_campaign_merges_identically_across_worker_counts() {
         .iter()
         .any(|p| p.activations >= 100));
     assert!(pooled.cells[0].first_failure.is_some());
+}
+
+#[test]
+fn an_unbuildable_run_spec_is_a_structured_error() {
+    // FIR has no bulk-AT model. A validated plan never expands to this
+    // spec, but its fields are public.
+    let spec = RunSpec {
+        cell: 3,
+        rep: 0,
+        spec: CellSpec::new(DesignKind::Fir, AbsLevel::TlmAtBulk, CheckerMode::All),
+        size: 4,
+        seed: 2015,
+    };
+    let err = execute_run(&spec).expect_err("FIR has no bulk-AT model");
+    let expected = BuildError::UnsupportedLevel {
+        design: DesignKind::Fir,
+        level: AbsLevel::TlmAtBulk,
+    };
+    assert!(
+        matches!(&err, PlanError::BadCell { index: 3, source } if *source == expected),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "cell 3 is not executable: FIR has no TLM-AT-bulk model"
+    );
+    // An unsupported fault is reported the same way.
+    let spec = RunSpec {
+        spec: CellSpec::new(DesignKind::Fir, AbsLevel::Rtl, CheckerMode::All)
+            .with_fault(Fault::LatencyLong),
+        ..spec
+    };
+    assert!(matches!(
+        execute_run(&spec),
+        Err(PlanError::BadCell {
+            index: 3,
+            source: BuildError::UnsupportedFault { .. }
+        })
+    ));
 }

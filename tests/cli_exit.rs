@@ -81,3 +81,35 @@ fn demo_is_an_unknown_command() {
     assert!(stderr.contains("error: unknown command `demo`"), "{stderr}");
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn abstract_on_a_deeply_nested_property_is_a_parse_error() {
+    let deep = 20_000;
+    let cases = [
+        (
+            "parens",
+            format!("{}rdy{}", "(".repeat(deep), ")".repeat(deep)),
+        ),
+        ("bangs", format!("{}rdy", "!".repeat(deep))),
+    ];
+    for (name, property) in cases {
+        let file = property_file(name, &format!("p: always {property} @clk_pos\n"));
+        let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+            .arg("abstract")
+            .arg(&file)
+            .output()
+            .expect("binary runs");
+        let _ = std::fs::remove_file(&file);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "error: line 1: property nests deeper than {} levels at byte",
+                psl::parser::MAX_DEPTH
+            )),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("overflow"), "{name}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+}
