@@ -3,9 +3,7 @@
 //! all three IPs plus a synthetic many-component stress mix.
 //!
 //! Every repetition of a cell asserts the same [`SimStats`], so two
-//! builds' rates compare the same work. `BENCH_kernel.json` at the
-//! repository root is the record of the two-tier kernel against the
-//! binary-heap scheduler it replaced.
+//! builds' rates compare the same work.
 //!
 //! Plain timing harness (`harness = false`); run with
 //! `cargo bench --bench kernel_throughput`. Knobs:
@@ -13,60 +11,42 @@
 //! - `ABV_BENCH_SIZE`: RTL workload size (default 120);
 //! - `ABV_BENCH_BUDGET_MS`: per-cell time budget (default 1000);
 //! - `ABV_BENCH_STRESS`: components in the synthetic mix (default 10000);
-//! - `ABV_BENCH_JSON`: if set, write machine-readable results to this
-//!   path.
+//! - `ABV_BENCH_JSON`: if set, write the ledger to this path
+//!   (`scripts/bench.sh` writes `BENCH_kernel.json`): per cell, the
+//!   median events/s over the timed repetitions, their interquartile
+//!   range as `spread`, and `n`.
 
 use std::time::{Duration, Instant};
 
-use abv_bench::stopwatch::budget;
+use abv_bench::stopwatch::{env_usize, sample, write_ledger, Samples};
 use abv_bench::{run, Design, Level};
 use desim::{Component, Event, SimCtx, SimStats, SimTime, Simulation};
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// One measured cell: best-of wall time and the kernel stats.
-struct Cell {
-    label: String,
-    events: u64,
-    two_tier_eps: f64,
-}
-
-/// Repeats `go` under the time budget and returns the fastest wall time
-/// plus the stats, asserting every repetition does identical work.
-fn best_of(mut go: impl FnMut() -> (Duration, SimStats)) -> (Duration, SimStats) {
-    let (_, expect) = go(); // warm-up
-    let budget = budget();
-    let started = Instant::now();
-    let mut best = Duration::MAX;
-    let mut iters = 0;
-    while iters < 3 || (started.elapsed() < budget && iters < 30) {
+/// Samples `go`'s event rate under the time budget, asserting every
+/// repetition does the warm-up's work, prints the median and returns the
+/// ledger cell.
+fn cell(
+    label: &str,
+    mut go: impl FnMut() -> (Duration, SimStats),
+) -> (String, &'static str, &'static str, Samples) {
+    let mut expect: Option<SimStats> = None;
+    let rates = sample(|| {
         let (wall, stats) = go();
-        assert_eq!(stats, expect, "run is not deterministic");
-        best = best.min(wall);
-        iters += 1;
-    }
-    (best, expect)
-}
-
-/// Measures one workload and prints its event rate.
-fn cell(label: &str, go: impl FnMut() -> (Duration, SimStats)) -> Cell {
-    let (wall, stats) = best_of(go);
-    let events = stats.events_processed;
-    let out = Cell {
-        label: label.to_string(),
-        events,
-        two_tier_eps: events as f64 / wall.as_secs_f64(),
-    };
+        assert_eq!(
+            stats,
+            *expect.get_or_insert(stats),
+            "run is not deterministic"
+        );
+        stats.events_processed as f64 / wall.as_secs_f64()
+    });
+    let events = expect.expect("sampled").events_processed;
     println!(
-        "  {label:<18} {events:>9} events  two-tier {:>10.0} ev/s",
-        out.two_tier_eps
+        "  {label:<18} {events:>9} events  median {:>10.0} ev/s  (IQR {:.0}, n {})",
+        rates.median(),
+        rates.iqr(),
+        rates.n()
     );
-    out
+    (label.to_owned(), "events_per_sec", "1/s", rates)
 }
 
 /// An edge-sensitive shift-register pipeline: the per-clock RTL consumer
@@ -158,20 +138,6 @@ fn stress_run(components: usize, horizon_ns: u64) -> (Duration, SimStats) {
     (start.elapsed(), stats)
 }
 
-fn write_json(path: &str, cells: &[Cell]) {
-    let mut out = String::from("{\n  \"bench\": \"kernel_throughput\",\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"events\": {}, \"two_tier_eps\": {:.1}}}{sep}\n",
-            c.label, c.events, c.two_tier_eps
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write bench json");
-    println!("wrote {path}");
-}
-
 fn main() {
     let size = env_usize("ABV_BENCH_SIZE", 120);
     let stress = env_usize("ABV_BENCH_STRESS", 10_000);
@@ -189,6 +155,11 @@ fn main() {
     cells.push(cell("stress/mix", || stress_run(stress, 400)));
 
     if let Ok(path) = std::env::var("ABV_BENCH_JSON") {
-        write_json(&path, &cells);
+        write_ledger(
+            &path,
+            "kernel_throughput",
+            &[("size", size), ("stress", stress)],
+            &cells,
+        );
     }
 }

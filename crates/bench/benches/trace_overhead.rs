@@ -13,7 +13,7 @@ use std::hint::black_box;
 use std::rc::Rc;
 
 use abv_bench::stopwatch::bench;
-use abv_bench::{properties_for_level, Design, Level};
+use abv_bench::{Design, Level};
 use abv_checker::Checker;
 use abv_obs::{NullSink, Tracer};
 use designs::Fault;
@@ -24,7 +24,7 @@ const SIZE: usize = 120;
 /// One full simulation of `design` at `level` with its whole suite
 /// attached, under `tracer` (`None` = the production default).
 fn traced_run(design: Design, level: Level, tracer: Option<Tracer>) -> u64 {
-    let props = properties_for_level(design, level);
+    let props = designs::properties_at(design, level);
     let mut built = designs::build(design, level, SIZE, 7, Fault::None).expect("level supported");
     if let Some(tracer) = tracer {
         built.set_tracer(tracer);

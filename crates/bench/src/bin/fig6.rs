@@ -12,8 +12,7 @@
 //! ```
 
 use abv_bench::{
-    checker_counts, default_reps, default_size, default_workers, measure, CheckerMode, Design,
-    Level,
+    checker_counts, default_reps, default_size, default_workers, measure_grid, Design, Level,
 };
 
 fn bar(label: &str, value: f64) {
@@ -24,14 +23,6 @@ fn bar(label: &str, value: f64) {
     );
 }
 
-fn mode(n: usize) -> CheckerMode {
-    if n == 0 {
-        CheckerMode::None
-    } else {
-        CheckerMode::First(n)
-    }
-}
-
 fn main() {
     let size = default_size();
     let reps = default_reps();
@@ -39,15 +30,10 @@ fn main() {
     println!("FIG. 6 reproduction — RTL/TLM simulation average speedup");
     println!("(workload: {size} requests per IP, best of {reps} runs, {workers} worker(s))\n");
 
-    let levels = [Level::Rtl, Level::TlmCa, Level::TlmAt];
     for design in [Design::Des56, Design::ColorConv] {
         println!("--- {} ---", design.label());
         let counts = checker_counts(design);
-        let cells: Vec<_> = levels
-            .into_iter()
-            .flat_map(|level| counts.iter().map(move |&n| (design, level, mode(n))))
-            .collect();
-        let reports = measure(&cells, size, reps, workers);
+        let reports = measure_grid(design, size, reps, workers);
         let wall = |level_idx: usize, count_idx: usize| {
             reports[level_idx * counts.len() + count_idx]
                 .wall_min

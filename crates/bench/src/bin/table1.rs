@@ -13,17 +13,9 @@
 //! ```
 
 use abv_bench::{
-    checker_counts, default_reps, default_size, default_workers, measure, overhead_pct,
-    CheckerMode, Design, Level,
+    checker_counts, default_reps, default_size, default_workers, measure_grid, overhead_pct,
+    Design, Level,
 };
-
-fn mode(n: usize) -> CheckerMode {
-    if n == 0 {
-        CheckerMode::None
-    } else {
-        CheckerMode::First(n)
-    }
-}
 
 fn main() {
     let size = default_size();
@@ -37,11 +29,7 @@ fn main() {
     for design in [Design::Des56, Design::ColorConv] {
         println!("--- {} ---", design.label());
         let counts = checker_counts(design);
-        let cells: Vec<_> = Level::ALL
-            .into_iter()
-            .flat_map(|level| counts.iter().map(move |&n| (design, level, mode(n))))
-            .collect();
-        let reports = measure(&cells, size, reps, workers);
+        let reports = measure_grid(design, size, reps, workers);
         for (li, level) in Level::ALL.into_iter().enumerate() {
             let base = reports[li * counts.len()].wall_min;
             for (ci, &n) in counts.iter().enumerate().skip(1) {

@@ -2,19 +2,14 @@
 //! (Section V): Table I simulation-time/overhead measurements and the
 //! Fig. 6 RTL→TLM speedup comparison, plus ablation studies.
 //!
-//! Binaries:
+//! Binaries: `table1` (Table I for both IPs), `fig6` (Fig. 6 average
+//! speedups), `fig3` (Fig. 3 abstraction table), `bulk_at` (deviation D1).
+//! Their grids are campaigns on `abv-campaign`; `perfbench`
+//! (`BENCHMARK.json`) times and pins the same grid.
 //!
-//! - `table1`: prints the Table I reproduction for both IPs;
-//! - `fig6`: prints the Fig. 6 average-speedup reproduction;
-//! - `fig3`: prints the Fig. 3 property-abstraction table.
-//!
-//! Timing benches (`cargo bench`): `checker_overhead`, `speedup`,
-//! `ablation` — plain `harness = false` mains over [`stopwatch`].
-//!
-//! Measured runs are built through the design factory
-//! ([`designs::build`]) and verified through the unified
-//! [`Checker::attach`](abv_checker::Checker::attach) facade; the
-//! multi-run campaigns behind the binaries ride on `abv-campaign`.
+//! Timing benches (`cargo bench`): `ablation`, `kernel_throughput`,
+//! `mutation_throughput`, `trace_overhead` — plain `harness = false` mains
+//! over [`stopwatch`], one statistic and one ledger format.
 //!
 //! Absolute times differ from the paper's testbed; the *shape* is what is
 //! reproduced: overhead grows with checker count at every level, reusing
@@ -29,7 +24,7 @@ use abv_campaign::{run_campaign, CampaignPlan, CellReport};
 use abv_checker::{CheckReport, Checker};
 use designs::Fault;
 use desim::SimStats;
-use psl::ClockedProperty;
+use stopwatch::env_usize;
 
 pub use abv_campaign::CheckerMode;
 
@@ -43,8 +38,7 @@ pub use designs::AbsLevel as Level;
 /// Outcome of one measured simulation run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Wall-clock duration of the simulation loop (excludes model/checker
-    /// construction).
+    /// Wall time of the simulation loop alone (no model/checker set-up).
     pub wall: Duration,
     /// Kernel activity counters.
     pub stats: SimStats,
@@ -58,13 +52,6 @@ pub fn checker_counts(design: Design) -> [usize; 4] {
     [0, 1, 5, design.suite().len()]
 }
 
-/// The properties installed at `level`, in suite order (see
-/// [`designs::properties_at`]).
-#[must_use]
-pub fn properties_for_level(design: Design, level: Level) -> Vec<(String, ClockedProperty)> {
-    designs::properties_at(design, level)
-}
-
 /// Runs one measured simulation: `design` at `level` with the first
 /// `n_checkers` properties installed, over a workload of `size` requests.
 ///
@@ -74,10 +61,8 @@ pub fn properties_for_level(design: Design, level: Level) -> Vec<(String, Clocke
 /// fails (the suites are always attachable at their levels).
 #[must_use]
 pub fn run(design: Design, level: Level, n_checkers: usize, size: usize, seed: u64) -> RunResult {
-    let props: Vec<(String, ClockedProperty)> = properties_for_level(design, level)
-        .into_iter()
-        .take(n_checkers)
-        .collect();
+    let mut props = designs::properties_at(design, level);
+    props.truncate(n_checkers);
     let mut built =
         designs::build(design, level, size, seed, Fault::None).expect("level supported");
     let binding = built.binding();
@@ -91,33 +76,6 @@ pub fn run(design: Design, level: Level, n_checkers: usize, size: usize, seed: u
         stats,
         report,
     }
-}
-
-/// Runs `reps` repetitions and returns the run with the fastest wall time
-/// (the usual noise-robust estimator for a deterministic single-threaded
-/// loop).
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-#[must_use]
-pub fn run_best_of(
-    design: Design,
-    level: Level,
-    n_checkers: usize,
-    size: usize,
-    reps: usize,
-) -> RunResult {
-    assert!(reps >= 1, "at least one repetition");
-    let mut best: Option<RunResult> = None;
-    for rep in 0..reps {
-        let result = run(design, level, n_checkers, size, 0xBEEF + rep as u64);
-        best = match best {
-            Some(b) if b.wall <= result.wall => Some(b),
-            _ => Some(result),
-        };
-    }
-    best.expect("reps >= 1")
 }
 
 /// Measures a grid of benchmark cells through the campaign engine: each
@@ -148,34 +106,38 @@ pub fn measure(
         .cells
 }
 
-/// Worker threads used by the table/fig binaries: `ABV_BENCH_WORKERS` or
-/// the machine's available parallelism.
+/// Measures the Table I / Fig. 6 grid of `design` through [`measure`]: every
+/// level × [`checker_counts`], level-major.
+#[must_use]
+pub fn measure_grid(design: Design, size: usize, reps: usize, workers: usize) -> Vec<CellReport> {
+    let modes = checker_counts(design).map(|n| match n {
+        0 => CheckerMode::None,
+        n => CheckerMode::First(n),
+    });
+    let cells: Vec<_> = Level::ALL
+        .into_iter()
+        .flat_map(|level| modes.map(|mode| (design, level, mode)))
+        .collect();
+    measure(&cells, size, reps, workers)
+}
+
+/// Worker threads of the table/fig binaries (`ABV_BENCH_WORKERS`, default: cores).
 #[must_use]
 pub fn default_workers() -> usize {
-    std::env::var("ABV_BENCH_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    env_usize("ABV_BENCH_WORKERS", cores)
 }
 
-/// Workload size used by the table/fig binaries, overridable via the
-/// `ABV_BENCH_SIZE` environment variable.
+/// Requests per run of the table/fig binaries (`ABV_BENCH_SIZE`, default 3000).
 #[must_use]
 pub fn default_size() -> usize {
-    std::env::var("ABV_BENCH_SIZE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3000)
+    env_usize("ABV_BENCH_SIZE", 3000)
 }
 
-/// Repetitions used by the table/fig binaries, overridable via
-/// `ABV_BENCH_REPS`.
+/// Repetitions per cell of the table/fig binaries (`ABV_BENCH_REPS`, default 3).
 #[must_use]
 pub fn default_reps() -> usize {
-    std::env::var("ABV_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
+    env_usize("ABV_BENCH_REPS", 3)
 }
 
 /// Percentage overhead of `with` over `base`.
@@ -190,12 +152,12 @@ mod tests {
 
     #[test]
     fn properties_per_level_counts() {
-        assert_eq!(properties_for_level(Design::Des56, Level::Rtl).len(), 9);
-        assert_eq!(properties_for_level(Design::Des56, Level::TlmCa).len(), 9);
+        assert_eq!(designs::properties_at(Design::Des56, Level::Rtl).len(), 9);
+        assert_eq!(designs::properties_at(Design::Des56, Level::TlmCa).len(), 9);
         // p8 is deleted by the abstraction.
-        assert_eq!(properties_for_level(Design::Des56, Level::TlmAt).len(), 8);
+        assert_eq!(designs::properties_at(Design::Des56, Level::TlmAt).len(), 8);
         assert_eq!(
-            properties_for_level(Design::ColorConv, Level::TlmAt).len(),
+            designs::properties_at(Design::ColorConv, Level::TlmAt).len(),
             12
         );
     }
@@ -231,7 +193,7 @@ mod tests {
     fn all_checkers_pass_at_each_level() {
         for design in [Design::Des56, Design::ColorConv] {
             for level in [Level::Rtl, Level::TlmCa] {
-                let n = properties_for_level(design, level).len();
+                let n = designs::properties_at(design, level).len();
                 let r = run(design, level, n, 6, 3);
                 assert!(
                     r.report.all_pass(),

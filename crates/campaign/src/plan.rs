@@ -221,15 +221,17 @@ impl CampaignPlan {
         self
     }
 
-    /// Total number of runs the plan expands to.
+    /// Total number of runs the plan expands to. Call it on a validated
+    /// plan: [`validate`](Self::validate) rejects plans whose product
+    /// overflows ([`PlanError::TooManyRuns`]).
     #[must_use]
     pub fn total_runs(&self) -> usize {
         self.cells.len() * self.runs_per_cell
     }
 
     /// Checks the plan is executable: non-empty, positive run count and
-    /// size, and every cell's design has a model at its level with its
-    /// fault injected ([`designs::check`]).
+    /// size, a work list a `Vec` can hold, and every cell's design has a
+    /// model at its level with its fault injected ([`designs::check`]).
     ///
     /// # Errors
     ///
@@ -243,6 +245,16 @@ impl CampaignPlan {
         }
         if self.size == 0 {
             return Err(PlanError::ZeroSize);
+        }
+        let addressable = isize::MAX as usize / std::mem::size_of::<RunSpec>();
+        match self.cells.len().checked_mul(self.runs_per_cell) {
+            Some(total) if total <= addressable => {}
+            _ => {
+                return Err(PlanError::TooManyRuns {
+                    cells: self.cells.len(),
+                    runs_per_cell: self.runs_per_cell,
+                })
+            }
         }
         for (index, cell) in self.cells.iter().enumerate() {
             designs::check(cell.design, cell.level, cell.fault)
@@ -281,6 +293,14 @@ pub enum PlanError {
     ZeroRuns,
     /// `size` is zero.
     ZeroSize,
+    /// `cells × runs_per_cell` overflows, or exceeds the runs a
+    /// `Vec<RunSpec>` can address.
+    TooManyRuns {
+        /// Number of cells in the plan.
+        cells: usize,
+        /// Requested runs per cell.
+        runs_per_cell: usize,
+    },
     /// A cell's design/level/fault combination has no model.
     BadCell {
         /// Index of the offending cell.
@@ -296,6 +316,13 @@ impl fmt::Display for PlanError {
             PlanError::NoCells => f.write_str("campaign plan has no cells"),
             PlanError::ZeroRuns => f.write_str("campaign plan has zero runs per cell"),
             PlanError::ZeroSize => f.write_str("campaign plan has zero workload size"),
+            PlanError::TooManyRuns {
+                cells,
+                runs_per_cell,
+            } => write!(
+                f,
+                "campaign plan has too many runs: {cells} cells x {runs_per_cell} runs per cell"
+            ),
             PlanError::BadCell { index, source } => {
                 write!(f, "cell {index} is not executable: {source}")
             }
@@ -356,6 +383,26 @@ mod tests {
             .cell(DesignKind::Des56, AbsLevel::Rtl, CheckerMode::None)
             .runs(0);
         assert!(matches!(plan.validate(), Err(PlanError::ZeroRuns)));
+        // One cell does not overflow the product, but no `Vec` holds it.
+        let plan = plan.runs(usize::MAX);
+        assert!(matches!(
+            plan.validate(),
+            Err(PlanError::TooManyRuns {
+                cells: 1,
+                runs_per_cell: usize::MAX
+            })
+        ));
+        let err = plan
+            .cell(DesignKind::Des56, AbsLevel::Rtl, CheckerMode::All)
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "campaign plan has too many runs: 2 cells x {} runs per cell",
+                usize::MAX
+            )
+        );
     }
 
     #[test]

@@ -136,7 +136,9 @@ enum Node {
     Or(NodeId, NodeId),
     /// `next[n]`: operand holds `n` evaluation events ahead.
     NextN(u32, NodeId),
-    /// `next_ε^τ`, not yet reached: anchors to `now + eps` when progressed.
+    /// `next_ε^τ`, not yet reached: anchors to `now + eps` when progressed
+    /// (saturating: a deadline past the last representable instant is never
+    /// reached, so its obligation stays pending).
     NextEt {
         eps_ns: u64,
         inner: NodeId,
@@ -607,7 +609,7 @@ impl FormulaArena {
             }
             Node::NextN(1, inner) => inner,
             Node::NextN(n, inner) => self.next_n(n - 1, inner),
-            Node::NextEt { eps_ns, inner } => self.at(now + eps_ns, inner),
+            Node::NextEt { eps_ns, inner } => self.at(now.saturating_add(eps_ns), inner),
             Node::At { deadline_ns, inner } => {
                 if now < deadline_ns {
                     id // event not consumed by this obligation

@@ -1,6 +1,7 @@
-//! Differential test: the interned-arena [`PropertyChecker`] against the
-//! retained `Rc`-tree [`ReferenceChecker`] (the pre-arena progression
-//! core, kept verbatim in `reference.rs`).
+//! Differential test: the interned-arena
+//! [`PropertyChecker`](crate::PropertyChecker) against the retained
+//! `Rc`-tree [`ReferenceChecker`](crate::reference::ReferenceChecker) (the
+//! pre-arena progression core, kept verbatim in `reference.rs`).
 //!
 //! Both checkers are synthesized from the same [`ClockedProperty`] via the
 //! same pipeline (NNF, repeating unwrap, signal resolution) and driven over
@@ -10,14 +11,18 @@
 //! and rendered residuals, which the reference deliberately leaves empty).
 //!
 //! Cases come from a seeded [`TinyRng`] loop; failure messages carry the
-//! case index for reproduction.
+//! case index for reproduction. A second input is every shipped IP's
+//! TLM-CA suite over one seeded dense stream.
 
 use std::collections::HashMap;
 
-use abv_checker::{compile, compile_reference, PropertyReport};
+use designs::{AbsLevel, DesignKind};
 use desim::{SignalId, Simulation};
 use psl::{Atom, ClockedProperty, EvalContext, Property};
 use tinyrng::TinyRng;
+
+use crate::reference::compile_reference;
+use crate::{compile, PropertyReport};
 
 const CASES: u64 = 600;
 
@@ -171,4 +176,64 @@ fn q3_missed_deadline_matches_reference() {
     assert_eq!(arena_report.failures[0].residual, "at[340ns](rdy)");
     assert!(arena_report.memo_hits + arena_report.memo_misses > 0);
     assert_eq!(normalize(arena_report), normalize(reference.report()));
+}
+
+/// A dense event stream over `sigs`: one frame every 10 ns with seeded
+/// values in `0..4`, indexed by [`SignalId::index`] like the kernel's own
+/// signal store.
+fn dense_frames(sigs: &[SignalId], events: usize, seed: u64) -> Vec<(u64, Vec<u64>)> {
+    let mut rng = TinyRng::new(seed);
+    let width = sigs.iter().map(|s| s.index() + 1).max().unwrap_or(0);
+    (1..=events)
+        .map(|k| {
+            let mut frame = vec![0; width];
+            for s in sigs {
+                frame[s.index()] = rng.range_u64(0, 4);
+            }
+            (k as u64 * 10, frame)
+        })
+        .collect()
+}
+
+/// Each shipped IP's TLM-CA suite, every property fed every frame of one
+/// seeded dense stream: both cores must produce the same full report.
+#[test]
+fn shipped_tlm_ca_suites_match_reference_on_a_dense_stream() {
+    for design in DesignKind::ALL {
+        let suite = designs::properties_at(design, AbsLevel::TlmCa);
+        let mut sim = Simulation::new();
+        let mut sigs = Vec::new();
+        for (_, clocked) in &suite {
+            let mut names = clocked.property.signals();
+            if let Some(guard) = clocked.context.guard() {
+                names.extend(guard.signals());
+            }
+            for name in names {
+                if sim.signal_id(name).is_none() {
+                    sigs.push(sim.add_signal(name, 0));
+                }
+            }
+        }
+        let stream = dense_frames(&sigs, 2400, 0xA0B1);
+        let end = stream.last().expect("nonempty stream").0 + 10;
+        for (name, clocked) in &suite {
+            let label = format!("{} {name}", design.label());
+            let (mut arena_checker, _) = compile(name, clocked, &sim).expect("compiles");
+            let (mut reference, _) = compile_reference(name, clocked, &sim).expect("compiles");
+            for (t, frame) in &stream {
+                let read = |sig: SignalId| frame[sig.index()];
+                arena_checker.on_event(&read, *t);
+                reference.on_event(&read, *t);
+            }
+            arena_checker.finish(end);
+            reference.finish(end);
+            let arena_report = arena_checker.report();
+            assert!(arena_report.activations > 0, "{label}: the stream fires it");
+            assert_eq!(
+                normalize(arena_report),
+                normalize(reference.report()),
+                "{label}: reports diverge on the dense stream"
+            );
+        }
+    }
 }

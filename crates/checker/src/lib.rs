@@ -42,8 +42,11 @@
 mod arena;
 mod attach;
 mod compile;
+#[cfg(test)]
+mod differential;
 mod host;
 mod monitor;
+#[cfg(test)]
 mod reference;
 mod report;
 
@@ -52,7 +55,6 @@ pub use attach::{Binding, Checker};
 pub use compile::{compile, CompileError};
 pub use host::InstallError;
 pub use monitor::{PropertyChecker, SignalRead, WakePlan};
-pub use reference::{compile_reference, ReferenceChecker};
 pub use report::{
     CheckReport, FailReason, Failure, PropertyReport, Verdict, MAX_RECORDED_FAILURES,
 };

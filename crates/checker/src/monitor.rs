@@ -614,10 +614,15 @@ mod tests {
     /// Paper q3-style checker at TLM granularity: `always (!ds || next_et
     /// [1,170] rdy)`.
     fn q3_checker() -> PropertyChecker {
+        ds_rdy_checker(170)
+    }
+
+    /// `always (!ds || next_et[1, eps] rdy)`.
+    fn ds_rdy_checker(eps: u64) -> PropertyChecker {
         let mut arena = FormulaArena::new();
         let nds = arena.lit(&mk_lit(0, "ds", true));
         let rdy = arena.lit(&mk_lit(1, "rdy", false));
-        let et = arena.next_et(170, rdy);
+        let et = arena.next_et(eps, rdy);
         let body = arena.or(nds, et);
         PropertyChecker::new("q3", arena, body, true, None)
     }
@@ -681,6 +686,15 @@ mod tests {
         c.finish(500); // deadline 180 passed without event
         assert_eq!(c.report().pending, 0);
         assert_eq!(c.report().failure_count, 1);
+
+        // ε = u64::MAX: the deadline saturates at the last representable
+        // instant instead of wrapping to an early one, so it stays pending.
+        let mut c = ds_rdy_checker(u64::MAX);
+        c.on_event(&env(&[(0, 1)]), 10);
+        c.on_event(&env(&[(0, 1), (1, 1)]), 20);
+        c.finish(30);
+        assert_eq!(c.report().pending, 2);
+        assert_eq!(c.report().failure_count, 0);
     }
 
     /// `always ((!a || next_et[ea] x) && (!b || next_et[eb] y))`: two

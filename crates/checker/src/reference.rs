@@ -1,16 +1,16 @@
 //! The retained pointer-tree monitor: the pre-arena `Rc<Mx>` progression
-//! core, kept verbatim as a differential-testing oracle and as the
-//! baseline for the `checker_overhead` progression benchmark.
+//! core, compiled only into this crate's tests as the differential oracle
+//! for [`PropertyChecker`](crate::PropertyChecker).
 //!
-//! [`ReferenceChecker`] mirrors [`PropertyChecker`](crate::PropertyChecker)
-//! exactly — same activation policy, instance pool, evaluation table and
-//! report bookkeeping — but every residual is a freshly allocated
+//! [`ReferenceChecker`] mirrors the arena checker exactly — same
+//! activation policy, instance pool, evaluation table and report
+//! bookkeeping — but every residual is a freshly allocated
 //! reference-counted tree, nothing is interned or memoized, and literal
 //! evaluation goes through `&dyn Fn` as the old hot path did. The two
 //! implementations must produce identical verdicts, failure times and
 //! [`PropertyReport`]s (modulo the arena-only fields, which stay zero
-//! here, and rendered residual strings, which stay empty); see
-//! `tests/differential.rs`.
+//! here, and rendered residual strings, which stay empty); see the
+//! `differential` test module.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -108,7 +108,7 @@ fn progress(m: &M, read: &dyn Fn(SignalId) -> u64, now: u64) -> M {
         Mx::NextN(1, inner) => Rc::clone(inner),
         Mx::NextN(n, inner) => Rc::new(Mx::NextN(n - 1, Rc::clone(inner))),
         Mx::NextEt { eps_ns, inner } => Rc::new(Mx::At {
-            deadline_ns: now + eps_ns,
+            deadline_ns: now.saturating_add(*eps_ns),
             inner: Rc::clone(inner),
         }),
         Mx::At { deadline_ns, inner } => {
@@ -198,7 +198,6 @@ struct Instance {
 /// The pre-arena property checker, preserved as an executable oracle.
 #[derive(Debug)]
 pub struct ReferenceChecker {
-    name: String,
     body: M,
     repeating: bool,
     guard: Option<M>,
@@ -207,27 +206,14 @@ pub struct ReferenceChecker {
     free: Vec<usize>,
     table: BTreeMap<u64, Vec<usize>>,
     every: Vec<usize>,
-    use_table: bool,
     report: PropertyReport,
 }
 
 impl ReferenceChecker {
-    /// The property's display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of currently live instances.
     #[must_use]
     pub fn live_instances(&self) -> usize {
         self.pool.len() - self.free.len()
-    }
-
-    /// Disables the evaluation-table optimization (see
-    /// [`PropertyChecker::disable_evaluation_table`](crate::PropertyChecker::disable_evaluation_table)).
-    pub fn disable_evaluation_table(&mut self) {
-        self.use_table = false;
     }
 
     /// Processes one evaluation event at `now` nanoseconds, with the same
@@ -347,10 +333,8 @@ impl ReferenceChecker {
 
     fn register(&mut self, slot: usize, residual: &M) {
         match earliest_deadline(residual) {
-            Some(deadline) if self.use_table => {
-                self.table.entry(deadline).or_default().push(slot);
-            }
-            _ => self.every.push(slot),
+            Some(deadline) => self.table.entry(deadline).or_default().push(slot),
+            None => self.every.push(slot),
         }
     }
 
@@ -416,7 +400,6 @@ pub fn compile_reference(
     Ok((
         ReferenceChecker {
             report: PropertyReport::new(name.to_owned()),
-            name: name.to_owned(),
             body,
             repeating,
             guard,
@@ -425,7 +408,6 @@ pub fn compile_reference(
             free: Vec::new(),
             table: BTreeMap::new(),
             every: Vec::new(),
-            use_table: true,
         },
         edge,
     ))

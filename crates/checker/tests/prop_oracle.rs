@@ -177,3 +177,30 @@ fn regression_nested_deadline_chain() {
         .collect();
     check_case(&p, &rows, "regression");
 }
+
+/// `ε = u64::MAX` anchors past the last representable instant. Online, the
+/// fired instances stay pending (the deadline saturates instead of
+/// wrapping to an early one); the oracle is undetermined on the same
+/// trace: weakly true, strongly false at every firing position.
+#[test]
+fn a_deadline_past_the_last_instant_is_pending_in_both_semantics() {
+    let body: Property = "!a || next_et[1, 18446744073709551615] b".parse().unwrap();
+    let rows: Vec<(u64, Vec<u64>)> = vec![
+        (10, vec![1, 0, 0]),
+        (20, vec![1, 1, 0]),
+        (30, vec![0, 1, 0]),
+    ];
+    check_case(&body, &rows, "saturated deadline");
+
+    let (verdict, resolved_ok, pending) = online_verdict(&Property::always(body.clone()), &rows);
+    assert_eq!((verdict, resolved_ok, pending), (Verdict::Pass, 1, 2));
+    let trace = trace_of(&rows);
+    for (pos, (_, values)) in rows.iter().enumerate() {
+        assert!(trace.eval_weak(&body, pos).unwrap(), "weak at {pos}");
+        assert_eq!(
+            trace.eval(&body, pos).unwrap(),
+            values[0] == 0,
+            "strong at {pos}"
+        );
+    }
+}

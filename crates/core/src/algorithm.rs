@@ -22,6 +22,14 @@ pub enum NextSubstError {
     /// The property already contains `next_ε^τ` operators: it has already
     /// been abstracted.
     AlreadyAbstracted,
+    /// `ε = n × c` of some `next[n]` chain does not fit in 64 bits of
+    /// nanoseconds.
+    EpsilonOverflow {
+        /// The chain's `next` count.
+        n: u32,
+        /// The RTL clock period `c`, in nanoseconds.
+        clock_period_ns: u64,
+    },
 }
 
 impl std::fmt::Display for NextSubstError {
@@ -33,6 +41,10 @@ impl std::fmt::Display for NextSubstError {
             NextSubstError::AlreadyAbstracted => {
                 f.write_str("property already contains next_et operators")
             }
+            NextSubstError::EpsilonOverflow { n, clock_period_ns } => write!(
+                f,
+                "epsilon of next[{n}] at a {clock_period_ns} ns clock period overflows 64-bit nanoseconds"
+            ),
         }
     }
 }
@@ -50,7 +62,9 @@ impl std::error::Error for NextSubstError {}
 ///
 /// - [`NextSubstError::NotPushed`] if some `next` operand is not a literal;
 /// - [`NextSubstError::AlreadyAbstracted`] if the property already contains
-///   `next_ε^τ`.
+///   `next_ε^τ`;
+/// - [`NextSubstError::EpsilonOverflow`] if some `n × clock_period_ns`
+///   does not fit in a `u64`.
 ///
 /// ```
 /// use abv_core::algorithm::next_substitution;
@@ -79,30 +93,36 @@ pub fn next_substitution(p: &Property, clock_period_ns: u64) -> Result<Property,
         return Err(NextSubstError::AlreadyAbstracted);
     }
     let mut tau = 0u32;
-    Ok(substitute(p, clock_period_ns, &mut tau))
+    substitute(p, clock_period_ns, &mut tau)
 }
 
-fn substitute(p: &Property, c: u64, tau: &mut u32) -> Property {
-    match p {
+fn substitute(p: &Property, c: u64, tau: &mut u32) -> Result<Property, NextSubstError> {
+    Ok(match p {
         Property::Const(_) | Property::Atom(_) | Property::Not(_) => p.clone(),
-        Property::And(a, b) => substitute(a, c, tau).and(substitute(b, c, tau)),
-        Property::Or(a, b) => substitute(a, c, tau).or(substitute(b, c, tau)),
-        Property::Implies(a, b) => substitute(a, c, tau).implies(substitute(b, c, tau)),
-        Property::Until(a, b) => substitute(a, c, tau).until(substitute(b, c, tau)),
-        Property::Release(a, b) => substitute(a, c, tau).release(substitute(b, c, tau)),
-        Property::Always(inner) => Property::always(substitute(inner, c, tau)),
-        Property::Eventually(inner) => Property::eventually(substitute(inner, c, tau)),
+        Property::And(a, b) => substitute(a, c, tau)?.and(substitute(b, c, tau)?),
+        Property::Or(a, b) => substitute(a, c, tau)?.or(substitute(b, c, tau)?),
+        Property::Implies(a, b) => substitute(a, c, tau)?.implies(substitute(b, c, tau)?),
+        Property::Until(a, b) => substitute(a, c, tau)?.until(substitute(b, c, tau)?),
+        Property::Release(a, b) => substitute(a, c, tau)?.release(substitute(b, c, tau)?),
+        Property::Always(inner) => Property::always(substitute(inner, c, tau)?),
+        Property::Eventually(inner) => Property::eventually(substitute(inner, c, tau)?),
         Property::Next { n, inner } => {
             // Push-ahead guarantees `inner` is a literal.
             if matches!(**inner, Property::Const(_)) {
                 (**inner).clone()
             } else {
+                let eps = u64::from(*n)
+                    .checked_mul(c)
+                    .ok_or(NextSubstError::EpsilonOverflow {
+                        n: *n,
+                        clock_period_ns: c,
+                    })?;
                 *tau += 1;
-                Property::next_et(*tau, u64::from(*n) * c, (**inner).clone())
+                Property::next_et(*tau, eps, (**inner).clone())
             }
         }
         Property::NextEt { .. } => unreachable!("checked by next_substitution"),
-    }
+    })
 }
 
 #[cfg(test)]

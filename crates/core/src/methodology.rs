@@ -121,6 +121,14 @@ pub enum AbstractError {
     /// Push-ahead failed (should not happen after NNF; indicates a property
     /// outside the supported grammar).
     PushAhead(PushAheadError),
+    /// Algorithm III.1's `ε = n × c` for some `next[n]` chain does not fit
+    /// in 64 bits of nanoseconds.
+    EpsilonOverflow {
+        /// The chain's `next` count.
+        n: u32,
+        /// The RTL clock period `c`, in nanoseconds.
+        clock_period_ns: u64,
+    },
 }
 
 impl fmt::Display for AbstractError {
@@ -131,6 +139,13 @@ impl fmt::Display for AbstractError {
                 f.write_str("property already contains next_et operators")
             }
             AbstractError::PushAhead(e) => write!(f, "push-ahead failed: {e}"),
+            AbstractError::EpsilonOverflow { n, clock_period_ns } => {
+                NextSubstError::EpsilonOverflow {
+                    n: *n,
+                    clock_period_ns: *clock_period_ns,
+                }
+                .fmt(f)
+            }
         }
     }
 }
@@ -162,7 +177,9 @@ impl From<PushAheadError> for AbstractError {
 ///   context;
 /// - [`AbstractError::AlreadyAbstracted`] if it contains `next_ε^τ`;
 /// - [`AbstractError::PushAhead`] if the property is outside the supported
-///   grammar.
+///   grammar;
+/// - [`AbstractError::EpsilonOverflow`] if some `next[n]` chain's
+///   `ε = n × clock period` does not fit in a `u64`.
 ///
 /// ```
 /// use abv_core::{abstract_property, AbstractionConfig};
@@ -230,6 +247,9 @@ pub fn abstract_property(
     // Step 2c (Algorithm III.1): next substitution on the surviving body.
     let body = match next_substitution(&body, cfg.clock_period_ns()) {
         Ok(b) => b,
+        Err(NextSubstError::EpsilonOverflow { n, clock_period_ns }) => {
+            return Err(AbstractError::EpsilonOverflow { n, clock_period_ns })
+        }
         Err(NextSubstError::NotPushed | NextSubstError::AlreadyAbstracted) => {
             unreachable!("body is pushed and free of next_et by construction")
         }
@@ -321,6 +341,20 @@ mod tests {
             "always (((!ds) || (indata != 0)) || (next_et[1, 170] (out != 0))) @T_b"
         );
         assert_eq!(a.consequence(), Consequence::Equivalent);
+    }
+
+    #[test]
+    fn epsilon_overflow_is_a_structured_error() {
+        let p: ClockedProperty = "always (a -> next[4294967295] b) @clk_pos".parse().unwrap();
+        let err = abstract_property(&p, &AbstractionConfig::new(u64::MAX).unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            AbstractError::EpsilonOverflow {
+                n: u32::MAX,
+                clock_period_ns: u64::MAX
+            }
+        );
+        assert!(err.to_string().contains("next[4294967295]"), "{err}");
     }
 
     #[test]

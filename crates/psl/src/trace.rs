@@ -172,7 +172,7 @@ impl Trace {
                 }
             }
             Property::NextEt { eps_ns, inner, .. } => {
-                let deadline = self.steps[pos].time_ns + eps_ns;
+                let deadline = self.steps[pos].time_ns.saturating_add(*eps_ns);
                 match self.position_at_time(deadline) {
                     Some(target) if target > pos => self.eval_inner(inner, target),
                     // No observable event at exactly t+eps: false (Def. III.3).
@@ -272,7 +272,7 @@ impl Trace {
                 }
             }
             Property::NextEt { eps_ns, inner, .. } => {
-                let deadline = self.steps[pos].time_ns + eps_ns;
+                let deadline = self.steps[pos].time_ns.saturating_add(*eps_ns);
                 let last = self.steps.last().expect("non-empty by pos check").time_ns;
                 if deadline > last {
                     return Ok(true); // truncated before the deadline

@@ -1,13 +1,12 @@
 #!/usr/bin/env sh
-# Scheduler + checker benchmark smokes with machine-readable output.
+# Kernel and mutation-campaign throughput, written as bench ledgers.
 #
-# Runs kernel_throughput (two-tier scheduler events/s per cell; the
-# committed BENCH_kernel.json is the record of that scheduler against the
-# binary heap it replaced, and this script leaves it as it is), then the
-# mutation_throughput campaign scaling run (median mutants/s at 1 and 2
-# workers with IQR and sample count; writes BENCH_mutation.json, which is
-# committed), then a checker_overhead smoke. Knobs (defaults chosen for a
-# minutes-scale run):
+# Runs kernel_throughput (two-tier scheduler events/s per cell; writes
+# BENCH_kernel.json), then the mutation_throughput campaign scaling run
+# (mutants/s at 1 and 2 workers, alternated; writes BENCH_mutation.json).
+# Both ledgers hold, per cell, the median over the timed repetitions
+# with its interquartile range as `spread` and the sample count `n`, and
+# both are committed. Knobs (defaults chosen for a minutes-scale run):
 #
 #   ABV_BENCH_BUDGET_MS  per-cell time budget      (default 1000)
 #   ABV_BENCH_SIZE       RTL workload size         (default 400)
@@ -23,15 +22,12 @@ cd "$(dirname "$0")/.."
 : "${ABV_BENCH_STRESS:=10000}"
 export ABV_BENCH_BUDGET_MS ABV_BENCH_SIZE ABV_BENCH_STRESS
 
-echo "==> cargo bench -p abv-bench --bench kernel_throughput"
-cargo bench -p abv-bench --bench kernel_throughput
+echo "==> cargo bench -p abv-bench --bench kernel_throughput -> BENCH_kernel.json"
+ABV_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
+    cargo bench -p abv-bench --bench kernel_throughput
 
 echo "==> cargo bench -p abv-bench --bench mutation_throughput -> BENCH_mutation.json"
 ABV_BENCH_JSON="$(pwd)/BENCH_mutation.json" ABV_BENCH_SIZE=8 \
     cargo bench -p abv-bench --bench mutation_throughput
 
-echo "==> cargo bench -p abv-bench --bench checker_overhead (smoke)"
-ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 \
-    cargo bench -p abv-bench --bench checker_overhead
-
-echo "Wrote BENCH_mutation.json."
+echo "Wrote BENCH_kernel.json and BENCH_mutation.json."

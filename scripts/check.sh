@@ -24,8 +24,15 @@ cargo test -q
 echo "==> rtl2tlm mutate --json (smoke)"
 cargo run --release --bin rtl2tlm -- mutate --size 4 --workers 2 --json > /dev/null
 
-echo "==> cargo bench -p abv-bench --bench checker_overhead (smoke)"
-ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 cargo bench -p abv-bench --bench checker_overhead
+# The benchmark of record, one second per workload: every Table I grid,
+# kill-matrix and traced run is checked against perfbench/pins.txt.
+echo "==> perfbench --workload all --seed 2015 (pin smoke)"
+last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 2015 --seconds 1 --trace 0 | tail -n 1)
+case "$last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "perfbench: outputs do not match the pins: $last" >&2; exit 1 ;;
+esac
 
 # Two-tier events/s per cell; each cell asserts identical SimStats on
 # every repetition.

@@ -113,3 +113,51 @@ fn abstract_on_a_deeply_nested_property_is_a_parse_error() {
         assert!(out.stdout.is_empty());
     }
 }
+
+#[test]
+fn abstract_with_an_overflowing_epsilon_exits_with_an_error() {
+    let file = property_file(
+        "eps-overflow",
+        "p: always (a -> next[4294967295] b) @clk_pos\n",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+        .arg("abstract")
+        .arg(&file)
+        .args(["--clock-period", "18446744073709551615"])
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&file);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(
+            "error: p: epsilon of next[4294967295] at a 18446744073709551615 ns clock period \
+             overflows 64-bit nanoseconds"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn campaign_with_an_unaddressable_run_count_exits_with_an_error() {
+    for (checkers, cells) in [("with", 1), ("both", 2)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+            .args(["campaign", "--runs", "18446744073709551615", "--checkers"])
+            .arg(checkers)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{checkers}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "error: campaign plan has too many runs: {cells} cells x 18446744073709551615 \
+                 runs per cell"
+            )),
+            "{checkers}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{checkers}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+}
