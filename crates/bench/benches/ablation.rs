@@ -19,7 +19,7 @@ use abv_bench::stopwatch::bench;
 use abv_checker::Checker;
 use abv_core::{abstract_property, naive::naive_scale, AbstractionConfig};
 use designs::des56::{self, DesWorkload};
-use designs::{BuiltDesign, Fault, CLOCK_PERIOD_NS};
+use designs::{BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 use psl::{ClockedProperty, EvalContext};
 use std::hint::black_box;
 use tlmkit::TxTraceRecorder;
@@ -34,10 +34,7 @@ fn des_at(seed: u64) -> BuiltDesign {
 fn q3() -> ClockedProperty {
     let suite = des56::suite();
     let p3 = &suite.iter().find(|e| e.name == "p3").expect("p3").rtl;
-    let cfg = AbstractionConfig::new(CLOCK_PERIOD_NS)
-        .unwrap()
-        .abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied());
-    abstract_property(p3, &cfg)
+    abstract_property(p3, &DesignKind::Des56.config())
         .expect("abstracts")
         .into_property()
         .expect("kept")

@@ -70,10 +70,11 @@ impl TraceSettings {
 ///
 /// # Errors
 ///
-/// [`PlanError::BadCell`] (indexed by the spec's cell) when [`designs::check`]
-/// rejects the spec's design, level and fault: a spec from
-/// [`CampaignPlan::run_specs`] of a validated plan never does, but the
-/// spec's fields are public.
+/// [`PlanError::BadCell`] (indexed by the spec's cell) when
+/// [`designs::build`] rejects the spec: its design, level and fault (a
+/// spec from [`CampaignPlan::run_specs`] of a validated plan never is
+/// rejected for those, but the spec's fields are public), or a workload
+/// size too large to build.
 pub fn execute_run(spec: &RunSpec) -> Result<RunOutcome, PlanError> {
     execute_run_with(spec, TraceSettings::off())
 }
@@ -172,6 +173,8 @@ pub fn run_campaign(plan: &CampaignPlan, workers: usize) -> Result<CampaignRepor
 /// # Errors
 ///
 /// Returns a [`PlanError`] if the plan fails validation; no work starts.
+/// Otherwise the first run in plan order that cannot be built (a workload
+/// size too large to build) is the campaign's error.
 pub fn run_campaign_with(
     plan: &CampaignPlan,
     workers: usize,
@@ -206,8 +209,9 @@ pub fn run_campaign_with(
         }
         outcomes
     });
-    // Validation makes every run buildable; should one fail anyway, the
-    // first failure in plan order is the campaign's error.
+    // Validation admits every cell's design, level and fault; a run can
+    // still fail on its workload size, and the first such failure in plan
+    // order is the campaign's error.
     let outcomes = outcomes
         .into_iter()
         .map(Option::transpose)

@@ -301,11 +301,13 @@ pub enum PlanError {
         /// Requested runs per cell.
         runs_per_cell: usize,
     },
-    /// A cell's design/level/fault combination has no model.
+    /// A cell cannot be built: its design/level/fault combination has no
+    /// model, or (found when its runs are built) its workload size is too
+    /// large.
     BadCell {
         /// Index of the offending cell.
         index: usize,
-        /// The [`designs::check`] rejection.
+        /// The [`designs::check`] or [`designs::build`] rejection.
         source: BuildError,
     },
 }

@@ -96,9 +96,6 @@ pub struct ColorConvCore {
 }
 
 impl ColorConvCore {
-    /// The design latency in clock cycles (strobe sample → output sample).
-    pub const LATENCY: u32 = 8;
-
     /// A core with `fault` injected ([`Fault::None`] for the correct
     /// design):
     ///

@@ -1,11 +1,10 @@
-//! The ColorConv RTL model: clocked pipeline plus stimulus generator.
-
-use desim::{Component, Event, SignalId, SimCtx, Simulation};
-use rtlkit::{Clock, EdgeDetector};
+//! The ColorConv pin interface: the pin list and the cycle core behind
+//! it, which the shared shells build the RTL and TLM-CA models from.
 
 use super::core::ColorConvCore;
-use super::workload::ConvWorkload;
-use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
+use super::workload::Pixel;
+use crate::cycle::CycleCore;
+use crate::{DesignKind, Fault};
 
 /// Names of the ColorConv I/O signals at RTL, in declaration order.
 pub const RTL_SIGNALS: &[&str] = &[
@@ -20,133 +19,44 @@ pub const RTL_SIGNALS: &[&str] = &[
     "ov_next_cycle",
 ];
 
-/// The clocked ColorConv design: one [`ColorConvCore`] step per rising
-/// edge.
-struct ColorConvRtl {
-    clk: SignalId,
-    det: EdgeDetector,
-    core: ColorConvCore,
-    px_valid: SignalId,
-    r: SignalId,
-    g: SignalId,
-    b: SignalId,
-    y: SignalId,
-    cb: SignalId,
-    cr: SignalId,
-    out_valid: SignalId,
-    ov_nc: SignalId,
-}
+impl CycleCore for ColorConvCore {
+    type Request = Pixel;
+    const DESIGN: DesignKind = DesignKind::ColorConv;
+    const PINS: &'static [&'static str] = RTL_SIGNALS;
+    const DATA_INPUTS: usize = 3;
+    const LATENCY: u64 = 8;
+    const DEFAULT_GAP: u64 = 10;
 
-impl Component for ColorConvRtl {
-    fn handle(&mut self, _ev: Event, ctx: &mut SimCtx<'_>) {
-        let v = ctx.read(self.clk);
-        if !self.det.is_rising(v) {
-            return;
-        }
-        let px_valid = ctx.read(self.px_valid) != 0;
-        let r = ctx.read(self.r) as u8;
-        let g = ctx.read(self.g) as u8;
-        let b = ctx.read(self.b) as u8;
-        let o = self.core.step(px_valid, r, g, b);
-        ctx.write(self.y, o.y);
-        ctx.write(self.cb, o.cb);
-        ctx.write(self.cr, o.cr);
-        ctx.write(self.out_valid, u64::from(o.out_valid));
-        ctx.write(self.ov_nc, u64::from(o.ov_next_cycle));
+    fn with_fault(fault: Fault) -> ColorConvCore {
+        ColorConvCore::new(fault)
     }
-}
 
-/// Drives the pixel stream onto the design inputs at falling edges.
-struct ConvStimulus {
-    clk: SignalId,
-    det: EdgeDetector,
-    workload: ConvWorkload,
-    px_valid: SignalId,
-    r: SignalId,
-    g: SignalId,
-    b: SignalId,
-}
-
-impl Component for ConvStimulus {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        let v = ctx.read(self.clk);
-        if !self.det.is_falling(v) {
-            return;
-        }
-        let target_edge = ev.time.as_ns() / CLOCK_PERIOD_NS + 1;
-        match self.workload.pixel_at_edge(target_edge) {
-            Some(px) => {
-                ctx.write(self.px_valid, 1);
-                ctx.write(self.r, u64::from(px.r));
-                ctx.write(self.g, u64::from(px.g));
-                ctx.write(self.b, u64::from(px.b));
-            }
-            None => ctx.write(self.px_valid, 0),
-        }
+    fn drive(px: Pixel, data: &mut [u64]) {
+        data[0] = u64::from(px.r);
+        data[1] = u64::from(px.g);
+        data[2] = u64::from(px.b);
     }
-}
 
-/// Builds the ColorConv RTL simulation for a workload, with `fault`
-/// injected.
-///
-/// # Errors
-///
-/// Whatever [`check`] rejects for ColorConv at RTL.
-pub fn build_rtl(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
-    check(DesignKind::ColorConv, AbsLevel::Rtl, fault)?;
-    let mut sim = Simulation::new();
-    sim.reserve_signals(10); // pin list + clock, registered in one burst
-    let clk = Clock::install(&mut sim, "clk", CLOCK_PERIOD_NS);
-    let px_valid = sim.add_signal("px_valid", 0);
-    let r = sim.add_signal("r", 0);
-    let g = sim.add_signal("g", 0);
-    let b = sim.add_signal("b", 0);
-    let y = sim.add_signal("y", 0);
-    let cb = sim.add_signal("cb", 0);
-    let cr = sim.add_signal("cr", 0);
-    let out_valid = sim.add_signal("out_valid", 0);
-    let ov_nc = sim.add_signal("ov_next_cycle", 0);
+    fn payload(px: Pixel) -> u64 {
+        u64::from(px.r) << 16 | u64::from(px.g) << 8 | u64::from(px.b)
+    }
 
-    let dut = sim.add_component(ColorConvRtl {
-        clk: clk.signal,
-        det: EdgeDetector::new(),
-        core: ColorConvCore::new(fault),
-        px_valid,
-        r,
-        g,
-        b,
-        y,
-        cb,
-        cr,
-        out_valid,
-        ov_nc,
-    });
-    sim.subscribe(clk.signal, dut, 0);
-
-    let stim = sim.add_component(ConvStimulus {
-        clk: clk.signal,
-        det: EdgeDetector::new(),
-        workload: workload.clone(),
-        px_valid,
-        r,
-        g,
-        b,
-    });
-    sim.subscribe(clk.signal, stim, 0);
-
-    Ok(BuiltDesign {
-        sim,
-        clk: Some(clk.signal),
-        bus: None,
-        end_ns: workload.end_time_ns(),
-    })
+    fn step_pins(&mut self, px_valid: bool, data: &[u64], outputs: &mut [u64]) {
+        let o = self.step(px_valid, data[0] as u8, data[1] as u8, data[2] as u8);
+        outputs[0] = o.y;
+        outputs[1] = o.cb;
+        outputs[2] = o.cr;
+        outputs[3] = u64::from(o.out_valid);
+        outputs[4] = u64::from(o.ov_next_cycle);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::algo;
-    use super::super::workload::Pixel;
+    use super::super::workload::ConvWorkload;
     use super::*;
+    use crate::cycle::build_rtl;
     use psl::{ClockEdge, SignalEnv};
     use rtlkit::WaveRecorder;
 

@@ -1,130 +1,18 @@
-//! The ColorConv TLM models: cycle-accurate and approximately-timed.
+//! The ColorConv approximately-timed TLM models, per pixel and in bulk
+//! (the cycle-accurate one is the shared
+//! [`build_tlm_ca`](crate::colorconv::build_tlm_ca) shell).
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
 use tlmkit::{Transaction, TransactionBus};
 
 use super::core::ColorConvCore;
 use super::workload::ConvWorkload;
+use crate::cycle::CycleCore;
 use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
-
-/// Mirror signals preserved at TLM-CA (full protocol).
-pub const TLM_CA_SIGNALS: &[&str] = &[
-    "px_valid",
-    "r",
-    "g",
-    "b",
-    "y",
-    "cb",
-    "cr",
-    "out_valid",
-    "ov_next_cycle",
-];
 
 /// Mirror signals preserved at TLM-AT (the pipeline prediction output is
 /// abstracted away).
 pub const TLM_AT_SIGNALS: &[&str] = &["px_valid", "r", "g", "b", "y", "cb", "cr", "out_valid"];
-
-/// The TLM-CA model: one transaction per clock period, stepping the same
-/// cycle core as RTL.
-struct ConvTlmCa {
-    bus: TransactionBus,
-    core: ColorConvCore,
-    workload: ConvWorkload,
-    edge: u64,
-    last_edge: u64,
-    px_valid: SignalId,
-    r: SignalId,
-    g: SignalId,
-    b: SignalId,
-    y: SignalId,
-    cb: SignalId,
-    cr: SignalId,
-    out_valid: SignalId,
-    ov_nc: SignalId,
-}
-
-impl Component for ConvTlmCa {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        self.edge += 1;
-        let pixel = self.workload.pixel_at_edge(self.edge);
-        let valid = pixel.is_some();
-        let (r, g, b) = pixel.map_or((0, 0, 0), |p| (p.r, p.g, p.b));
-        let o = self.core.step(valid, r, g, b);
-
-        ctx.write(self.px_valid, u64::from(valid));
-        if let Some(p) = pixel {
-            ctx.write(self.r, u64::from(p.r));
-            ctx.write(self.g, u64::from(p.g));
-            ctx.write(self.b, u64::from(p.b));
-        }
-        ctx.write(self.y, o.y);
-        ctx.write(self.cb, o.cb);
-        ctx.write(self.cr, o.cr);
-        ctx.write(self.out_valid, u64::from(o.out_valid));
-        ctx.write(self.ov_nc, u64::from(o.ov_next_cycle));
-
-        let tx = if valid {
-            Transaction::write(
-                0,
-                u64::from(r) << 16 | u64::from(g) << 8 | u64::from(b),
-                ev.time,
-            )
-        } else {
-            Transaction::read(0, o.y, ev.time)
-        };
-        self.bus.publish(ctx, tx);
-
-        if self.edge < self.last_edge {
-            ctx.schedule_self(CLOCK_PERIOD_NS, 0);
-        }
-    }
-}
-
-/// Builds the ColorConv TLM-CA simulation for a workload, with `fault`
-/// injected.
-///
-/// # Errors
-///
-/// Whatever [`check`] rejects for ColorConv at TLM-CA.
-pub fn build_tlm_ca(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
-    check(DesignKind::ColorConv, AbsLevel::TlmCa, fault)?;
-    let mut sim = Simulation::new();
-    let bus = TransactionBus::new();
-    let px_valid = sim.add_signal("px_valid", 0);
-    let r = sim.add_signal("r", 0);
-    let g = sim.add_signal("g", 0);
-    let b = sim.add_signal("b", 0);
-    let y = sim.add_signal("y", 0);
-    let cb = sim.add_signal("cb", 0);
-    let cr = sim.add_signal("cr", 0);
-    let out_valid = sim.add_signal("out_valid", 0);
-    let ov_nc = sim.add_signal("ov_next_cycle", 0);
-
-    let model = sim.add_component(ConvTlmCa {
-        bus: bus.clone(),
-        core: ColorConvCore::new(fault),
-        workload: workload.clone(),
-        edge: 0,
-        last_edge: workload.total_edges(),
-        px_valid,
-        r,
-        g,
-        b,
-        y,
-        cb,
-        cr,
-        out_valid,
-        ov_nc,
-    });
-    sim.schedule(SimTime::from_ns(CLOCK_PERIOD_NS), model, 0);
-
-    Ok(BuiltDesign {
-        sim,
-        clk: None,
-        bus: Some(bus),
-        end_ns: workload.end_time_ns(),
-    })
-}
 
 const OP_WRITE: u64 = 0;
 const OP_READ: u64 = 1;
@@ -166,7 +54,7 @@ impl Component for ConvTlmAt {
         let index = (ev.kind >> 2) as usize;
         match op {
             OP_WRITE => {
-                let px = self.workload.pixels[index];
+                let px = self.workload.requests[index];
                 ctx.write(self.px_valid, 1);
                 ctx.write(self.r, u64::from(px.r));
                 ctx.write(self.g, u64::from(px.g));
@@ -196,7 +84,7 @@ impl Component for ConvTlmAt {
                 self.bus.publish(ctx, Transaction::write(0, 0, ev.time));
             }
             OP_READ => {
-                let px = self.workload.pixels[index];
+                let px = self.workload.requests[index];
                 let res = ColorConvCore::convert(self.fault, px.r, px.g, px.b);
                 ctx.write(self.px_valid, 0);
                 ctx.write(self.y, u64::from(res.y));
@@ -258,7 +146,7 @@ pub fn build_tlm_at(
         cr,
         out_valid,
     });
-    for i in 0..workload.pixels.len() {
+    for i in 0..workload.requests.len() {
         let kind = ((i as u64) << 2) | OP_WRITE;
         sim.schedule(SimTime::from_ns(workload.request_time_ns(i)), model, kind);
     }
@@ -315,14 +203,15 @@ impl Component for ConvTlmAtBulk {
         match ev.kind {
             OP_WRITE => {
                 ctx.write(self.frame_start, 1);
-                ctx.write(self.npixels, self.workload.pixels.len() as u64);
+                ctx.write(self.npixels, self.workload.requests.len() as u64);
                 self.bus.publish(
                     ctx,
-                    Transaction::write(0, self.workload.pixels.len() as u64, ev.time),
+                    Transaction::write(0, self.workload.requests.len() as u64, ev.time),
                 );
                 // Read completes when the RTL model would emit the last pixel.
-                let last = self.workload.pixels.len() - 1;
-                let done_ns = self.workload.request_time_ns(last) + 8 * CLOCK_PERIOD_NS;
+                let last = self.workload.requests.len() - 1;
+                let done_ns =
+                    self.workload.request_time_ns(last) + ColorConvCore::LATENCY * CLOCK_PERIOD_NS;
                 ctx.schedule_self(done_ns - ev.time.as_ns(), OP_READ);
             }
             OP_READ => {
@@ -332,7 +221,7 @@ impl Component for ConvTlmAtBulk {
                 // and observable.
                 let mut last = None;
                 let mut checksum: u64 = 0;
-                for px in &self.workload.pixels {
+                for px in &self.workload.requests {
                     let res = ColorConvCore::convert(self.fault, px.r, px.g, px.b);
                     checksum = checksum.rotate_left(7).wrapping_add(
                         u64::from(res.y) << 16 | u64::from(res.cb) << 8 | u64::from(res.cr),
@@ -372,7 +261,7 @@ impl Component for ConvTlmAtBulk {
 pub fn build_tlm_at_bulk(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
     check(DesignKind::ColorConv, AbsLevel::TlmAtBulk, fault)?;
     assert!(
-        !workload.pixels.is_empty(),
+        !workload.requests.is_empty(),
         "bulk model needs at least one pixel"
     );
     let mut sim = Simulation::new();
@@ -432,8 +321,10 @@ pub fn bulk_surviving_properties() -> Vec<(String, psl::ClockedProperty)> {
 #[cfg(test)]
 mod tests {
     use super::super::algo;
+    use super::super::rtl::RTL_SIGNALS;
     use super::super::workload::Pixel;
     use super::*;
+    use crate::cycle::build_tlm_ca;
     use psl::SignalEnv;
     use tlmkit::TxTraceRecorder;
 
@@ -458,7 +349,7 @@ mod tests {
         let w = one_pixel();
         let mut built = build_tlm_ca(&w, Fault::None).unwrap();
         let rec =
-            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_CA_SIGNALS);
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), RTL_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // Pixel at edge 2 (t=20); out_valid at t = (2+8)*10 = 100.
@@ -513,7 +404,7 @@ mod tests {
         assert_eq!(trace.steps()[1].signal("frame_done"), Some(1));
         // Read lands when the RTL model would emit the last pixel.
         assert_eq!(trace.steps()[1].time_ns, w.request_time_ns(24) + 80);
-        let last = w.pixels[24];
+        let last = w.requests[24];
         let expect = algo::convert(last.r, last.g, last.b);
         assert_eq!(trace.steps()[1].signal("y"), Some(u64::from(expect.y)));
     }

@@ -2,7 +2,9 @@
 
 use tinyrng::TinyRng;
 
-use crate::CLOCK_PERIOD_NS;
+use super::core::ColorConvCore;
+use crate::cycle::Request;
+use crate::Workload;
 
 /// One RGB pixel request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,115 +17,59 @@ pub struct Pixel {
     pub b: u8,
 }
 
-/// A stream of pixels, issued every `gap_cycles` clock cycles.
-///
-/// Shared by the RTL testbench and both TLM initiators, like
-/// [`DesWorkload`](crate::des56::DesWorkload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvWorkload {
-    /// The pixels, in issue order.
-    pub pixels: Vec<Pixel>,
-    /// Clock cycles between consecutive pixels (must exceed the design
-    /// latency for TLM-AT comparability; default 10).
-    pub gap_cycles: u64,
-    /// Rising-edge index (1-based) of the first pixel.
-    pub first_edge: u64,
+impl Request for Pixel {
+    type Core = ColorConvCore;
 }
 
-impl ConvWorkload {
-    /// Default spacing: one pixel every 10 cycles, first at edge 2.
-    pub const DEFAULT_GAP: u64 = 10;
+/// A stream of pixels, one every 10 clock cycles by default.
+pub type ConvWorkload = Workload<Pixel>;
 
-    /// A workload from explicit pixels with the default spacing.
-    #[must_use]
-    pub fn new(pixels: Vec<Pixel>) -> ConvWorkload {
-        ConvWorkload {
-            pixels,
-            gap_cycles: Self::DEFAULT_GAP,
-            first_edge: 2,
-        }
+fn random_pixel(rng: &mut TinyRng) -> Pixel {
+    Pixel {
+        r: rng.next_u8(),
+        g: rng.next_u8(),
+        b: rng.next_u8(),
     }
+}
 
+/// The `i`-th pixel of [`ConvWorkload::mixed`].
+pub(crate) fn mixed_pixel(rng: &mut TinyRng, i: usize) -> Pixel {
+    let px = random_pixel(rng);
+    if !i.is_multiple_of(6) {
+        return px;
+    }
+    match (i / 6) % 3 {
+        0 => Pixel { r: 0, g: 0, b: 0 },
+        1 => Pixel {
+            r: 255,
+            g: 255,
+            b: 255,
+        },
+        _ => Pixel { r: 0, g: 255, b: 0 },
+    }
+}
+
+impl Workload<Pixel> {
     /// `count` random pixels from a seeded RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` pixels cannot be built
+    /// ([`BuildError::WorkloadTooLarge`](crate::BuildError::WorkloadTooLarge)).
     #[must_use]
     pub fn random(count: usize, seed: u64) -> ConvWorkload {
-        let mut rng = TinyRng::new(seed);
-        let pixels = (0..count)
-            .map(|_| Pixel {
-                r: rng.next_u8(),
-                g: rng.next_u8(),
-                b: rng.next_u8(),
-            })
-            .collect();
-        ConvWorkload::new(pixels)
+        Workload::draw(count, seed, |rng, _| random_pixel(rng))
     }
 
     /// Random pixels where every 6th is black, white or pure green in
     /// rotation, keeping properties `c2`, `c3` and `c12` non-vacuous.
-    #[must_use]
-    pub fn mixed(count: usize, seed: u64) -> ConvWorkload {
-        let mut w = ConvWorkload::random(count, seed);
-        for (i, px) in w.pixels.iter_mut().enumerate() {
-            if i % 6 == 0 {
-                *px = match (i / 6) % 3 {
-                    0 => Pixel { r: 0, g: 0, b: 0 },
-                    1 => Pixel {
-                        r: 255,
-                        g: 255,
-                        b: 255,
-                    },
-                    _ => Pixel { r: 0, g: 255, b: 0 },
-                };
-            }
-        }
-        w
-    }
-
-    /// The rising-edge index at which pixel `i` is strobed.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// As [`random`](Self::random).
     #[must_use]
-    pub fn request_edge(&self, i: usize) -> u64 {
-        assert!(i < self.pixels.len(), "pixel index out of range");
-        self.first_edge + self.gap_cycles * i as u64
-    }
-
-    /// The simulation time of pixel `i`'s strobe sample.
-    #[must_use]
-    pub fn request_time_ns(&self, i: usize) -> u64 {
-        self.request_edge(i) * CLOCK_PERIOD_NS
-    }
-
-    /// The pixel strobed at rising edge `edge`, if any.
-    #[must_use]
-    pub fn pixel_at_edge(&self, edge: u64) -> Option<Pixel> {
-        if edge < self.first_edge {
-            return None;
-        }
-        let offset = edge - self.first_edge;
-        if !offset.is_multiple_of(self.gap_cycles) {
-            return None;
-        }
-        self.pixels
-            .get((offset / self.gap_cycles) as usize)
-            .copied()
-    }
-
-    /// Rising edges needed to complete every pixel (with margin).
-    #[must_use]
-    pub fn total_edges(&self) -> u64 {
-        if self.pixels.is_empty() {
-            return self.first_edge + 4;
-        }
-        self.request_edge(self.pixels.len() - 1) + 8 + 4
-    }
-
-    /// Simulation end time covering [`total_edges`](Self::total_edges).
-    #[must_use]
-    pub fn end_time_ns(&self) -> u64 {
-        self.total_edges() * CLOCK_PERIOD_NS
+    pub fn mixed(count: usize, seed: u64) -> ConvWorkload {
+        Workload::draw(count, seed, mixed_pixel)
     }
 }
 
@@ -143,25 +89,25 @@ mod tests {
     #[test]
     fn pixel_at_edge() {
         let w = ConvWorkload::new(vec![Pixel { r: 1, g: 2, b: 3 }]);
-        assert_eq!(w.pixel_at_edge(2).unwrap().r, 1);
-        assert_eq!(w.pixel_at_edge(3), None);
-        assert_eq!(w.pixel_at_edge(12), None);
+        assert_eq!(w.request_at_edge(2).unwrap().r, 1);
+        assert_eq!(w.request_at_edge(3), None);
+        assert_eq!(w.request_at_edge(12), None);
     }
 
     #[test]
     fn mixed_injects_anchor_pixels() {
         let w = ConvWorkload::mixed(20, 4);
-        assert_eq!(w.pixels[0], Pixel { r: 0, g: 0, b: 0 });
+        assert_eq!(w.requests[0], Pixel { r: 0, g: 0, b: 0 });
         assert_eq!(
-            w.pixels[6],
+            w.requests[6],
             Pixel {
                 r: 255,
                 g: 255,
                 b: 255
             }
         );
-        assert_eq!(w.pixels[12], Pixel { r: 0, g: 255, b: 0 });
-        assert_eq!(w.pixels[18], Pixel { r: 0, g: 0, b: 0 });
+        assert_eq!(w.requests[12], Pixel { r: 0, g: 255, b: 0 });
+        assert_eq!(w.requests[18], Pixel { r: 0, g: 0, b: 0 });
     }
 
     #[test]

@@ -50,9 +50,6 @@ pub struct Des56Core {
 }
 
 impl Des56Core {
-    /// The design latency in clock cycles (strobe sample → result sample).
-    pub const LATENCY: u32 = 17;
-
     /// A core keyed with `key`, with `fault` injected ([`Fault::None`] for
     /// the correct design):
     ///

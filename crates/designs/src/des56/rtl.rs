@@ -1,11 +1,22 @@
-//! The DES56 RTL model: clocked design plus stimulus generator.
-
-use desim::{Component, Event, SignalId, SimCtx, Simulation};
-use rtlkit::{Clock, EdgeDetector};
+//! The DES56 pin interface: the pin list and the cycle core behind it,
+//! which the shared shells build the RTL and TLM-CA models from.
 
 use super::core::Des56Core;
-use super::workload::DesWorkload;
-use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
+use super::workload::DesBlock;
+use crate::cycle::CycleCore;
+use crate::{DesignKind, Fault};
+
+/// Builds the DES56 RTL simulation for a workload, with `fault` injected.
+///
+/// ```
+/// use designs::des56::{build_rtl, DesWorkload};
+/// use designs::Fault;
+///
+/// let w = DesWorkload::random(2, 1);
+/// let mut built = build_rtl(&w, Fault::None).expect("DES56 has an RTL model");
+/// assert!(built.run().events_processed > 0);
+/// ```
+pub use crate::cycle::build_rtl;
 
 /// The design key used by all DES56 models (the classic worked-example
 /// key; any non-weak key works).
@@ -22,132 +33,40 @@ pub const RTL_SIGNALS: &[&str] = &[
     "rdy_next_next_cycle",
 ];
 
-/// The clocked DES56 design: one [`Des56Core`] step per rising edge.
-struct Des56Rtl {
-    clk: SignalId,
-    det: EdgeDetector,
-    core: Des56Core,
-    ds: SignalId,
-    indata: SignalId,
-    mode: SignalId,
-    out: SignalId,
-    rdy: SignalId,
-    rdy_nc: SignalId,
-    rdy_nnc: SignalId,
-}
+impl CycleCore for Des56Core {
+    type Request = DesBlock;
+    const DESIGN: DesignKind = DesignKind::Des56;
+    const PINS: &'static [&'static str] = RTL_SIGNALS;
+    const DATA_INPUTS: usize = 2;
+    const LATENCY: u64 = 17;
+    const DEFAULT_GAP: u64 = 20;
 
-impl Component for Des56Rtl {
-    fn handle(&mut self, _ev: Event, ctx: &mut SimCtx<'_>) {
-        let v = ctx.read(self.clk);
-        if !self.det.is_rising(v) {
-            return;
-        }
-        let ds = ctx.read(self.ds) != 0;
-        let indata = ctx.read(self.indata);
-        let decrypt = ctx.read(self.mode) != 0;
-        let o = self.core.step(ds, indata, decrypt);
-        ctx.write(self.out, o.out);
-        ctx.write(self.rdy, u64::from(o.rdy));
-        ctx.write(self.rdy_nc, u64::from(o.rdy_next_cycle));
-        ctx.write(self.rdy_nnc, u64::from(o.rdy_next_next_cycle));
+    fn with_fault(fault: Fault) -> Des56Core {
+        Des56Core::new(DES_KEY, fault)
     }
-}
 
-/// Drives the workload onto the design inputs at falling edges, so values
-/// are stable before the rising edge that samples them.
-struct DesStimulus {
-    clk: SignalId,
-    det: EdgeDetector,
-    workload: DesWorkload,
-    ds: SignalId,
-    indata: SignalId,
-    mode: SignalId,
-}
-
-impl Component for DesStimulus {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        let v = ctx.read(self.clk);
-        if !self.det.is_falling(v) {
-            return;
-        }
-        // Falling edge at k·period + period/2 prepares rising edge k+1.
-        let target_edge = ev.time.as_ns() / CLOCK_PERIOD_NS + 1;
-        match self.workload.block_at_edge(target_edge) {
-            Some(block) => {
-                ctx.write(self.ds, 1);
-                ctx.write(self.indata, block.data);
-                ctx.write(self.mode, u64::from(block.decrypt));
-            }
-            None => {
-                ctx.write(self.ds, 0);
-            }
-        }
+    fn drive(block: DesBlock, data: &mut [u64]) {
+        data[0] = block.data;
+        data[1] = u64::from(block.decrypt);
     }
-}
 
-/// Builds the DES56 RTL simulation for a workload, with `fault` injected.
-///
-/// ```
-/// use designs::des56::{build_rtl, DesWorkload};
-/// use designs::Fault;
-///
-/// let w = DesWorkload::random(2, 1);
-/// let mut built = build_rtl(&w, Fault::None).expect("DES56 has an RTL model");
-/// assert!(built.run().events_processed > 0);
-/// ```
-///
-/// # Errors
-///
-/// Whatever [`check`] rejects for DES56 at RTL.
-pub fn build_rtl(workload: &DesWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
-    check(DesignKind::Des56, AbsLevel::Rtl, fault)?;
-    let mut sim = Simulation::new();
-    sim.reserve_signals(10); // pin list + clock, registered in one burst
-    let clk = Clock::install(&mut sim, "clk", CLOCK_PERIOD_NS);
-    let ds = sim.add_signal("ds", 0);
-    let indata = sim.add_signal("indata", 0);
-    let mode = sim.add_signal("mode", 0);
-    let out = sim.add_signal("out", 0);
-    let rdy = sim.add_signal("rdy", 0);
-    let rdy_nc = sim.add_signal("rdy_next_cycle", 0);
-    let rdy_nnc = sim.add_signal("rdy_next_next_cycle", 0);
+    fn payload(block: DesBlock) -> u64 {
+        block.data
+    }
 
-    let dut = sim.add_component(Des56Rtl {
-        clk: clk.signal,
-        det: EdgeDetector::new(),
-        core: Des56Core::new(DES_KEY, fault),
-        ds,
-        indata,
-        mode,
-        out,
-        rdy,
-        rdy_nc,
-        rdy_nnc,
-    });
-    sim.subscribe(clk.signal, dut, 0);
-
-    let stim = sim.add_component(DesStimulus {
-        clk: clk.signal,
-        det: EdgeDetector::new(),
-        workload: workload.clone(),
-        ds,
-        indata,
-        mode,
-    });
-    sim.subscribe(clk.signal, stim, 0);
-
-    Ok(BuiltDesign {
-        sim,
-        clk: Some(clk.signal),
-        bus: None,
-        end_ns: workload.end_time_ns(),
-    })
+    fn step_pins(&mut self, ds: bool, data: &[u64], outputs: &mut [u64]) {
+        let o = self.step(ds, data[0], data[1] != 0);
+        outputs[0] = o.out;
+        outputs[1] = u64::from(o.rdy);
+        outputs[2] = u64::from(o.rdy_next_cycle);
+        outputs[3] = u64::from(o.rdy_next_next_cycle);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::algo::{self, KeySchedule};
-    use super::super::workload::DesBlock;
+    use super::super::workload::DesWorkload;
     use super::*;
     use psl::{ClockEdge, SignalEnv};
     use rtlkit::WaveRecorder;

@@ -1,4 +1,5 @@
-//! The DES56 TLM models: cycle-accurate and approximately-timed.
+//! The DES56 approximately-timed TLM models (the cycle-accurate one is
+//! the shared [`build_tlm_ca`](crate::des56::build_tlm_ca) shell).
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
 use tlmkit::{Transaction, TransactionBus};
@@ -7,114 +8,12 @@ use super::algo::{self, KeySchedule};
 use super::core::Des56Core;
 use super::rtl::DES_KEY;
 use super::workload::DesWorkload;
+use crate::cycle::CycleCore;
 use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
-
-/// Mirror signals preserved at TLM-CA (full protocol).
-pub const TLM_CA_SIGNALS: &[&str] = &[
-    "ds",
-    "indata",
-    "mode",
-    "out",
-    "rdy",
-    "rdy_next_cycle",
-    "rdy_next_next_cycle",
-];
 
 /// Mirror signals preserved at TLM-AT (protocol abstracted: the ready
 /// prediction signals are gone).
 pub const TLM_AT_SIGNALS: &[&str] = &["ds", "indata", "mode", "out", "rdy"];
-
-/// The TLM-CA initiator+target: one transaction per clock period, stepping
-/// the same cycle core as the RTL model (timing equivalence by
-/// construction).
-struct Des56TlmCa {
-    bus: TransactionBus,
-    core: Des56Core,
-    workload: DesWorkload,
-    edge: u64,
-    last_edge: u64,
-    ds: SignalId,
-    indata: SignalId,
-    mode: SignalId,
-    out: SignalId,
-    rdy: SignalId,
-    rdy_nc: SignalId,
-    rdy_nnc: SignalId,
-}
-
-impl Component for Des56TlmCa {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        self.edge += 1;
-        let block = self.workload.block_at_edge(self.edge);
-        let ds = block.is_some();
-        let (data, decrypt) = block.map_or((0, false), |b| (b.data, b.decrypt));
-        let o = self.core.step(ds, data, decrypt);
-
-        ctx.write(self.ds, u64::from(ds));
-        if let Some(b) = block {
-            ctx.write(self.indata, b.data);
-            ctx.write(self.mode, u64::from(b.decrypt));
-        }
-        ctx.write(self.out, o.out);
-        ctx.write(self.rdy, u64::from(o.rdy));
-        ctx.write(self.rdy_nc, u64::from(o.rdy_next_cycle));
-        ctx.write(self.rdy_nnc, u64::from(o.rdy_next_next_cycle));
-
-        let tx = if ds {
-            Transaction::write(0, data, ev.time)
-        } else {
-            Transaction::read(0, o.out, ev.time)
-        };
-        self.bus.publish(ctx, tx);
-
-        if self.edge < self.last_edge {
-            ctx.schedule_self(CLOCK_PERIOD_NS, 0);
-        }
-    }
-}
-
-/// Builds the DES56 TLM-CA simulation for a workload, with `fault`
-/// injected.
-///
-/// # Errors
-///
-/// Whatever [`check`] rejects for DES56 at TLM-CA.
-pub fn build_tlm_ca(workload: &DesWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
-    check(DesignKind::Des56, AbsLevel::TlmCa, fault)?;
-    let mut sim = Simulation::new();
-    let bus = TransactionBus::new();
-    let ds = sim.add_signal("ds", 0);
-    let indata = sim.add_signal("indata", 0);
-    let mode = sim.add_signal("mode", 0);
-    let out = sim.add_signal("out", 0);
-    let rdy = sim.add_signal("rdy", 0);
-    let rdy_nc = sim.add_signal("rdy_next_cycle", 0);
-    let rdy_nnc = sim.add_signal("rdy_next_next_cycle", 0);
-
-    let model = sim.add_component(Des56TlmCa {
-        bus: bus.clone(),
-        core: Des56Core::new(DES_KEY, fault),
-        workload: workload.clone(),
-        edge: 0,
-        last_edge: workload.total_edges(),
-        ds,
-        indata,
-        mode,
-        out,
-        rdy,
-        rdy_nc,
-        rdy_nnc,
-    });
-    // First cycle transaction at the first rising-edge time.
-    sim.schedule(SimTime::from_ns(CLOCK_PERIOD_NS), model, 0);
-
-    Ok(BuiltDesign {
-        sim,
-        clk: None,
-        bus: Some(bus),
-        end_ns: workload.end_time_ns(),
-    })
-}
 
 /// Event kinds of the TLM-AT initiator (low 2 bits; block index above).
 const OP_WRITE: u64 = 0;
@@ -161,7 +60,7 @@ impl Component for Des56TlmAt {
         let index = (ev.kind >> 2) as usize;
         match op {
             OP_WRITE => {
-                let block = self.workload.blocks[index];
+                let block = self.workload.requests[index];
                 ctx.write(self.ds, 1);
                 ctx.write(self.indata, block.data);
                 ctx.write(self.mode, u64::from(block.decrypt));
@@ -181,7 +80,7 @@ impl Component for Des56TlmAt {
                     ctx.schedule_self(self.read_delay_ns(), (ev.kind & !0b11) | OP_READ);
                     if matches!(self.fault, Fault::DuplicateTransaction) {
                         // The faulty core re-elaborates the block once more.
-                        self.busy_until_edge = edge + 2 * u64::from(Des56Core::LATENCY);
+                        self.busy_until_edge = edge + 2 * Des56Core::LATENCY;
                         ctx.schedule_self(2 * self.read_delay_ns(), (ev.kind & !0b11) | OP_READ);
                     }
                 }
@@ -194,7 +93,7 @@ impl Component for Des56TlmAt {
                 self.bus.publish(ctx, Transaction::write(0, 0, ev.time));
             }
             OP_READ => {
-                let block = self.workload.blocks[index];
+                let block = self.workload.requests[index];
                 let mut result = algo::apply(block.data, &self.ks, block.decrypt);
                 if matches!(self.fault, Fault::CorruptData) {
                     result = 0;
@@ -259,7 +158,7 @@ pub fn build_tlm_at(
         out,
         rdy,
     });
-    for i in 0..workload.blocks.len() {
+    for i in 0..workload.requests.len() {
         let kind = ((i as u64) << 2) | OP_WRITE;
         sim.schedule(SimTime::from_ns(workload.request_time_ns(i)), model, kind);
     }
@@ -274,8 +173,10 @@ pub fn build_tlm_at(
 
 #[cfg(test)]
 mod tests {
+    use super::super::rtl::RTL_SIGNALS;
     use super::super::workload::DesBlock;
     use super::*;
+    use crate::cycle::build_tlm_ca;
     use psl::SignalEnv;
     use tlmkit::TxTraceRecorder;
 
@@ -299,7 +200,7 @@ mod tests {
         let w = one_block();
         let mut built = build_tlm_ca(&w, Fault::None).unwrap();
         let rec =
-            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_CA_SIGNALS);
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), RTL_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // Request at edge 2 (t=20); rdy at t = (2+17)*10 = 190.

@@ -2,7 +2,9 @@
 
 use tinyrng::TinyRng;
 
-use crate::CLOCK_PERIOD_NS;
+use super::core::Des56Core;
+use crate::cycle::Request;
+use crate::Workload;
 
 /// One elaboration request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,121 +15,64 @@ pub struct DesBlock {
     pub decrypt: bool,
 }
 
-/// A stream of blocks, issued every `gap_cycles` clock cycles.
-///
-/// The same workload drives the RTL testbench, the TLM-CA initiator and
-/// the TLM-AT initiator, which is what makes the three simulations
-/// comparable (and the models timing-equivalent on the shared stimulus).
+impl Request for DesBlock {
+    type Core = Des56Core;
+}
+
+/// A stream of blocks, one every 20 clock cycles by default.
 ///
 /// ```
 /// use designs::des56::DesWorkload;
 ///
 /// let w = DesWorkload::random(100, 42);
-/// assert_eq!(w.blocks.len(), 100);
+/// assert_eq!(w.requests.len(), 100);
 /// assert_eq!(w.request_edge(0), 2);
 /// assert_eq!(w.request_edge(1), 2 + w.gap_cycles);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DesWorkload {
-    /// The requests, in issue order.
-    pub blocks: Vec<DesBlock>,
-    /// Clock cycles between consecutive strobes (must exceed the design
-    /// latency; default 20).
-    pub gap_cycles: u64,
-    /// Rising-edge index (1-based) of the first strobe.
-    pub first_edge: u64,
+pub type DesWorkload = Workload<DesBlock>;
+
+fn random_block(rng: &mut TinyRng) -> DesBlock {
+    DesBlock {
+        data: rng.next_u64(),
+        decrypt: rng.flip(),
+    }
 }
 
-impl DesWorkload {
-    /// Default spacing: one request every 20 cycles, first at edge 2.
-    pub const DEFAULT_GAP: u64 = 20;
-
-    /// A workload from explicit blocks with the default spacing.
-    #[must_use]
-    pub fn new(blocks: Vec<DesBlock>) -> DesWorkload {
-        DesWorkload {
-            blocks,
-            gap_cycles: Self::DEFAULT_GAP,
-            first_edge: 2,
+/// The `i`-th block of [`DesWorkload::mixed`].
+pub(crate) fn mixed_block(rng: &mut TinyRng, i: usize) -> DesBlock {
+    let block = random_block(rng);
+    if i.is_multiple_of(8) {
+        DesBlock {
+            data: 0,
+            decrypt: false,
         }
+    } else {
+        block
     }
+}
 
+impl Workload<DesBlock> {
     /// `count` random blocks (mixed encrypt/decrypt) from a seeded RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` blocks cannot be built
+    /// ([`BuildError::WorkloadTooLarge`](crate::BuildError::WorkloadTooLarge)).
     #[must_use]
     pub fn random(count: usize, seed: u64) -> DesWorkload {
-        let mut rng = TinyRng::new(seed);
-        let blocks = (0..count)
-            .map(|_| DesBlock {
-                data: rng.next_u64(),
-                decrypt: rng.flip(),
-            })
-            .collect();
-        DesWorkload::new(blocks)
+        Workload::draw(count, seed, |rng, _| random_block(rng))
     }
 
     /// `count` random blocks where every 8th block is the all-zero encrypt
     /// request, keeping property `p1`'s antecedent (`ds && indata == 0`)
     /// non-vacuous — the mix used by the benchmark harness.
-    #[must_use]
-    pub fn mixed(count: usize, seed: u64) -> DesWorkload {
-        let mut w = DesWorkload::random(count, seed);
-        for (i, block) in w.blocks.iter_mut().enumerate() {
-            if i % 8 == 0 {
-                *block = DesBlock {
-                    data: 0,
-                    decrypt: false,
-                };
-            }
-        }
-        w
-    }
-
-    /// The rising-edge index at which request `i` is strobed.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// As [`random`](Self::random).
     #[must_use]
-    pub fn request_edge(&self, i: usize) -> u64 {
-        assert!(i < self.blocks.len(), "request index out of range");
-        self.first_edge + self.gap_cycles * i as u64
-    }
-
-    /// The simulation time of request `i`'s strobe sample.
-    #[must_use]
-    pub fn request_time_ns(&self, i: usize) -> u64 {
-        self.request_edge(i) * CLOCK_PERIOD_NS
-    }
-
-    /// The block strobed at rising edge `edge`, if any.
-    #[must_use]
-    pub fn block_at_edge(&self, edge: u64) -> Option<DesBlock> {
-        if edge < self.first_edge {
-            return None;
-        }
-        let offset = edge - self.first_edge;
-        if !offset.is_multiple_of(self.gap_cycles) {
-            return None;
-        }
-        self.blocks
-            .get((offset / self.gap_cycles) as usize)
-            .copied()
-    }
-
-    /// Rising edges needed to complete every request (with margin for the
-    /// ready pulse to retire).
-    #[must_use]
-    pub fn total_edges(&self) -> u64 {
-        if self.blocks.is_empty() {
-            return self.first_edge + 4;
-        }
-        self.request_edge(self.blocks.len() - 1) + 17 + 4
-    }
-
-    /// Simulation end time covering [`total_edges`](Self::total_edges).
-    #[must_use]
-    pub fn end_time_ns(&self) -> u64 {
-        self.total_edges() * CLOCK_PERIOD_NS
+    pub fn mixed(count: usize, seed: u64) -> DesWorkload {
+        Workload::draw(count, seed, mixed_block)
     }
 }
 
@@ -156,11 +101,11 @@ mod tests {
                 decrypt: true,
             },
         ]);
-        assert_eq!(w.block_at_edge(1), None);
-        assert_eq!(w.block_at_edge(2).unwrap().data, 1);
-        assert_eq!(w.block_at_edge(3), None);
-        assert_eq!(w.block_at_edge(22).unwrap().data, 2);
-        assert_eq!(w.block_at_edge(42), None, "past the last block");
+        assert_eq!(w.request_at_edge(1), None);
+        assert_eq!(w.request_at_edge(2).unwrap().data, 1);
+        assert_eq!(w.request_at_edge(3), None);
+        assert_eq!(w.request_at_edge(22).unwrap().data, 2);
+        assert_eq!(w.request_at_edge(42), None, "past the last block");
     }
 
     #[test]

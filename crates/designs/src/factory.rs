@@ -15,7 +15,7 @@ use psl::ClockedProperty;
 use tlmkit::TransactionBus;
 
 use crate::suite::SuiteTable;
-use crate::{colorconv, des56, fir, PropertyClass, SuiteEntry, CLOCK_PERIOD_NS};
+use crate::{colorconv, des56, fir, PropertyClass, SuiteEntry, Workload, CLOCK_PERIOD_NS};
 
 /// Which IP to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,6 +60,17 @@ impl DesignKind {
             DesignKind::Des56 => des56::suite(),
             DesignKind::ColorConv => colorconv::suite(),
             DesignKind::Fir => fir::suite(),
+        }
+    }
+
+    /// The IP's I/O pins at RTL, in declaration order (also the signals
+    /// the TLM-CA model mirrors).
+    #[must_use]
+    pub fn rtl_signals(self) -> &'static [&'static str] {
+        match self {
+            DesignKind::Des56 => des56::RTL_SIGNALS,
+            DesignKind::ColorConv => colorconv::RTL_SIGNALS,
+            DesignKind::Fir => fir::RTL_SIGNALS,
         }
     }
 
@@ -257,6 +268,14 @@ pub enum BuildError {
         /// The fault it does not support.
         fault: Fault,
     },
+    /// The workload's end time overflows 64-bit nanoseconds, or its
+    /// requests cannot be allocated.
+    WorkloadTooLarge {
+        /// The design asked for.
+        design: DesignKind,
+        /// The number of requests asked for.
+        requests: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -268,6 +287,11 @@ impl std::fmt::Display for BuildError {
             BuildError::UnsupportedFault { design, fault } => {
                 write!(f, "{} has no {fault} mutation", design.label())
             }
+            BuildError::WorkloadTooLarge { design, requests } => write!(
+                f,
+                "a {} workload of {requests} requests is too large to build",
+                design.label()
+            ),
         }
     }
 }
@@ -311,7 +335,8 @@ pub fn check(design: DesignKind, level: AbsLevel, fault: Fault) -> Result<(), Bu
 ///
 /// # Errors
 ///
-/// Whatever [`check`] rejects.
+/// Whatever [`check`] rejects, and [`BuildError::WorkloadTooLarge`] for a
+/// `size` whose schedule does not fit in 64-bit time or in memory.
 pub fn build(
     design: DesignKind,
     level: AbsLevel,
@@ -321,20 +346,20 @@ pub fn build(
 ) -> Result<BuiltDesign, BuildError> {
     use AbsLevel as L;
     use DesignKind as D;
-    let des = || des56::DesWorkload::mixed(size, seed);
-    let conv = || colorconv::ConvWorkload::mixed(size, seed);
-    let fir = || fir::FirWorkload::random(size, seed);
+    let des = || Workload::try_draw(size, seed, des56::mixed_block);
+    let conv = || Workload::try_draw(size, seed, colorconv::mixed_pixel);
+    let fir = || Workload::try_draw(size, seed, fir::random_sample);
     match (design, level) {
-        (D::Des56, L::Rtl) => des56::build_rtl(&des(), fault),
-        (D::Des56, L::TlmCa) => des56::build_tlm_ca(&des(), fault),
-        (D::Des56, L::TlmAt) => des56::build_tlm_at(&des(), fault, false),
-        (D::ColorConv, L::Rtl) => colorconv::build_rtl(&conv(), fault),
-        (D::ColorConv, L::TlmCa) => colorconv::build_tlm_ca(&conv(), fault),
-        (D::ColorConv, L::TlmAt) => colorconv::build_tlm_at(&conv(), fault, false),
-        (D::ColorConv, L::TlmAtBulk) => colorconv::build_tlm_at_bulk(&conv(), fault),
-        (D::Fir, L::Rtl) => fir::build_rtl(&fir(), fault),
-        (D::Fir, L::TlmCa) => fir::build_tlm_ca(&fir(), fault),
-        (D::Fir, L::TlmAt) => fir::build_tlm_at(&fir(), fault),
+        (D::Des56, L::Rtl) => des56::build_rtl(&des()?, fault),
+        (D::Des56, L::TlmCa) => des56::build_tlm_ca(&des()?, fault),
+        (D::Des56, L::TlmAt) => des56::build_tlm_at(&des()?, fault, false),
+        (D::ColorConv, L::Rtl) => colorconv::build_rtl(&conv()?, fault),
+        (D::ColorConv, L::TlmCa) => colorconv::build_tlm_ca(&conv()?, fault),
+        (D::ColorConv, L::TlmAt) => colorconv::build_tlm_at(&conv()?, fault, false),
+        (D::ColorConv, L::TlmAtBulk) => colorconv::build_tlm_at_bulk(&conv()?, fault),
+        (D::Fir, L::Rtl) => fir::build_rtl(&fir()?, fault),
+        (D::Fir, L::TlmCa) => fir::build_tlm_ca(&fir()?, fault),
+        (D::Fir, L::TlmAt) => fir::build_tlm_at(&fir()?, fault),
         (D::Des56 | D::Fir, L::TlmAtBulk) => {
             check(design, level, fault)?;
             unreachable!("check admits bulk-AT for ColorConv only")
@@ -437,6 +462,35 @@ mod tests {
         }
         assert_eq!(DesignKind::parse("bogus"), None);
         assert_eq!(AbsLevel::parse("bogus"), None);
+    }
+
+    #[test]
+    fn tlm_at_signals_are_the_pins_minus_the_abstracted_ones() {
+        for (design, at, abstracted) in [
+            (
+                DesignKind::Des56,
+                des56::TLM_AT_SIGNALS,
+                des56::ABSTRACTED_SIGNALS,
+            ),
+            (
+                DesignKind::ColorConv,
+                colorconv::TLM_AT_SIGNALS,
+                colorconv::ABSTRACTED_SIGNALS,
+            ),
+            (
+                DesignKind::Fir,
+                fir::TLM_AT_SIGNALS,
+                fir::ABSTRACTED_SIGNALS,
+            ),
+        ] {
+            let kept: Vec<&str> = design
+                .rtl_signals()
+                .iter()
+                .copied()
+                .filter(|pin| !abstracted.contains(pin))
+                .collect();
+            assert_eq!(at, kept, "{}", design.label());
+        }
     }
 
     #[test]

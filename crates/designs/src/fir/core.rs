@@ -51,9 +51,6 @@ pub struct FirCore {
 }
 
 impl FirCore {
-    /// The design latency in clock cycles (strobe sample → result sample).
-    pub const LATENCY: u32 = 5;
-
     /// A core with `fault` injected ([`Fault::None`] for the correct
     /// design):
     ///

@@ -1,96 +1,15 @@
-//! The FIR TLM models: cycle-accurate and approximately-timed.
+//! The FIR approximately-timed TLM model (the cycle-accurate one is the
+//! shared [`build_tlm_ca`](crate::fir::build_tlm_ca) shell).
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
 use tlmkit::{Transaction, TransactionBus};
 
-use super::core::{reference, FirCore};
+use super::core::reference;
 use super::workload::FirWorkload;
 use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
-/// Mirror signals preserved at TLM-CA (full protocol).
-pub const TLM_CA_SIGNALS: &[&str] = &[
-    "in_valid",
-    "sample",
-    "result",
-    "out_valid",
-    "res_next_cycle",
-];
-
 /// Mirror signals preserved at TLM-AT (prediction output abstracted).
 pub const TLM_AT_SIGNALS: &[&str] = &["in_valid", "sample", "result", "out_valid"];
-
-struct FirTlmCa {
-    bus: TransactionBus,
-    core: FirCore,
-    workload: FirWorkload,
-    edge: u64,
-    last_edge: u64,
-    in_valid: SignalId,
-    sample: SignalId,
-    result: SignalId,
-    out_valid: SignalId,
-    res_nc: SignalId,
-}
-
-impl Component for FirTlmCa {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        self.edge += 1;
-        let s = self.workload.sample_at_edge(self.edge);
-        let valid = s.is_some();
-        let o = self.core.step(valid, s.unwrap_or(0));
-        ctx.write(self.in_valid, u64::from(valid));
-        if let Some(v) = s {
-            ctx.write(self.sample, v);
-        }
-        ctx.write(self.result, o.result);
-        ctx.write(self.out_valid, u64::from(o.out_valid));
-        ctx.write(self.res_nc, u64::from(o.res_next_cycle));
-        let tx = if valid {
-            Transaction::write(0, s.unwrap_or(0), ev.time)
-        } else {
-            Transaction::read(0, o.result, ev.time)
-        };
-        self.bus.publish(ctx, tx);
-        if self.edge < self.last_edge {
-            ctx.schedule_self(CLOCK_PERIOD_NS, 0);
-        }
-    }
-}
-
-/// Builds the FIR TLM-CA simulation for a workload, with `fault` injected.
-///
-/// # Errors
-///
-/// Whatever [`check`] rejects for FIR at TLM-CA.
-pub fn build_tlm_ca(workload: &FirWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
-    check(DesignKind::Fir, AbsLevel::TlmCa, fault)?;
-    let mut sim = Simulation::new();
-    let bus = TransactionBus::new();
-    let in_valid = sim.add_signal("in_valid", 0);
-    let sample = sim.add_signal("sample", 0);
-    let result = sim.add_signal("result", 0);
-    let out_valid = sim.add_signal("out_valid", 0);
-    let res_nc = sim.add_signal("res_next_cycle", 0);
-    let model = sim.add_component(FirTlmCa {
-        bus: bus.clone(),
-        core: FirCore::new(fault),
-        workload: workload.clone(),
-        edge: 0,
-        last_edge: workload.total_edges(),
-        in_valid,
-        sample,
-        result,
-        out_valid,
-        res_nc,
-    });
-    sim.schedule(SimTime::from_ns(CLOCK_PERIOD_NS), model, 0);
-    Ok(BuiltDesign {
-        sim,
-        clk: None,
-        bus: Some(bus),
-        end_ns: workload.end_time_ns(),
-    })
-}
 
 const OP_WRITE: u64 = 0;
 const OP_READ: u64 = 1;
@@ -115,7 +34,7 @@ impl Component for FirTlmAt {
         let index = (ev.kind >> 1) as usize;
         match op {
             OP_WRITE => {
-                let s = self.workload.samples[index];
+                let s = self.workload.requests[index];
                 ctx.write(self.in_valid, 1);
                 ctx.write(self.sample, s);
                 ctx.write(self.out_valid, 0);
@@ -132,7 +51,7 @@ impl Component for FirTlmAt {
                 }
             }
             _ => {
-                let s = self.workload.samples[index];
+                let s = self.workload.requests[index];
                 self.history.rotate_right(1);
                 self.history[0] = s;
                 let mut r = reference(&self.history);
@@ -176,7 +95,7 @@ pub fn build_tlm_at(workload: &FirWorkload, fault: Fault) -> Result<BuiltDesign,
         result,
         out_valid,
     });
-    for i in 0..workload.samples.len() {
+    for i in 0..workload.requests.len() {
         sim.schedule(
             SimTime::from_ns(workload.request_time_ns(i)),
             model,
@@ -193,7 +112,9 @@ pub fn build_tlm_at(workload: &FirWorkload, fault: Fault) -> Result<BuiltDesign,
 
 #[cfg(test)]
 mod tests {
+    use super::super::rtl::RTL_SIGNALS;
     use super::*;
+    use crate::cycle::build_tlm_ca;
     use psl::SignalEnv;
     use tlmkit::TxTraceRecorder;
 
@@ -202,7 +123,7 @@ mod tests {
         let w = FirWorkload::new(vec![512, 64]);
         let mut built = build_tlm_ca(&w, Fault::None).unwrap();
         let rec =
-            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_CA_SIGNALS);
+            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), RTL_SIGNALS);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         // First sample at edge 2 → result at edge 7 (t = 70).

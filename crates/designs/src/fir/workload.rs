@@ -2,85 +2,32 @@
 
 use tinyrng::TinyRng;
 
-use crate::CLOCK_PERIOD_NS;
+use super::core::FirCore;
+use crate::cycle::Request;
+use crate::Workload;
 
-/// A stream of 16-bit samples, one every `gap_cycles` clock cycles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FirWorkload {
-    /// The samples, in issue order.
-    pub samples: Vec<u64>,
-    /// Clock cycles between consecutive samples (default 8).
-    pub gap_cycles: u64,
-    /// Rising-edge index (1-based) of the first sample.
-    pub first_edge: u64,
+impl Request for u64 {
+    type Core = FirCore;
 }
 
-impl FirWorkload {
-    /// Default spacing: one sample every 8 cycles, first at edge 2.
-    pub const DEFAULT_GAP: u64 = 8;
+/// A stream of 16-bit samples, one every 8 clock cycles by default.
+pub type FirWorkload = Workload<u64>;
 
-    /// A workload from explicit samples with the default spacing.
-    #[must_use]
-    pub fn new(samples: Vec<u64>) -> FirWorkload {
-        FirWorkload {
-            samples,
-            gap_cycles: Self::DEFAULT_GAP,
-            first_edge: 2,
-        }
-    }
+/// The `i`-th sample of [`FirWorkload::random`].
+pub(crate) fn random_sample(rng: &mut TinyRng, _i: usize) -> u64 {
+    u64::from(rng.next_u16())
+}
 
+impl Workload<u64> {
     /// `count` random 16-bit samples from a seeded RNG.
-    #[must_use]
-    pub fn random(count: usize, seed: u64) -> FirWorkload {
-        let mut rng = TinyRng::new(seed);
-        FirWorkload::new((0..count).map(|_| u64::from(rng.next_u16())).collect())
-    }
-
-    /// The rising-edge index at which sample `i` is strobed.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Panics if `count` samples cannot be built
+    /// ([`BuildError::WorkloadTooLarge`](crate::BuildError::WorkloadTooLarge)).
     #[must_use]
-    pub fn request_edge(&self, i: usize) -> u64 {
-        assert!(i < self.samples.len(), "sample index out of range");
-        self.first_edge + self.gap_cycles * i as u64
-    }
-
-    /// The simulation time of sample `i`'s strobe sample.
-    #[must_use]
-    pub fn request_time_ns(&self, i: usize) -> u64 {
-        self.request_edge(i) * CLOCK_PERIOD_NS
-    }
-
-    /// The sample strobed at rising edge `edge`, if any.
-    #[must_use]
-    pub fn sample_at_edge(&self, edge: u64) -> Option<u64> {
-        if edge < self.first_edge {
-            return None;
-        }
-        let offset = edge - self.first_edge;
-        if !offset.is_multiple_of(self.gap_cycles) {
-            return None;
-        }
-        self.samples
-            .get((offset / self.gap_cycles) as usize)
-            .copied()
-    }
-
-    /// Rising edges needed to retire every sample (with margin).
-    #[must_use]
-    pub fn total_edges(&self) -> u64 {
-        if self.samples.is_empty() {
-            return self.first_edge + 4;
-        }
-        self.request_edge(self.samples.len() - 1) + 5 + 4
-    }
-
-    /// Simulation end time covering [`total_edges`](Self::total_edges).
-    #[must_use]
-    pub fn end_time_ns(&self) -> u64 {
-        self.total_edges() * CLOCK_PERIOD_NS
+    pub fn random(count: usize, seed: u64) -> FirWorkload {
+        Workload::draw(count, seed, random_sample)
     }
 }
 
@@ -95,13 +42,13 @@ mod tests {
         assert_eq!(w.request_edge(2), 18);
         assert_eq!(w.request_time_ns(2), 180);
         assert_eq!(w.total_edges(), 27);
-        assert_eq!(w.sample_at_edge(10), Some(w.samples[1]));
-        assert_eq!(w.sample_at_edge(11), None);
+        assert_eq!(w.request_at_edge(10), Some(w.requests[1]));
+        assert_eq!(w.request_at_edge(11), None);
     }
 
     #[test]
     fn samples_fit_16_bits() {
         let w = FirWorkload::random(50, 2);
-        assert!(w.samples.iter().all(|&s| s <= 0xFFFF));
+        assert!(w.requests.iter().all(|&s| s <= 0xFFFF));
     }
 }

@@ -13,16 +13,22 @@
 //! Each IP provides:
 //!
 //! - a pure algorithmic core (`algo`) shared by every abstraction level,
-//! - a cycle-stepping core (`core`) shared by the RTL and TLM-CA models
-//!   (which is what makes them timing-equivalent by construction,
-//!   Def. III.1),
-//! - simulation builders for **RTL**, **TLM-CA** (one transaction per
-//!   clock period) and **TLM-AT** (one write + one read per elaboration),
-//!   each returning a [`BuiltDesign`]. DES56 and ColorConv also have the
-//!   strict Def. III.1 AT model, with transactions at every preserved-I/O
-//!   change (DESIGN.md §5b); ColorConv alone has a bulk-AT model,
+//! - a cycle-stepping core (`core`) with its pin list (`RTL_SIGNALS`):
+//!   the **RTL** model (clocked design plus stimulus) and the **TLM-CA**
+//!   model (one transaction per clock period) are both derived from it by
+//!   one shared shell each, which is what makes them timing-equivalent by
+//!   construction (Def. III.1), as HIFSuite's mechanical abstraction does
+//!   in the paper,
+//! - a request type and seeded constructors for the shared request
+//!   schedule [`Workload`] that drives every level,
+//! - its own **TLM-AT** model (one write + one read per elaboration).
+//!   DES56 and ColorConv also have the strict Def. III.1 AT model, with
+//!   transactions at every preserved-I/O change (DESIGN.md §5b); ColorConv
+//!   alone has a bulk-AT model,
 //! - a PSL property suite with each property classified by its expected
 //!   behaviour across abstraction levels ([`PropertyClass`]).
+//!
+//! Every builder returns a [`BuiltDesign`].
 //!
 //! Every model injects the design-independent [`Fault`] it is built with,
 //! so the abstracted checkers can be shown to catch real TLM bugs.
@@ -34,16 +40,19 @@
 //! paper's running example (`ε = 17 × 10ns = 170ns`).
 
 pub mod colorconv;
+mod cycle;
 pub mod des56;
 mod factory;
 pub mod fir;
 mod suite;
+mod workload;
 
 pub use factory::{
     build, check, passing_properties_at, properties_at, AbsLevel, BuildError, BuiltDesign,
     DesignKind, Fault,
 };
 pub use suite::{PropertyClass, SuiteEntry};
+pub use workload::Workload;
 
 /// The RTL clock period shared by every IP, in nanoseconds.
 pub const CLOCK_PERIOD_NS: u64 = 10;

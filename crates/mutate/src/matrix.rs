@@ -369,8 +369,8 @@ pub struct MutationOutcome {
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the expanded campaign fails validation; no
-/// work starts.
+/// Returns a [`PlanError`] if the expanded campaign fails validation (no
+/// work starts) or its workload size is too large to build.
 pub fn run_mutation(
     plan: &MutationPlan,
     workers: usize,

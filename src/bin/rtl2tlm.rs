@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Property files contain one `name: property` per line; `#` starts a
-//! comment. See `cargo run --bin rtl2tlm -- abstract --help`.
+//! comment. Errors exit with status 1, or 2 when the requested workload is
+//! too large to build. See `cargo run --bin rtl2tlm -- abstract --help`.
 
 use std::process::ExitCode;
 
@@ -65,6 +66,10 @@ fn main() -> ExitCode {
         Ok(output) => {
             print!("{output}");
             ExitCode::SUCCESS
+        }
+        Err(e @ CliError::TooLarge(_)) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");

@@ -24,11 +24,11 @@
 
 use std::fmt::Write as _;
 
-use abv_campaign::{CampaignPlan, CheckerMode, TraceSettings};
+use abv_campaign::{CampaignPlan, CheckerMode, PlanError, TraceSettings};
 use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_property, AbstractionConfig};
 use abv_obs::{chrome_trace_json, TraceEvent, Tracer};
-use designs::{colorconv, des56, fir, AbsLevel, DesignKind};
+use designs::{AbsLevel, BuildError, DesignKind};
 use psl::{ClockEdge, ClockedProperty};
 use rtlkit::WaveRecorder;
 
@@ -53,13 +53,35 @@ pub enum CliError {
     },
     /// Invalid command-line usage.
     Usage(String),
+    /// The command asks for a workload too large to build (the binary
+    /// exits with status 2 rather than 1).
+    TooLarge(String),
+}
+
+/// A builder error as a CLI error.
+fn build_error(e: &BuildError) -> CliError {
+    match e {
+        BuildError::WorkloadTooLarge { .. } => CliError::TooLarge(e.to_string()),
+        _ => CliError::Usage(e.to_string()),
+    }
+}
+
+/// A campaign-engine error as a CLI error.
+fn plan_error(e: &PlanError) -> CliError {
+    match e {
+        PlanError::BadCell {
+            source: BuildError::WorkloadTooLarge { .. },
+            ..
+        } => CliError::TooLarge(e.to_string()),
+        _ => CliError::Usage(e.to_string()),
+    }
 }
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::BadLine { line, message } => write!(f, "line {line}: {message}"),
-            CliError::Usage(m) => write!(f, "{m}"),
+            CliError::Usage(m) | CliError::TooLarge(m) => write!(f, "{m}"),
         }
     }
 }
@@ -196,7 +218,8 @@ impl Default for CampaignParams {
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for unknown designs/levels/checker modes
-/// and for plans the engine rejects (e.g. zero runs).
+/// and for plans the engine rejects (e.g. zero runs), and
+/// [`CliError::TooLarge`] for a `size` too large to build.
 pub fn run_campaign(params: &CampaignParams) -> Result<String, CliError> {
     let design = DesignKind::parse(&params.design).ok_or_else(|| {
         CliError::Usage(format!(
@@ -231,7 +254,7 @@ pub fn run_campaign(params: &CampaignParams) -> Result<String, CliError> {
         (Some(_), false) => TraceSettings::on(),
     };
     let report = abv_campaign::run_campaign_with(&plan, params.workers, settings)
-        .map_err(|e| CliError::Usage(e.to_string()))?;
+        .map_err(|e| plan_error(&e))?;
     if let Some(path) = &params.trace {
         std::fs::write(path, chrome_trace_json(&report.trace))
             .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
@@ -286,7 +309,8 @@ impl Default for MutateParams {
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for unknown designs/levels, plans the
-/// engine rejects and trace files that cannot be written.
+/// engine rejects and trace files that cannot be written, and
+/// [`CliError::TooLarge`] for a `size` too large to build.
 pub fn run_mutate(params: &MutateParams) -> Result<String, CliError> {
     let mut plan = abv_mutate::MutationPlan::new()
         .size(params.size)
@@ -314,8 +338,8 @@ pub fn run_mutate(params: &MutateParams) -> Result<String, CliError> {
     } else {
         TraceSettings::off()
     };
-    let outcome = abv_mutate::run_mutation(&plan, params.workers, settings)
-        .map_err(|e| CliError::Usage(e.to_string()))?;
+    let outcome =
+        abv_mutate::run_mutation(&plan, params.workers, settings).map_err(|e| plan_error(&e))?;
     if let Some(path) = &params.trace {
         std::fs::write(path, chrome_trace_json(&outcome.campaign.trace))
             .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
@@ -371,7 +395,8 @@ impl Default for TraceParams {
 ///
 /// Returns [`CliError::Usage`] for unknown designs/levels, VCD requests
 /// above RTL (before any file is written), suites that do not attach, and
-/// output files that cannot be written.
+/// output files that cannot be written, and [`CliError::TooLarge`] for a
+/// request count too large to build.
 pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
     let design = DesignKind::parse(&params.design).ok_or_else(|| {
         CliError::Usage(format!(
@@ -398,7 +423,7 @@ pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
         params.seed,
         designs::Fault::None,
     )
-    .map_err(|e| CliError::Usage(e.to_string()))?;
+    .map_err(|e| build_error(&e))?;
     // Tracer first, so checker track metadata lands in the stream.
     let (tracer, sink) = Tracer::memory();
     built.set_tracer(tracer);
@@ -409,7 +434,7 @@ pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
     // tracks, with or without the waveform recorder.
     let wave = match (&params.vcd, built.clk) {
         (Some(path), Some(clk)) => {
-            let signals = rtl_signals(design);
+            let signals = design.rtl_signals();
             let rec = WaveRecorder::install(&mut built.sim, clk, ClockEdge::Pos, signals);
             Some((path, signals, rec))
         }
@@ -439,15 +464,6 @@ pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
     }
     let _ = write!(out, "{}", render_report(&label, &report));
     Ok(out)
-}
-
-/// The signals of `design`'s RTL model, in VCD declaration order.
-fn rtl_signals(design: DesignKind) -> &'static [&'static str] {
-    match design {
-        DesignKind::Des56 => des56::RTL_SIGNALS,
-        DesignKind::ColorConv => colorconv::RTL_SIGNALS,
-        DesignKind::Fir => fir::RTL_SIGNALS,
-    }
 }
 
 fn dump_vcd(

@@ -161,3 +161,30 @@ fn campaign_with_an_unaddressable_run_count_exits_with_an_error() {
         assert!(out.stdout.is_empty());
     }
 }
+
+#[test]
+fn oversize_workloads_exit_with_status_2() {
+    let json = std::env::temp_dir().join(format!("rtl2tlm-{}-huge.json", std::process::id()));
+    let json = json.to_str().expect("utf-8 temp dir").to_owned();
+    let max = "18446744073709551615";
+    let commands: [&[&str]; 3] = [
+        &["trace", "--requests", max, "--out", &json],
+        &["mutate", "--size", max, "--workers", "1"],
+        &["campaign", "--size", max, "--runs", "1"],
+    ];
+    for args in commands {
+        let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("workload of {max} requests is too large to build")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+    assert!(!std::path::Path::new(&json).exists(), "no trace written");
+}

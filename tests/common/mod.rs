@@ -1,15 +1,12 @@
-//! Shared helpers for the integration tests: configured abstractions,
-//! property lists per level, and fully-wired verification and recording
-//! runs over any built design.
+//! Shared helpers for the integration tests: property lists per level,
+//! and fully-wired verification and recording runs over any built design.
 //!
 //! Each integration-test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
 use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_property, reuse_at_cycle_accurate, AbstractionConfig};
-use designs::{
-    colorconv, des56, BuildError, BuiltDesign, PropertyClass, SuiteEntry, CLOCK_PERIOD_NS,
-};
+use designs::{BuildError, BuiltDesign, PropertyClass, SuiteEntry};
 use psl::{ClockEdge, ClockedProperty, Trace};
 use rtlkit::WaveRecorder;
 use tlmkit::TxTraceRecorder;
@@ -19,21 +16,6 @@ pub type Named = Vec<(String, ClockedProperty)>;
 
 /// Each property's name with its cross-level classification.
 pub type Classes = Vec<(String, PropertyClass)>;
-
-/// The DES56 abstraction configuration (10 ns clock, prediction outputs
-/// removed).
-pub fn des_config() -> AbstractionConfig {
-    AbstractionConfig::new(CLOCK_PERIOD_NS)
-        .unwrap()
-        .abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied())
-}
-
-/// The ColorConv abstraction configuration.
-pub fn conv_config() -> AbstractionConfig {
-    AbstractionConfig::new(CLOCK_PERIOD_NS)
-        .unwrap()
-        .abstract_signals(colorconv::ABSTRACTED_SIGNALS.iter().copied())
-}
 
 /// A suite's original clock-context properties, named.
 pub fn rtl_properties(suite: &[SuiteEntry]) -> Named {

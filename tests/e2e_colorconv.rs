@@ -5,7 +5,7 @@ mod common;
 use abv_checker::CheckReport;
 use common::*;
 use designs::colorconv::{self, ConvWorkload};
-use designs::{BuildError, BuiltDesign, Fault, PropertyClass};
+use designs::{BuildError, BuiltDesign, DesignKind, Fault, PropertyClass};
 
 fn workload() -> ConvWorkload {
     ConvWorkload::mixed(18, 0xCC)
@@ -22,7 +22,8 @@ fn verify_rtl(fault: Fault) -> CheckReport {
 /// The abstracted suite on a TLM model, with each property's
 /// classification.
 fn verify_abstracted(built: Result<BuiltDesign, BuildError>) -> (CheckReport, Classes) {
-    let (props, classes) = abstract_suite_for_tlm(&colorconv::suite(), &conv_config());
+    let (props, classes) =
+        abstract_suite_for_tlm(&colorconv::suite(), &DesignKind::ColorConv.config());
     (verify(built, &props), classes)
 }
 
@@ -138,9 +139,9 @@ fn weakened_c8_is_flagged_but_not_review() {
     use abv_core::{abstract_property, Consequence};
     let suite = designs::colorconv::suite();
     let c8 = suite.iter().find(|e| e.name == "c8").unwrap();
-    let a = abstract_property(&c8.rtl, &conv_config()).unwrap();
+    let a = abstract_property(&c8.rtl, &DesignKind::ColorConv.config()).unwrap();
     assert_eq!(a.consequence(), Consequence::Weakened);
     let c9 = suite.iter().find(|e| e.name == "c9").unwrap();
-    let a9 = abstract_property(&c9.rtl, &conv_config()).unwrap();
+    let a9 = abstract_property(&c9.rtl, &DesignKind::ColorConv.config()).unwrap();
     assert_eq!(a9.consequence(), Consequence::NeedsReview);
 }

@@ -8,7 +8,7 @@ mod common;
 use abv_checker::CheckReport;
 use common::*;
 use designs::des56::{self, DesWorkload};
-use designs::{Fault, PropertyClass};
+use designs::{DesignKind, Fault, PropertyClass};
 
 fn workload() -> DesWorkload {
     DesWorkload::mixed(12, 0xD5)
@@ -25,7 +25,7 @@ fn verify_rtl(fault: Fault) -> CheckReport {
 /// The abstracted suite on the TLM-AT model (`strict` per DESIGN.md §5b),
 /// with each property's classification.
 fn verify_at(fault: Fault, strict: bool) -> (CheckReport, Classes) {
-    let (props, classes) = abstract_suite_for_tlm(&des56::suite(), &des_config());
+    let (props, classes) = abstract_suite_for_tlm(&des56::suite(), &DesignKind::Des56.config());
     let built = des56::build_tlm_at(&workload(), fault, strict);
     (verify(built, &props), classes)
 }
@@ -66,7 +66,7 @@ fn abstracted_suite_at_tlm_ca_passes_entirely() {
     // abstracted property (including q2 and the review-flagged ones that
     // merely weakened) must hold, except disjunct-dropped rewrites which
     // changed intent — DES56 has none that survive.
-    let (props, classes) = abstract_suite_for_tlm(&des56::suite(), &des_config());
+    let (props, classes) = abstract_suite_for_tlm(&des56::suite(), &DesignKind::Des56.config());
     let report = verify(des56::build_tlm_ca(&workload(), Fault::None), &props);
     assert_eq!(classes.len(), 8, "p8 is deleted by signal abstraction");
     assert_all_pass(&report);

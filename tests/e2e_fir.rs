@@ -3,16 +3,10 @@
 
 mod common;
 
-use abv_core::{abstract_property, AbstractionConfig};
+use abv_core::abstract_property;
 use common::{abstract_suite_for_tlm, rtl_properties, verify};
 use designs::fir::{self, FirWorkload};
-use designs::{Fault, PropertyClass, CLOCK_PERIOD_NS};
-
-fn cfg() -> AbstractionConfig {
-    AbstractionConfig::new(CLOCK_PERIOD_NS)
-        .unwrap()
-        .abstract_signals(fir::ABSTRACTED_SIGNALS.iter().copied())
-}
+use designs::{DesignKind, Fault, PropertyClass};
 
 #[test]
 fn rtl_suite_passes() {
@@ -30,13 +24,13 @@ fn rtl_suite_passes() {
 #[test]
 fn abstraction_produces_expected_forms() {
     let suite = fir::suite();
-    let f1 = abstract_property(&suite[0].rtl, &cfg()).unwrap();
+    let f1 = abstract_property(&suite[0].rtl, &DesignKind::Fir.config()).unwrap();
     assert_eq!(
         f1.result().unwrap().to_string(),
         "always ((!in_valid) || (next_et[1, 50] out_valid)) @T_b"
     );
     // f3's prediction conjunct is dropped (weakened), τ renumbers to 1.
-    let f3 = abstract_property(&suite[2].rtl, &cfg()).unwrap();
+    let f3 = abstract_property(&suite[2].rtl, &DesignKind::Fir.config()).unwrap();
     assert_eq!(
         f3.result().unwrap().to_string(),
         "always ((!in_valid) || (next_et[1, 50] out_valid)) @T_b"
@@ -47,7 +41,7 @@ fn abstraction_produces_expected_forms() {
 #[test]
 fn abstracted_suite_matches_classification_at_tlm_at() {
     let w = FirWorkload::random(10, 0xF2);
-    let (props, classes) = abstract_suite_for_tlm(&fir::suite(), &cfg());
+    let (props, classes) = abstract_suite_for_tlm(&fir::suite(), &DesignKind::Fir.config());
     let report = verify(fir::build_tlm_at(&w, Fault::None), &props);
     for (name, class) in &classes {
         let p = report.property(name).unwrap();
@@ -65,7 +59,7 @@ fn abstracted_suite_matches_classification_at_tlm_at() {
 fn latency_mutant_caught_by_abstracted_f1() {
     let w = FirWorkload::random(6, 0xF3);
     let suite = fir::suite();
-    let q1 = abstract_property(&suite[0].rtl, &cfg())
+    let q1 = abstract_property(&suite[0].rtl, &DesignKind::Fir.config())
         .unwrap()
         .into_property()
         .unwrap();

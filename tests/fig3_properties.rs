@@ -1,16 +1,13 @@
 //! Exact reproduction of the paper's Fig. 3: the three DES56 RTL
 //! properties and the TLM properties the methodology generates from them.
 
-mod common;
-
 use abv_core::{abstract_property, Consequence};
-use common::des_config;
-use designs::des56;
+use designs::{des56, DesignKind};
 
 fn abstracted(name: &str) -> (String, Consequence) {
     let suite = des56::suite();
     let entry = suite.iter().find(|e| e.name == name).expect("suite entry");
-    let a = abstract_property(&entry.rtl, &des_config()).expect("abstracts");
+    let a = abstract_property(&entry.rtl, &DesignKind::Des56.config()).expect("abstracts");
     let consequence = a.consequence();
     let q = a
         .into_property()

@@ -12,9 +12,9 @@
 mod common;
 
 use abv_core::{abstract_property, naive::naive_scale};
-use common::{des_config, verify};
+use common::verify;
 use designs::des56::{self, DesWorkload};
-use designs::Fault;
+use designs::{DesignKind, Fault};
 use psl::{ClockedProperty, EvalContext, Property};
 
 /// `p4` naively rescaled: 17 cycles ↦ 1 transaction.
@@ -32,7 +32,7 @@ fn naive_q4() -> ClockedProperty {
 fn q4() -> ClockedProperty {
     let suite = des56::suite();
     let p4 = &suite.iter().find(|e| e.name == "p4").unwrap().rtl;
-    abstract_property(p4, &des_config())
+    abstract_property(p4, &DesignKind::Des56.config())
         .unwrap()
         .into_property()
         .unwrap()

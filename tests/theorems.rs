@@ -6,10 +6,10 @@
 mod common;
 
 use abv_core::abstract_property;
-use common::{conv_config, des_config, record};
+use common::record;
 use designs::colorconv::{self, ConvWorkload};
 use designs::des56::{self, DesWorkload};
-use designs::{Fault, PropertyClass};
+use designs::{DesignKind, Fault, PropertyClass};
 use psl::Trace;
 
 struct DesTraces {
@@ -22,7 +22,7 @@ fn des_traces(seed: u64) -> DesTraces {
     let w = DesWorkload::mixed(8, seed);
     DesTraces {
         rtl: record(des56::build_rtl(&w, Fault::None), des56::RTL_SIGNALS),
-        ca: record(des56::build_tlm_ca(&w, Fault::None), des56::TLM_CA_SIGNALS),
+        ca: record(des56::build_tlm_ca(&w, Fault::None), des56::RTL_SIGNALS),
         at: record(
             des56::build_tlm_at(&w, Fault::None, false),
             des56::TLM_AT_SIGNALS,
@@ -54,7 +54,7 @@ fn theorem_iii_2_holds_on_cycle_equivalent_streams() {
             if entry.class == PropertyClass::ReviewExpectedFail {
                 continue;
             }
-            let a = abstract_property(&entry.rtl, &des_config()).unwrap();
+            let a = abstract_property(&entry.rtl, &DesignKind::Des56.config()).unwrap();
             let Some(q) = a.into_property() else { continue };
             assert!(traces.rtl.satisfies(&entry.rtl).unwrap(), "{}", entry.name);
             assert!(
@@ -74,7 +74,7 @@ fn at_compatible_abstractions_hold_on_at_traces() {
             if entry.class != PropertyClass::AtCompatible {
                 continue;
             }
-            let a = abstract_property(&entry.rtl, &des_config()).unwrap();
+            let a = abstract_property(&entry.rtl, &DesignKind::Des56.config()).unwrap();
             let q = a.into_property().expect("AT-compatible properties survive");
             assert!(
                 traces.at.satisfies(&q).unwrap(),
@@ -91,7 +91,7 @@ fn ca_only_abstraction_fails_on_sparse_at_trace() {
     let traces = des_traces(8);
     let suite = des56::suite();
     let p2 = suite.iter().find(|e| e.name == "p2").unwrap();
-    let q2 = abstract_property(&p2.rtl, &des_config())
+    let q2 = abstract_property(&p2.rtl, &DesignKind::Des56.config())
         .unwrap()
         .into_property()
         .unwrap();
@@ -111,7 +111,7 @@ fn colorconv_theorems_on_the_oracle_path() {
     );
     let ca = record(
         colorconv::build_tlm_ca(&w, Fault::None),
-        colorconv::TLM_CA_SIGNALS,
+        colorconv::RTL_SIGNALS,
     );
 
     for entry in colorconv::suite() {
@@ -123,7 +123,7 @@ fn colorconv_theorems_on_the_oracle_path() {
         if entry.class == PropertyClass::ReviewExpectedFail {
             continue;
         }
-        let a = abstract_property(&entry.rtl, &conv_config()).unwrap();
+        let a = abstract_property(&entry.rtl, &DesignKind::ColorConv.config()).unwrap();
         if let Some(q) = a.into_property() {
             assert!(
                 ca.satisfies(&q).unwrap(),
@@ -146,7 +146,7 @@ fn mutated_tlm_model_fails_the_abstraction_as_theorem_iii_2_contrapositive() {
 
     let suite = des56::suite();
     let p4 = suite.iter().find(|e| e.name == "p4").unwrap();
-    let q4 = abstract_property(&p4.rtl, &des_config())
+    let q4 = abstract_property(&p4.rtl, &DesignKind::Des56.config())
         .unwrap()
         .into_property()
         .unwrap();

@@ -9,18 +9,19 @@ mod common;
 use common::record;
 use designs::colorconv::{self, ConvWorkload};
 use designs::des56::{self, DesWorkload};
-use designs::Fault;
+use designs::{AbsLevel, DesignKind, Fault};
 use psl::{SignalEnv, Trace};
 
-fn des_rtl_trace(w: &DesWorkload) -> Trace {
-    record(des56::build_rtl(w, Fault::None), des56::RTL_SIGNALS)
+/// `design`'s trace at RTL or TLM-CA on every pin, over the seeded
+/// workload [`designs::build`] draws.
+fn pin_trace(design: DesignKind, level: AbsLevel, size: usize, seed: u64) -> Trace {
+    record(
+        designs::build(design, level, size, seed, Fault::None),
+        design.rtl_signals(),
+    )
 }
 
-fn des_ca_trace(w: &DesWorkload) -> Trace {
-    record(des56::build_tlm_ca(w, Fault::None), des56::TLM_CA_SIGNALS)
-}
-
-/// The loose or `strict` TLM-AT trace.
+/// DES56's loose or `strict` TLM-AT trace.
 fn des_at_trace(w: &DesWorkload, strict: bool) -> Trace {
     record(
         des56::build_tlm_at(w, Fault::None, strict),
@@ -48,23 +49,37 @@ fn assert_subset_equal(subset: &Trace, full: &Trace, signals: &[&str]) {
     }
 }
 
-#[test]
-fn des56_rtl_and_tlm_ca_traces_are_identical() {
-    let w = DesWorkload::mixed(10, 0xE1);
-    let rtl = des_rtl_trace(&w);
-    let ca = des_ca_trace(&w);
-    // Same instants, one per clock cycle…
+/// Asserts `design`'s RTL and TLM-CA traces share their instants, one per
+/// clock cycle, and agree on every pin at each of them.
+#[track_caller]
+fn assert_rtl_and_tlm_ca_identical(design: DesignKind) {
+    let rtl = pin_trace(design, AbsLevel::Rtl, 10, 0xE1);
+    let ca = pin_trace(design, AbsLevel::TlmCa, 10, 0xE1);
     let rtl_times: Vec<u64> = rtl.steps().iter().map(|s| s.time_ns).collect();
     let ca_times: Vec<u64> = ca.steps().iter().map(|s| s.time_ns).collect();
-    assert_eq!(rtl_times, ca_times);
-    // …and identical values on every preserved signal.
-    assert_subset_equal(&ca, &rtl, des56::TLM_CA_SIGNALS);
+    assert_eq!(rtl_times, ca_times, "{}", design.label());
+    assert_subset_equal(&ca, &rtl, design.rtl_signals());
+}
+
+#[test]
+fn des56_rtl_and_tlm_ca_traces_are_identical() {
+    assert_rtl_and_tlm_ca_identical(DesignKind::Des56);
+}
+
+#[test]
+fn colorconv_rtl_and_tlm_ca_traces_are_identical() {
+    assert_rtl_and_tlm_ca_identical(DesignKind::ColorConv);
+}
+
+#[test]
+fn fir_rtl_and_tlm_ca_traces_are_identical() {
+    assert_rtl_and_tlm_ca_identical(DesignKind::Fir);
 }
 
 #[test]
 fn des56_tlm_at_transactions_agree_with_rtl_at_their_instants() {
     let w = DesWorkload::mixed(6, 0xE2);
-    let rtl = des_rtl_trace(&w);
+    let rtl = pin_trace(DesignKind::Des56, AbsLevel::Rtl, 6, 0xE2);
     for strict in [false, true] {
         let at = des_at_trace(&w, strict);
         assert_subset_equal(&at, &rtl, des56::TLM_AT_SIGNALS);
@@ -77,7 +92,7 @@ fn des56_strict_at_covers_every_preserved_io_change() {
     // have a transaction at every instant where a preserved I/O signal
     // changes on the RTL model.
     let w = DesWorkload::mixed(4, 0xE3);
-    let rtl = des_rtl_trace(&w);
+    let rtl = pin_trace(DesignKind::Des56, AbsLevel::Rtl, 4, 0xE3);
     let at = des_at_trace(&w, true);
     let steps = rtl.steps();
     for k in 1..steps.len() {
@@ -99,7 +114,7 @@ fn des56_loose_at_misses_some_io_changes() {
     // The loose (paper Section V) style is *not* strictly Def. III.1
     // equivalent: the strobe release instant has no transaction.
     let w = DesWorkload::mixed(4, 0xE4);
-    let rtl = des_rtl_trace(&w);
+    let rtl = pin_trace(DesignKind::Des56, AbsLevel::Rtl, 4, 0xE4);
     let at = des_at_trace(&w, false);
     let steps = rtl.steps();
     let mut missed = 0;
@@ -118,28 +133,9 @@ fn des56_loose_at_misses_some_io_changes() {
 }
 
 #[test]
-fn colorconv_rtl_and_tlm_ca_traces_are_identical() {
-    let w = ConvWorkload::mixed(12, 0xE5);
-    let rtl = record(
-        colorconv::build_rtl(&w, Fault::None),
-        colorconv::RTL_SIGNALS,
-    );
-    let ca = record(
-        colorconv::build_tlm_ca(&w, Fault::None),
-        colorconv::TLM_CA_SIGNALS,
-    );
-
-    assert_eq!(rtl.len(), ca.len());
-    assert_subset_equal(&ca, &rtl, colorconv::TLM_CA_SIGNALS);
-}
-
-#[test]
 fn colorconv_tlm_at_agrees_with_rtl_at_transaction_instants() {
     let w = ConvWorkload::mixed(8, 0xE6);
-    let rtl = record(
-        colorconv::build_rtl(&w, Fault::None),
-        colorconv::RTL_SIGNALS,
-    );
+    let rtl = pin_trace(DesignKind::ColorConv, AbsLevel::Rtl, 8, 0xE6);
     let at = record(
         colorconv::build_tlm_at(&w, Fault::None, false),
         colorconv::TLM_AT_SIGNALS,
