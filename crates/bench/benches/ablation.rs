@@ -93,10 +93,11 @@ fn bench_online_vs_trace_oracle() {
         let _checker = Checker::attach(&mut built.sim, "q3", &q3(), binding).expect("attaches");
         black_box(built.run())
     });
+    let signals = DesignKind::Des56.tlm_at_signals();
     bench("record-then-evaluate", || {
         let mut built = des_at(9);
         let bus = built.bus.clone().expect("TLM bus");
-        let rec = TxTraceRecorder::install(&mut built.sim, &bus, des56::TLM_AT_SIGNALS);
+        let rec = TxTraceRecorder::install(&mut built.sim, &bus, &signals);
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         black_box(trace.satisfies(&q3()).expect("evaluates"))

@@ -172,16 +172,17 @@ pub fn run_campaign(plan: &CampaignPlan, workers: usize) -> Result<CampaignRepor
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan fails validation; no work starts.
-/// Otherwise the first run in plan order that cannot be built (a workload
-/// size too large to build) is the campaign's error.
+/// Returns a [`PlanError`] if the plan fails validation or its work list
+/// cannot be allocated; no work starts. Otherwise the first run in plan
+/// order that cannot be built (a workload size too large to build) is the
+/// campaign's error.
 pub fn run_campaign_with(
     plan: &CampaignPlan,
     workers: usize,
     settings: TraceSettings,
 ) -> Result<CampaignReport, PlanError> {
     plan.validate()?;
-    let specs = plan.run_specs();
+    let specs = plan.try_run_specs()?;
     let workers = workers.clamp(1, specs.len());
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Result<RunOutcome, PlanError>)>();

@@ -266,9 +266,31 @@ impl CampaignPlan {
     /// Expands the plan into its work list, cell-major (`cell 0 rep 0`,
     /// `cell 0 rep 1`, …). The list — including every seed — depends only
     /// on the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PlanError`] of [`try_run_specs`](Self::try_run_specs)
+    /// when the list cannot be allocated.
     #[must_use]
     pub fn run_specs(&self) -> Vec<RunSpec> {
-        let mut specs = Vec::with_capacity(self.total_runs());
+        self.try_run_specs().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run_specs`](Self::run_specs) for a validated plan, or
+    /// [`PlanError::TooManyRuns`] when the work list cannot be allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::TooManyRuns`] when memory for the work list is not
+    /// available.
+    pub fn try_run_specs(&self) -> Result<Vec<RunSpec>, PlanError> {
+        let mut specs = Vec::new();
+        specs
+            .try_reserve_exact(self.total_runs())
+            .map_err(|_| PlanError::TooManyRuns {
+                cells: self.cells.len(),
+                runs_per_cell: self.runs_per_cell,
+            })?;
         for (cell, spec) in self.cells.iter().enumerate() {
             for rep in 0..self.runs_per_cell {
                 specs.push(RunSpec {
@@ -280,7 +302,7 @@ impl CampaignPlan {
                 });
             }
         }
-        specs
+        Ok(specs)
     }
 }
 
@@ -293,8 +315,8 @@ pub enum PlanError {
     ZeroRuns,
     /// `size` is zero.
     ZeroSize,
-    /// `cells × runs_per_cell` overflows, or exceeds the runs a
-    /// `Vec<RunSpec>` can address.
+    /// `cells × runs_per_cell` overflows, exceeds the runs a
+    /// `Vec<RunSpec>` can address, or needs more memory than is available.
     TooManyRuns {
         /// Number of cells in the plan.
         cells: usize,
@@ -405,6 +427,22 @@ mod tests {
                 usize::MAX
             )
         );
+    }
+
+    #[test]
+    fn a_valid_run_count_beyond_memory_is_an_error_not_an_abort() {
+        let most = isize::MAX as usize / std::mem::size_of::<RunSpec>();
+        let plan = CampaignPlan::new("t")
+            .cell(DesignKind::Fir, AbsLevel::Rtl, CheckerMode::None)
+            .runs(most);
+        assert!(plan.validate().is_ok());
+        assert!(matches!(
+            plan.try_run_specs(),
+            Err(PlanError::TooManyRuns {
+                cells: 1,
+                runs_per_cell
+            }) if runs_per_cell == most
+        ));
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The cycle-stepping ColorConv core shared by the RTL and TLM-CA models.
+//! The ColorConv core behind every ColorConv model: the RTL and TLM-CA
+//! shells step it once per clock cycle, the TLM-AT shell asks it for
+//! untimed results.
 //!
 //! An 8-stage pipeline with a throughput of one pixel per cycle and a
 //! latency of 8 cycles: a pixel whose `px_valid` is sampled at edge `e0`
@@ -11,7 +13,10 @@
 //! work and the final result equals [`algo::convert`] exactly.
 
 use super::algo::{self, Ycbcr};
-use crate::Fault;
+use super::rtl::RTL_SIGNALS;
+use super::workload::Pixel;
+use crate::cycle::CycleCore;
+use crate::{DesignKind, Fault};
 
 /// Work item travelling down the pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -177,8 +182,8 @@ impl ColorConvCore {
         self.outputs
     }
 
-    /// Converts one pixel functionally (reference path used by the TLM-AT
-    /// models), applying the data faults.
+    /// Converts one pixel functionally (the untimed path of the TLM-AT and
+    /// bulk-AT models), applying the data faults.
     #[must_use]
     pub fn convert(fault: Fault, r: u8, g: u8, b: u8) -> Ycbcr {
         let mut px = algo::convert(r, g, b);
@@ -188,6 +193,45 @@ impl ColorConvCore {
             _ => {}
         }
         px
+    }
+}
+
+impl CycleCore for ColorConvCore {
+    type Request = Pixel;
+    const DESIGN: DesignKind = DesignKind::ColorConv;
+    const PINS: &'static [&'static str] = RTL_SIGNALS;
+    const DATA_INPUTS: usize = 3;
+    const LATENCY: u64 = 8;
+    const DEFAULT_GAP: u64 = 10;
+
+    fn with_fault(fault: Fault) -> ColorConvCore {
+        ColorConvCore::new(fault)
+    }
+
+    fn drive(px: Pixel, data: &mut [u64]) {
+        data[0] = u64::from(px.r);
+        data[1] = u64::from(px.g);
+        data[2] = u64::from(px.b);
+    }
+
+    fn payload(px: Pixel) -> u64 {
+        u64::from(px.r) << 16 | u64::from(px.g) << 8 | u64::from(px.b)
+    }
+
+    fn step_pins(&mut self, px_valid: bool, data: &[u64], outputs: &mut [u64]) {
+        let o = self.step(px_valid, data[0] as u8, data[1] as u8, data[2] as u8);
+        outputs[0] = o.y;
+        outputs[1] = o.cb;
+        outputs[2] = o.cr;
+        outputs[3] = u64::from(o.out_valid);
+        outputs[4] = u64::from(o.ov_next_cycle);
+    }
+
+    fn elaborate(&mut self, px: Pixel, outputs: &mut [u64]) {
+        let res = ColorConvCore::convert(self.fault, px.r, px.g, px.b);
+        outputs[0] = u64::from(res.y);
+        outputs[1] = u64::from(res.cb);
+        outputs[2] = u64::from(res.cr);
     }
 }
 

@@ -21,12 +21,10 @@ mod rtl;
 mod tlm;
 mod workload;
 
-pub use crate::cycle::{build_rtl, build_tlm_ca};
+pub use crate::cycle::{build_rtl, build_tlm_at, build_tlm_ca};
 pub use core::{ColorConvCore, ConvOutputs};
 pub use properties::{suite, ABSTRACTED_SIGNALS};
 pub use rtl::RTL_SIGNALS;
-pub use tlm::{
-    build_tlm_at, build_tlm_at_bulk, bulk_surviving_properties, TLM_AT_BULK_SIGNALS, TLM_AT_SIGNALS,
-};
+pub use tlm::{build_tlm_at_bulk, bulk_surviving_properties, TLM_AT_BULK_SIGNALS};
 pub(crate) use workload::mixed_pixel;
 pub use workload::{ConvWorkload, Pixel};

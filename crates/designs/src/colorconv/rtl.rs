@@ -1,10 +1,5 @@
-//! The ColorConv pin interface: the pin list and the cycle core behind
-//! it, which the shared shells build the RTL and TLM-CA models from.
-
-use super::core::ColorConvCore;
-use super::workload::Pixel;
-use crate::cycle::CycleCore;
-use crate::{DesignKind, Fault};
+//! The ColorConv pin interface: the pin list of the cycle core the shared
+//! shells build every model from.
 
 /// Names of the ColorConv I/O signals at RTL, in declaration order.
 pub const RTL_SIGNALS: &[&str] = &[
@@ -19,44 +14,13 @@ pub const RTL_SIGNALS: &[&str] = &[
     "ov_next_cycle",
 ];
 
-impl CycleCore for ColorConvCore {
-    type Request = Pixel;
-    const DESIGN: DesignKind = DesignKind::ColorConv;
-    const PINS: &'static [&'static str] = RTL_SIGNALS;
-    const DATA_INPUTS: usize = 3;
-    const LATENCY: u64 = 8;
-    const DEFAULT_GAP: u64 = 10;
-
-    fn with_fault(fault: Fault) -> ColorConvCore {
-        ColorConvCore::new(fault)
-    }
-
-    fn drive(px: Pixel, data: &mut [u64]) {
-        data[0] = u64::from(px.r);
-        data[1] = u64::from(px.g);
-        data[2] = u64::from(px.b);
-    }
-
-    fn payload(px: Pixel) -> u64 {
-        u64::from(px.r) << 16 | u64::from(px.g) << 8 | u64::from(px.b)
-    }
-
-    fn step_pins(&mut self, px_valid: bool, data: &[u64], outputs: &mut [u64]) {
-        let o = self.step(px_valid, data[0] as u8, data[1] as u8, data[2] as u8);
-        outputs[0] = o.y;
-        outputs[1] = o.cb;
-        outputs[2] = o.cr;
-        outputs[3] = u64::from(o.out_valid);
-        outputs[4] = u64::from(o.ov_next_cycle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::algo;
-    use super::super::workload::ConvWorkload;
+    use super::super::workload::{ConvWorkload, Pixel};
     use super::*;
     use crate::cycle::build_rtl;
+    use crate::Fault;
     use psl::{ClockEdge, SignalEnv};
     use rtlkit::WaveRecorder;
 

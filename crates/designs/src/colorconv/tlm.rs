@@ -1,6 +1,5 @@
-//! The ColorConv approximately-timed TLM models, per pixel and in bulk
-//! (the cycle-accurate one is the shared
-//! [`build_tlm_ca`](crate::colorconv::build_tlm_ca) shell).
+//! The ColorConv bulk approximately-timed TLM model (the per-pixel one is
+//! the shared [`build_tlm_at`](crate::colorconv::build_tlm_at) shell).
 
 use desim::{Component, Event, SignalId, SimCtx, SimTime, Simulation};
 use tlmkit::{Transaction, TransactionBus};
@@ -10,154 +9,8 @@ use super::workload::ConvWorkload;
 use crate::cycle::CycleCore;
 use crate::{check, AbsLevel, BuildError, BuiltDesign, DesignKind, Fault, CLOCK_PERIOD_NS};
 
-/// Mirror signals preserved at TLM-AT (the pipeline prediction output is
-/// abstracted away).
-pub const TLM_AT_SIGNALS: &[&str] = &["px_valid", "r", "g", "b", "y", "cb", "cr", "out_valid"];
-
 const OP_WRITE: u64 = 0;
 const OP_READ: u64 = 1;
-const OP_STROBE_RELEASE: u64 = 2;
-const OP_VALID_CLEAR: u64 = 3;
-
-/// The TLM-AT model: per pixel, one write transaction and one read
-/// transaction at the RTL completion time (`t + 8 × period`); the strict
-/// style adds the Def. III.1 transactions.
-struct ConvTlmAt {
-    bus: TransactionBus,
-    fault: Fault,
-    workload: ConvWorkload,
-    strict: bool,
-    px_valid: SignalId,
-    r: SignalId,
-    g: SignalId,
-    b: SignalId,
-    y: SignalId,
-    cb: SignalId,
-    cr: SignalId,
-    out_valid: SignalId,
-}
-
-impl ConvTlmAt {
-    fn read_delay_ns(&self) -> u64 {
-        let cycles = match self.fault {
-            Fault::LatencyShort => 7,
-            Fault::LatencyLong => 9,
-            _ => 8,
-        };
-        cycles * CLOCK_PERIOD_NS
-    }
-}
-
-impl Component for ConvTlmAt {
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
-        let op = ev.kind & 0b11;
-        let index = (ev.kind >> 2) as usize;
-        match op {
-            OP_WRITE => {
-                let px = self.workload.requests[index];
-                ctx.write(self.px_valid, 1);
-                ctx.write(self.r, u64::from(px.r));
-                ctx.write(self.g, u64::from(px.g));
-                ctx.write(self.b, u64::from(px.b));
-                ctx.write(
-                    self.out_valid,
-                    u64::from(matches!(self.fault, Fault::StuckControl)),
-                );
-                self.bus.publish(
-                    ctx,
-                    Transaction::write(
-                        0,
-                        u64::from(px.r) << 16 | u64::from(px.g) << 8 | u64::from(px.b),
-                        ev.time,
-                    ),
-                );
-                let swallowed = matches!(self.fault, Fault::DropTransaction) && index == 1;
-                if !swallowed {
-                    ctx.schedule_self(self.read_delay_ns(), (ev.kind & !0b11) | OP_READ);
-                }
-                if self.strict {
-                    ctx.schedule_self(CLOCK_PERIOD_NS, (ev.kind & !0b11) | OP_STROBE_RELEASE);
-                }
-            }
-            OP_STROBE_RELEASE => {
-                ctx.write(self.px_valid, 0);
-                self.bus.publish(ctx, Transaction::write(0, 0, ev.time));
-            }
-            OP_READ => {
-                let px = self.workload.requests[index];
-                let res = ColorConvCore::convert(self.fault, px.r, px.g, px.b);
-                ctx.write(self.px_valid, 0);
-                ctx.write(self.y, u64::from(res.y));
-                ctx.write(self.cb, u64::from(res.cb));
-                ctx.write(self.cr, u64::from(res.cr));
-                if !matches!(self.fault, Fault::DropReady) {
-                    ctx.write(self.out_valid, 1);
-                }
-                self.bus
-                    .publish(ctx, Transaction::read(0, u64::from(res.y), ev.time));
-                if self.strict {
-                    ctx.schedule_self(CLOCK_PERIOD_NS, (ev.kind & !0b11) | OP_VALID_CLEAR);
-                }
-            }
-            OP_VALID_CLEAR => {
-                ctx.write(self.out_valid, 0);
-                self.bus.publish(ctx, Transaction::read(0, 0, ev.time));
-            }
-            _ => unreachable!("2-bit op"),
-        }
-    }
-}
-
-/// Builds the ColorConv TLM-AT simulation for a workload, with `fault`
-/// injected: the paper's loose model, or with `strict` the strict Def.
-/// III.1 model (DESIGN.md §5b).
-///
-/// # Errors
-///
-/// Whatever [`check`] rejects for ColorConv at TLM-AT.
-pub fn build_tlm_at(
-    workload: &ConvWorkload,
-    fault: Fault,
-    strict: bool,
-) -> Result<BuiltDesign, BuildError> {
-    check(DesignKind::ColorConv, AbsLevel::TlmAt, fault)?;
-    let mut sim = Simulation::new();
-    let bus = TransactionBus::new();
-    let px_valid = sim.add_signal("px_valid", 0);
-    let r = sim.add_signal("r", 0);
-    let g = sim.add_signal("g", 0);
-    let b = sim.add_signal("b", 0);
-    let y = sim.add_signal("y", 0);
-    let cb = sim.add_signal("cb", 0);
-    let cr = sim.add_signal("cr", 0);
-    let out_valid = sim.add_signal("out_valid", 0);
-
-    let model = sim.add_component(ConvTlmAt {
-        bus: bus.clone(),
-        fault,
-        workload: workload.clone(),
-        strict,
-        px_valid,
-        r,
-        g,
-        b,
-        y,
-        cb,
-        cr,
-        out_valid,
-    });
-    for i in 0..workload.requests.len() {
-        let kind = ((i as u64) << 2) | OP_WRITE;
-        sim.schedule(SimTime::from_ns(workload.request_time_ns(i)), model, kind);
-    }
-
-    Ok(BuiltDesign {
-        sim,
-        clk: None,
-        bus: Some(bus),
-        end_ns: workload.end_time_ns(),
-    })
-}
 
 /// Mirror signals of the **bulk** TLM-AT model: per-pixel handshake is
 /// fully abstracted; only frame-level signals and the last converted
@@ -249,21 +102,14 @@ impl Component for ConvTlmAtBulk {
 /// Builds the bulk-granularity ColorConv TLM-AT simulation: exactly two
 /// transactions for the whole workload — one write submitting the frame,
 /// one read returning all results (with checksum) at the instant the RTL
-/// model would emit the last pixel.
+/// model would emit the last pixel. An empty workload has no frame and so
+/// no transaction, like the other levels with no requests.
 ///
 /// # Errors
 ///
 /// Whatever [`check`] rejects for ColorConv at bulk-AT.
-///
-/// # Panics
-///
-/// Panics if the workload is empty.
 pub fn build_tlm_at_bulk(workload: &ConvWorkload, fault: Fault) -> Result<BuiltDesign, BuildError> {
     check(DesignKind::ColorConv, AbsLevel::TlmAtBulk, fault)?;
-    assert!(
-        !workload.requests.is_empty(),
-        "bulk model needs at least one pixel"
-    );
     let mut sim = Simulation::new();
     let bus = TransactionBus::new();
     let frame_start = sim.add_signal("frame_start", 0);
@@ -288,11 +134,13 @@ pub fn build_tlm_at_bulk(workload: &ConvWorkload, fault: Fault) -> Result<BuiltD
         out_valid,
         checksum,
     });
-    sim.schedule(
-        SimTime::from_ns(workload.request_time_ns(0)),
-        model,
-        OP_WRITE,
-    );
+    if !workload.requests.is_empty() {
+        sim.schedule(
+            SimTime::from_ns(workload.request_time_ns(0)),
+            model,
+            OP_WRITE,
+        );
+    }
 
     Ok(BuiltDesign {
         sim,
@@ -324,7 +172,8 @@ mod tests {
     use super::super::rtl::RTL_SIGNALS;
     use super::super::workload::Pixel;
     use super::*;
-    use crate::cycle::build_tlm_ca;
+    use crate::cycle::tests as at;
+    use crate::cycle::{build_tlm_at, build_tlm_ca};
     use psl::SignalEnv;
     use tlmkit::TxTraceRecorder;
 
@@ -361,26 +210,13 @@ mod tests {
 
     #[test]
     fn tlm_at_loose_two_transactions_per_pixel() {
-        let w = one_pixel();
-        let mut built = build_tlm_at(&w, Fault::None, false).unwrap();
-        let rec =
-            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
-        built.run();
-        assert_eq!(built.bus.as_ref().unwrap().published(), 2);
-        let trace = TxTraceRecorder::take_trace(&built.sim, rec);
-        assert_eq!(trace.steps()[0].time_ns, 20);
-        assert_eq!(trace.steps()[1].time_ns, 100);
-        assert_eq!(trace.steps()[1].signal("out_valid"), Some(1));
-        let e = algo::convert(10, 200, 99);
-        assert_eq!(trace.steps()[1].signal("cb"), Some(u64::from(e.cb)));
+        at::assert_transactions_per_request(DesignKind::ColorConv, false);
+        at::assert_read_at_rtl_completion(DesignKind::ColorConv);
     }
 
     #[test]
     fn tlm_at_strict_four_transactions_per_pixel() {
-        let w = one_pixel();
-        let mut built = build_tlm_at(&w, Fault::None, true).unwrap();
-        built.run();
-        assert_eq!(built.bus.as_ref().unwrap().published(), 4);
+        at::assert_transactions_per_request(DesignKind::ColorConv, true);
     }
 
     #[test]
@@ -437,36 +273,23 @@ mod tests {
 
     #[test]
     fn at_drop_pixel_swallows_the_second_request() {
-        let w = ConvWorkload::new(vec![
-            Pixel { r: 1, g: 2, b: 3 },
-            Pixel { r: 4, g: 5, b: 6 },
-            Pixel { r: 7, g: 8, b: 9 },
-        ]);
-        let mut built = build_tlm_at(&w, Fault::DropTransaction, false).unwrap();
-        built.run();
-        // Three writes, two completions: pixel 1 never converts.
-        assert_eq!(built.bus.as_ref().unwrap().published(), 5);
+        at::assert_drop_transaction(DesignKind::ColorConv);
     }
 
     #[test]
     fn at_stuck_valid_raises_out_valid_at_the_request() {
-        let w = one_pixel();
-        let mut built = build_tlm_at(&w, Fault::StuckControl, false).unwrap();
-        let rec =
-            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
-        built.run();
-        let trace = TxTraceRecorder::take_trace(&built.sim, rec);
-        assert_eq!(trace.steps()[0].signal("px_valid"), Some(1));
-        assert_eq!(trace.steps()[0].signal("out_valid"), Some(1));
-        assert_eq!(trace.steps()[0].signal("y"), Some(0), "no result yet");
+        at::assert_stuck_control(DesignKind::ColorConv);
     }
 
     #[test]
     fn corrupt_luma_visible_at_read() {
         let w = one_pixel();
         let mut built = build_tlm_at(&w, Fault::CorruptData, false).unwrap();
-        let rec =
-            TxTraceRecorder::install(&mut built.sim, built.bus.as_ref().unwrap(), TLM_AT_SIGNALS);
+        let rec = TxTraceRecorder::install(
+            &mut built.sim,
+            built.bus.as_ref().unwrap(),
+            DesignKind::ColorConv.tlm_at_signals(),
+        );
         built.run();
         let trace = TxTraceRecorder::take_trace(&built.sim, rec);
         assert_eq!(trace.steps()[1].signal("y"), Some(0));

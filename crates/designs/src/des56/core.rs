@@ -1,4 +1,5 @@
-//! The cycle-stepping DES core shared by the RTL and TLM-CA models.
+//! The DES core behind every DES56 model: the RTL and TLM-CA shells step
+//! it once per clock cycle, the TLM-AT shell asks it for untimed results.
 //!
 //! One call to [`Des56Core::step`] is one clock cycle. Timing (for the
 //! postponed sampling discipline of `rtlkit`, edge `e0` = the edge whose
@@ -15,8 +16,11 @@
 //! space requests accordingly; overlap behaviour is exercised separately
 //! in the naive-scaling ablation).
 
-use super::algo::{KeySchedule, RoundState};
-use crate::Fault;
+use super::algo::{self, KeySchedule, RoundState};
+use super::rtl::{DES_KEY, RTL_SIGNALS};
+use super::workload::DesBlock;
+use crate::cycle::CycleCore;
+use crate::{DesignKind, Fault};
 
 /// Output interface of the core, one sample per cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,6 +163,46 @@ impl Des56Core {
             self.phase += 1;
         }
         self.outputs
+    }
+}
+
+impl CycleCore for Des56Core {
+    type Request = DesBlock;
+    const DESIGN: DesignKind = DesignKind::Des56;
+    const PINS: &'static [&'static str] = RTL_SIGNALS;
+    const DATA_INPUTS: usize = 2;
+    const LATENCY: u64 = 17;
+    const DEFAULT_GAP: u64 = 20;
+    /// The faulty DES56 never raises `rdy`, so no completion transaction
+    /// is observable at TLM-AT at all.
+    const DROP_READY_HIDES_COMPLETION: bool = true;
+
+    fn with_fault(fault: Fault) -> Des56Core {
+        Des56Core::new(DES_KEY, fault)
+    }
+
+    fn drive(block: DesBlock, data: &mut [u64]) {
+        data[0] = block.data;
+        data[1] = u64::from(block.decrypt);
+    }
+
+    fn payload(block: DesBlock) -> u64 {
+        block.data
+    }
+
+    fn step_pins(&mut self, ds: bool, data: &[u64], outputs: &mut [u64]) {
+        let o = self.step(ds, data[0], data[1] != 0);
+        outputs[0] = o.out;
+        outputs[1] = u64::from(o.rdy);
+        outputs[2] = u64::from(o.rdy_next_cycle);
+        outputs[3] = u64::from(o.rdy_next_next_cycle);
+    }
+
+    fn elaborate(&mut self, block: DesBlock, outputs: &mut [u64]) {
+        outputs[0] = match self.fault {
+            Fault::CorruptData => 0,
+            _ => algo::apply(block.data, &self.ks, block.decrypt),
+        };
     }
 }
 

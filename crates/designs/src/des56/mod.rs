@@ -21,13 +21,13 @@ pub mod algo;
 mod core;
 mod properties;
 mod rtl;
+#[cfg(test)]
 mod tlm;
 mod workload;
 
-pub use crate::cycle::build_tlm_ca;
+pub use crate::cycle::{build_tlm_at, build_tlm_ca};
 pub use core::{Des56Core, DesOutputs};
 pub use properties::{suite, ABSTRACTED_SIGNALS};
 pub use rtl::{build_rtl, DES_KEY, RTL_SIGNALS};
-pub use tlm::{build_tlm_at, TLM_AT_SIGNALS};
 pub(crate) use workload::mixed_block;
 pub use workload::{DesBlock, DesWorkload};

@@ -1,10 +1,5 @@
-//! The DES56 pin interface: the pin list and the cycle core behind it,
-//! which the shared shells build the RTL and TLM-CA models from.
-
-use super::core::Des56Core;
-use super::workload::DesBlock;
-use crate::cycle::CycleCore;
-use crate::{DesignKind, Fault};
+//! The DES56 pin interface: the pin list and the key of the cycle core
+//! the shared shells build every model from.
 
 /// Builds the DES56 RTL simulation for a workload, with `fault` injected.
 ///
@@ -33,41 +28,12 @@ pub const RTL_SIGNALS: &[&str] = &[
     "rdy_next_next_cycle",
 ];
 
-impl CycleCore for Des56Core {
-    type Request = DesBlock;
-    const DESIGN: DesignKind = DesignKind::Des56;
-    const PINS: &'static [&'static str] = RTL_SIGNALS;
-    const DATA_INPUTS: usize = 2;
-    const LATENCY: u64 = 17;
-    const DEFAULT_GAP: u64 = 20;
-
-    fn with_fault(fault: Fault) -> Des56Core {
-        Des56Core::new(DES_KEY, fault)
-    }
-
-    fn drive(block: DesBlock, data: &mut [u64]) {
-        data[0] = block.data;
-        data[1] = u64::from(block.decrypt);
-    }
-
-    fn payload(block: DesBlock) -> u64 {
-        block.data
-    }
-
-    fn step_pins(&mut self, ds: bool, data: &[u64], outputs: &mut [u64]) {
-        let o = self.step(ds, data[0], data[1] != 0);
-        outputs[0] = o.out;
-        outputs[1] = u64::from(o.rdy);
-        outputs[2] = u64::from(o.rdy_next_cycle);
-        outputs[3] = u64::from(o.rdy_next_next_cycle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::algo::{self, KeySchedule};
-    use super::super::workload::DesWorkload;
+    use super::super::workload::{DesBlock, DesWorkload};
     use super::*;
+    use crate::Fault;
     use psl::{ClockEdge, SignalEnv};
     use rtlkit::WaveRecorder;
 

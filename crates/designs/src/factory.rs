@@ -14,6 +14,7 @@ use desim::{SignalId, SimStats, Simulation};
 use psl::ClockedProperty;
 use tlmkit::TransactionBus;
 
+use crate::cycle::{build_rtl, build_tlm_at, build_tlm_ca, CycleCore, Request};
 use crate::suite::SuiteTable;
 use crate::{colorconv, des56, fir, PropertyClass, SuiteEntry, Workload, CLOCK_PERIOD_NS};
 
@@ -74,19 +75,36 @@ impl DesignKind {
         }
     }
 
+    /// The IP's pins the RTL-to-TLM protocol abstraction removes (its
+    /// prediction outputs).
+    fn abstracted_signals(self) -> &'static [&'static str] {
+        match self {
+            DesignKind::Des56 => des56::ABSTRACTED_SIGNALS,
+            DesignKind::ColorConv => colorconv::ABSTRACTED_SIGNALS,
+            DesignKind::Fir => fir::ABSTRACTED_SIGNALS,
+        }
+    }
+
+    /// The signals the IP's TLM-AT models mirror: its pins minus the
+    /// abstracted ones, in declaration order (the strobe, the data inputs,
+    /// the data outputs, then the ready strobe).
+    #[must_use]
+    pub fn tlm_at_signals(self) -> Vec<&'static str> {
+        let abstracted = self.abstracted_signals();
+        self.rtl_signals()
+            .iter()
+            .copied()
+            .filter(|pin| !abstracted.contains(pin))
+            .collect()
+    }
+
     /// The IP's abstraction configuration (10 ns clock, the IP's
     /// unobservable signals removed).
     #[must_use]
     pub fn config(self) -> AbstractionConfig {
-        let base = AbstractionConfig::new(CLOCK_PERIOD_NS)
-            .expect("the reference clock period is positive");
-        match self {
-            DesignKind::Des56 => base.abstract_signals(des56::ABSTRACTED_SIGNALS.iter().copied()),
-            DesignKind::ColorConv => {
-                base.abstract_signals(colorconv::ABSTRACTED_SIGNALS.iter().copied())
-            }
-            DesignKind::Fir => base.abstract_signals(fir::ABSTRACTED_SIGNALS.iter().copied()),
-        }
+        AbstractionConfig::new(CLOCK_PERIOD_NS)
+            .expect("the reference clock period is positive")
+            .abstract_signals(self.abstracted_signals().iter().copied())
     }
 }
 
@@ -331,7 +349,7 @@ pub fn check(design: DesignKind, level: AbsLevel, fault: Fault) -> Result<(), Bu
 /// Equal arguments produce behaviourally identical simulations — the
 /// whole stimulus is derived from `seed` — which is the foundation of the
 /// campaign engine's determinism guarantee. TLM-AT is the paper's loose
-/// style; the strict variants are built through the per-IP builders.
+/// style; the strict variant is built through each IP's `build_tlm_at`.
 ///
 /// # Errors
 ///
@@ -344,24 +362,36 @@ pub fn build(
     seed: u64,
     fault: Fault,
 ) -> Result<BuiltDesign, BuildError> {
-    use AbsLevel as L;
-    use DesignKind as D;
-    let des = || Workload::try_draw(size, seed, des56::mixed_block);
-    let conv = || Workload::try_draw(size, seed, colorconv::mixed_pixel);
-    let fir = || Workload::try_draw(size, seed, fir::random_sample);
     match (design, level) {
-        (D::Des56, L::Rtl) => des56::build_rtl(&des()?, fault),
-        (D::Des56, L::TlmCa) => des56::build_tlm_ca(&des()?, fault),
-        (D::Des56, L::TlmAt) => des56::build_tlm_at(&des()?, fault, false),
-        (D::ColorConv, L::Rtl) => colorconv::build_rtl(&conv()?, fault),
-        (D::ColorConv, L::TlmCa) => colorconv::build_tlm_ca(&conv()?, fault),
-        (D::ColorConv, L::TlmAt) => colorconv::build_tlm_at(&conv()?, fault, false),
-        (D::ColorConv, L::TlmAtBulk) => colorconv::build_tlm_at_bulk(&conv()?, fault),
-        (D::Fir, L::Rtl) => fir::build_rtl(&fir()?, fault),
-        (D::Fir, L::TlmCa) => fir::build_tlm_ca(&fir()?, fault),
-        (D::Fir, L::TlmAt) => fir::build_tlm_at(&fir()?, fault),
-        (D::Des56 | D::Fir, L::TlmAtBulk) => {
-            check(design, level, fault)?;
+        (DesignKind::Des56, _) => build_level(level, fault, || {
+            Workload::try_draw(size, seed, des56::mixed_block)
+        }),
+        (DesignKind::ColorConv, AbsLevel::TlmAtBulk) => colorconv::build_tlm_at_bulk(
+            &Workload::try_draw(size, seed, colorconv::mixed_pixel)?,
+            fault,
+        ),
+        (DesignKind::ColorConv, _) => build_level(level, fault, || {
+            Workload::try_draw(size, seed, colorconv::mixed_pixel)
+        }),
+        (DesignKind::Fir, _) => build_level(level, fault, || {
+            Workload::try_draw(size, seed, fir::random_sample)
+        }),
+    }
+}
+
+/// Builds the shared model at `level` of the IP the drawn workload belongs
+/// to; bulk-AT, ColorConv's own model, is built by [`build`] directly.
+fn build_level<R: Request>(
+    level: AbsLevel,
+    fault: Fault,
+    workload: impl FnOnce() -> Result<Workload<R>, BuildError>,
+) -> Result<BuiltDesign, BuildError> {
+    match level {
+        AbsLevel::Rtl => build_rtl(&workload()?, fault),
+        AbsLevel::TlmCa => build_tlm_ca(&workload()?, fault),
+        AbsLevel::TlmAt => build_tlm_at(&workload()?, fault, false),
+        AbsLevel::TlmAtBulk => {
+            check(R::Core::DESIGN, level, fault)?;
             unreachable!("check admits bulk-AT for ColorConv only")
         }
     }
@@ -466,30 +496,23 @@ mod tests {
 
     #[test]
     fn tlm_at_signals_are_the_pins_minus_the_abstracted_ones() {
-        for (design, at, abstracted) in [
+        for (design, at) in [
             (
                 DesignKind::Des56,
-                des56::TLM_AT_SIGNALS,
-                des56::ABSTRACTED_SIGNALS,
+                &["ds", "indata", "mode", "out", "rdy"][..],
             ),
             (
                 DesignKind::ColorConv,
-                colorconv::TLM_AT_SIGNALS,
-                colorconv::ABSTRACTED_SIGNALS,
+                &["px_valid", "r", "g", "b", "y", "cb", "cr", "out_valid"],
             ),
             (
                 DesignKind::Fir,
-                fir::TLM_AT_SIGNALS,
-                fir::ABSTRACTED_SIGNALS,
+                &["in_valid", "sample", "result", "out_valid"],
             ),
         ] {
-            let kept: Vec<&str> = design
-                .rtl_signals()
-                .iter()
-                .copied()
-                .filter(|pin| !abstracted.contains(pin))
-                .collect();
-            assert_eq!(at, kept, "{}", design.label());
+            assert_eq!(design.tlm_at_signals(), at, "{}", design.label());
+            let abstracted = design.abstracted_signals();
+            assert_eq!(at.len() + abstracted.len(), design.rtl_signals().len());
         }
     }
 
@@ -554,7 +577,7 @@ mod tests {
             }
             (DesignKind::Fir, AbsLevel::Rtl) => fir::build_rtl(&fir(), fault),
             (DesignKind::Fir, AbsLevel::TlmCa) => fir::build_tlm_ca(&fir(), fault),
-            (DesignKind::Fir, AbsLevel::TlmAt) => fir::build_tlm_at(&fir(), fault),
+            (DesignKind::Fir, AbsLevel::TlmAt) => fir::build_tlm_at(&fir(), fault, true),
             (DesignKind::Des56 | DesignKind::Fir, AbsLevel::TlmAtBulk) => return None,
         })
     }

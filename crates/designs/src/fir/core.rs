@@ -1,10 +1,13 @@
-//! The cycle-stepping FIR core shared by the RTL and TLM-CA models.
+//! The FIR core behind every FIR model: the RTL and TLM-CA shells step it
+//! once per clock cycle, the TLM-AT shell asks it for untimed results.
 //!
 //! A 4-tap transposed-form FIR: a sample strobed at edge `e0` produces its
 //! filtered output at edge `e5` (capture, four multiply-accumulate stages,
 //! output register). Samples may arrive back-to-back (throughput 1).
 
-use crate::Fault;
+use super::rtl::RTL_SIGNALS;
+use crate::cycle::CycleCore;
+use crate::{DesignKind, Fault};
 
 /// The fixed filter taps (Q8 fixed point: a gentle low-pass).
 pub const TAPS: [u32; 4] = [32, 96, 96, 32];
@@ -114,17 +117,56 @@ impl FirCore {
                 w.acc += u64::from(TAPS[w.stage - 1]) * w.history[w.stage - 1];
                 w.stage += 1;
             }
-            let mut result = w.acc >> 8;
-            match self.fault {
-                Fault::CorruptData => result |= 1 << 16,
-                Fault::BitFlip { bit } => result ^= 1 << (16 + bit % 8),
-                _ => {}
-            }
-            self.outputs.result = result;
+            self.outputs.result = self.corrupt(w.acc >> 8);
             self.outputs.out_valid = !matches!(self.fault, Fault::DropReady);
         }
         self.outputs.res_next_cycle = self.pipe[depth - 1].is_some();
         self.outputs
+    }
+
+    /// `result` with the data faults applied.
+    fn corrupt(&self, result: u64) -> u64 {
+        match self.fault {
+            Fault::CorruptData => result | 1 << 16,
+            Fault::BitFlip { bit } => result ^ 1 << (16 + bit % 8),
+            _ => result,
+        }
+    }
+}
+
+impl CycleCore for FirCore {
+    type Request = u64;
+    const DESIGN: DesignKind = DesignKind::Fir;
+    const PINS: &'static [&'static str] = RTL_SIGNALS;
+    const DATA_INPUTS: usize = 1;
+    const LATENCY: u64 = 5;
+    const DEFAULT_GAP: u64 = 8;
+
+    fn with_fault(fault: Fault) -> FirCore {
+        FirCore::new(fault)
+    }
+
+    fn drive(sample: u64, data: &mut [u64]) {
+        data[0] = sample;
+    }
+
+    fn payload(sample: u64) -> u64 {
+        sample
+    }
+
+    fn step_pins(&mut self, in_valid: bool, data: &[u64], outputs: &mut [u64]) {
+        let o = self.step(in_valid, data[0]);
+        outputs[0] = o.result;
+        outputs[1] = u64::from(o.out_valid);
+        outputs[2] = u64::from(o.res_next_cycle);
+    }
+
+    /// Shifts `sample` into the delay line and filters it: a swallowed
+    /// sample never completes, so it never enters the line either.
+    fn elaborate(&mut self, sample: u64, outputs: &mut [u64]) {
+        self.delay_line.rotate_right(1);
+        self.delay_line[0] = sample;
+        outputs[0] = self.corrupt(reference(&self.delay_line));
     }
 }
 

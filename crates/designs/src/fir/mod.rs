@@ -19,13 +19,13 @@
 mod core;
 mod properties;
 mod rtl;
+#[cfg(test)]
 mod tlm;
 mod workload;
 
-pub use crate::cycle::{build_rtl, build_tlm_ca};
+pub use crate::cycle::{build_rtl, build_tlm_at, build_tlm_ca};
 pub use core::{reference, FirCore, FirOutputs, TAPS};
 pub use properties::{suite, ABSTRACTED_SIGNALS};
 pub use rtl::RTL_SIGNALS;
-pub use tlm::{build_tlm_at, TLM_AT_SIGNALS};
 pub(crate) use workload::random_sample;
 pub use workload::FirWorkload;

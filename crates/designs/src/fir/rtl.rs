@@ -1,9 +1,5 @@
-//! The FIR pin interface: the pin list and the cycle core behind it,
-//! which the shared shells build the RTL and TLM-CA models from.
-
-use super::core::FirCore;
-use crate::cycle::CycleCore;
-use crate::{DesignKind, Fault};
+//! The FIR pin interface: the pin list of the cycle core the shared
+//! shells build every model from.
 
 /// Names of the FIR I/O signals at RTL, in declaration order.
 pub const RTL_SIGNALS: &[&str] = &[
@@ -14,40 +10,13 @@ pub const RTL_SIGNALS: &[&str] = &[
     "res_next_cycle",
 ];
 
-impl CycleCore for FirCore {
-    type Request = u64;
-    const DESIGN: DesignKind = DesignKind::Fir;
-    const PINS: &'static [&'static str] = RTL_SIGNALS;
-    const DATA_INPUTS: usize = 1;
-    const LATENCY: u64 = 5;
-    const DEFAULT_GAP: u64 = 8;
-
-    fn with_fault(fault: Fault) -> FirCore {
-        FirCore::new(fault)
-    }
-
-    fn drive(sample: u64, data: &mut [u64]) {
-        data[0] = sample;
-    }
-
-    fn payload(sample: u64) -> u64 {
-        sample
-    }
-
-    fn step_pins(&mut self, in_valid: bool, data: &[u64], outputs: &mut [u64]) {
-        let o = self.step(in_valid, data[0]);
-        outputs[0] = o.result;
-        outputs[1] = u64::from(o.out_valid);
-        outputs[2] = u64::from(o.res_next_cycle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::core::reference;
     use super::super::workload::FirWorkload;
     use super::*;
     use crate::cycle::build_rtl;
+    use crate::Fault;
     use psl::{ClockEdge, SignalEnv};
     use rtlkit::WaveRecorder;
 

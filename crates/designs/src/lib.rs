@@ -13,18 +13,19 @@
 //! Each IP provides:
 //!
 //! - a pure algorithmic core (`algo`) shared by every abstraction level,
-//! - a cycle-stepping core (`core`) with its pin list (`RTL_SIGNALS`):
-//!   the **RTL** model (clocked design plus stimulus) and the **TLM-CA**
-//!   model (one transaction per clock period) are both derived from it by
+//! - a cycle core (`core`) with its pin list (`RTL_SIGNALS`): the **RTL**
+//!   model (clocked design plus stimulus) and the **TLM-CA** model (one
+//!   transaction per clock period) are both derived from its cycle step by
 //!   one shared shell each, which is what makes them timing-equivalent by
 //!   construction (Def. III.1), as HIFSuite's mechanical abstraction does
-//!   in the paper,
+//!   in the paper; the **TLM-AT** model (one write + one read per
+//!   elaboration, at the RTL strobe and completion instants) is derived
+//!   from its untimed elaboration by one shared shell, which with `strict`
+//!   also places the transactions of the strict Def. III.1 AT model at
+//!   every preserved-I/O change (DESIGN.md §5b); ColorConv alone adds a
+//!   bulk-AT model,
 //! - a request type and seeded constructors for the shared request
 //!   schedule [`Workload`] that drives every level,
-//! - its own **TLM-AT** model (one write + one read per elaboration).
-//!   DES56 and ColorConv also have the strict Def. III.1 AT model, with
-//!   transactions at every preserved-I/O change (DESIGN.md §5b); ColorConv
-//!   alone has a bulk-AT model,
 //! - a PSL property suite with each property classified by its expected
 //!   behaviour across abstraction levels ([`PropertyClass`]).
 //!

@@ -142,22 +142,28 @@ fn abstract_with_an_overflowing_epsilon_exits_with_an_error() {
 
 #[test]
 fn campaign_with_an_unaddressable_run_count_exits_with_an_error() {
-    for (checkers, cells) in [("with", 1), ("both", 2)] {
+    // The last run count passes validation but fits in no memory.
+    for (checkers, cells, runs) in [
+        ("with", 1, "18446744073709551615"),
+        ("both", 2, "18446744073709551615"),
+        ("with", 1, "1000000000000"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
-            .args(["campaign", "--runs", "18446744073709551615", "--checkers"])
-            .arg(checkers)
+            .args([
+                "campaign", "--design", "fir", "--level", "rtl", "--size", "2",
+            ])
+            .args(["--runs", runs, "--checkers", checkers])
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{checkers}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{runs} {checkers}: {stderr}");
         assert!(
             stderr.contains(&format!(
-                "error: campaign plan has too many runs: {cells} cells x 18446744073709551615 \
-                 runs per cell"
+                "error: campaign plan has too many runs: {cells} cells x {runs} runs per cell"
             )),
-            "{checkers}: {stderr}"
+            "{runs} {checkers}: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{checkers}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{runs} {checkers}: {stderr}");
         assert!(out.stdout.is_empty());
     }
 }
@@ -187,4 +193,26 @@ fn oversize_workloads_exit_with_status_2() {
         assert!(out.stdout.is_empty());
     }
     assert!(!std::path::Path::new(&json).exists(), "no trace written");
+}
+
+#[test]
+fn trace_with_no_requests_succeeds_at_every_level() {
+    for level in ["rtl", "tlm-ca", "tlm-at", "tlm-at-bulk"] {
+        let json =
+            std::env::temp_dir().join(format!("rtl2tlm-{}-empty-{level}.json", std::process::id()));
+        let out = Command::new(env!("CARGO_BIN_EXE_rtl2tlm"))
+            .args(["trace", "--design", "colorconv", "--level", level])
+            .args(["--requests", "0", "--out"])
+            .arg(&json)
+            .output()
+            .expect("binary runs");
+        let written = std::fs::read_to_string(&json);
+        let _ = std::fs::remove_file(&json);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{level}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{level}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("=> ALL PASS"), "{level}: {stdout}");
+        assert!(written.expect("trace written").starts_with('['), "{level}");
+    }
 }

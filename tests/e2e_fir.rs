@@ -42,7 +42,7 @@ fn abstraction_produces_expected_forms() {
 fn abstracted_suite_matches_classification_at_tlm_at() {
     let w = FirWorkload::random(10, 0xF2);
     let (props, classes) = abstract_suite_for_tlm(&fir::suite(), &DesignKind::Fir.config());
-    let report = verify(fir::build_tlm_at(&w, Fault::None), &props);
+    let report = verify(fir::build_tlm_at(&w, Fault::None, false), &props);
     for (name, class) in &classes {
         let p = report.property(name).unwrap();
         match class {
@@ -64,7 +64,7 @@ fn latency_mutant_caught_by_abstracted_f1() {
         .into_property()
         .unwrap();
     let report = verify(
-        fir::build_tlm_at(&w, Fault::LatencyShort),
+        fir::build_tlm_at(&w, Fault::LatencyShort, false),
         &[("f1".to_owned(), q1)],
     );
     assert!(report.properties[0].failure_count > 0);

@@ -25,7 +25,7 @@ fn des_traces(seed: u64) -> DesTraces {
         ca: record(des56::build_tlm_ca(&w, Fault::None), des56::RTL_SIGNALS),
         at: record(
             des56::build_tlm_at(&w, Fault::None, false),
-            des56::TLM_AT_SIGNALS,
+            &DesignKind::Des56.tlm_at_signals(),
         ),
     }
 }
@@ -141,7 +141,7 @@ fn mutated_tlm_model_fails_the_abstraction_as_theorem_iii_2_contrapositive() {
     let w = DesWorkload::mixed(6, 0xAC);
     let at = record(
         des56::build_tlm_at(&w, Fault::LatencyLong, false),
-        des56::TLM_AT_SIGNALS,
+        &DesignKind::Des56.tlm_at_signals(),
     );
 
     let suite = des56::suite();

@@ -9,6 +9,7 @@ mod common;
 use common::record;
 use designs::colorconv::{self, ConvWorkload};
 use designs::des56::{self, DesWorkload};
+use designs::fir::{self, FirWorkload};
 use designs::{AbsLevel, DesignKind, Fault};
 use psl::{SignalEnv, Trace};
 
@@ -21,12 +22,19 @@ fn pin_trace(design: DesignKind, level: AbsLevel, size: usize, seed: u64) -> Tra
     )
 }
 
-/// DES56's loose or `strict` TLM-AT trace.
-fn des_at_trace(w: &DesWorkload, strict: bool) -> Trace {
-    record(
-        des56::build_tlm_at(w, Fault::None, strict),
-        des56::TLM_AT_SIGNALS,
-    )
+/// `design`'s loose or `strict` TLM-AT trace on its preserved signals,
+/// over the seeded workload [`designs::build`] draws.
+fn at_trace(design: DesignKind, size: usize, seed: u64, strict: bool) -> Trace {
+    let built = match design {
+        DesignKind::Des56 => {
+            des56::build_tlm_at(&DesWorkload::mixed(size, seed), Fault::None, strict)
+        }
+        DesignKind::ColorConv => {
+            colorconv::build_tlm_at(&ConvWorkload::mixed(size, seed), Fault::None, strict)
+        }
+        DesignKind::Fir => fir::build_tlm_at(&FirWorkload::random(size, seed), Fault::None, strict),
+    };
+    record(built, &design.tlm_at_signals())
 }
 
 /// Asserts both traces define `signals` identically at every instant of
@@ -76,70 +84,97 @@ fn fir_rtl_and_tlm_ca_traces_are_identical() {
     assert_rtl_and_tlm_ca_identical(DesignKind::Fir);
 }
 
+/// Asserts every transaction of `design`'s loose and strict TLM-AT models
+/// agrees with the RTL trace at its instant on the preserved signals.
+#[track_caller]
+fn assert_at_agrees_with_rtl(design: DesignKind, size: usize, seed: u64) {
+    let rtl = pin_trace(design, AbsLevel::Rtl, size, seed);
+    for strict in [false, true] {
+        let at = at_trace(design, size, seed, strict);
+        assert_subset_equal(&at, &rtl, &design.tlm_at_signals());
+    }
+}
+
+/// The RTL instants at which a signal preserved at TLM-AT changes, and
+/// whether `design`'s loose or `strict` TLM-AT model has a transaction
+/// there.
+fn io_changes(design: DesignKind, size: usize, seed: u64, strict: bool) -> Vec<(u64, bool)> {
+    let rtl = pin_trace(design, AbsLevel::Rtl, size, seed);
+    let at = at_trace(design, size, seed, strict);
+    let preserved = design.tlm_at_signals();
+    rtl.steps()
+        .windows(2)
+        .filter(|w| preserved.iter().any(|s| w[1].signal(s) != w[0].signal(s)))
+        .map(|w| (w[1].time_ns, at.position_at_time(w[1].time_ns).is_some()))
+        .collect()
+}
+
+/// Def. III.1 (as used in the proof of Thm. III.1): the strict TLM model
+/// must have a transaction at every instant where a preserved I/O signal
+/// changes on the RTL model.
+#[track_caller]
+fn assert_strict_at_covers_every_io_change(design: DesignKind) {
+    for (time_ns, covered) in io_changes(design, 4, 0xE3, true) {
+        assert!(
+            covered,
+            "{}: preserved I/O changed at {time_ns}ns but strict TLM-AT has no transaction there",
+            design.label()
+        );
+    }
+}
+
+/// The loose (paper Section V) style is *not* strictly Def. III.1
+/// equivalent: the strobe release instant has no transaction.
+#[track_caller]
+fn assert_loose_at_misses_some_io_changes(design: DesignKind) {
+    let missed = io_changes(design, 4, 0xE4, false)
+        .iter()
+        .filter(|(_, covered)| !covered)
+        .count();
+    assert!(
+        missed > 0,
+        "{}: loose TLM-AT deliberately skips the release instants",
+        design.label()
+    );
+}
+
+#[test]
+fn tlm_at_transactions_agree_with_rtl_at_their_instants() {
+    for design in DesignKind::ALL {
+        assert_at_agrees_with_rtl(design, 6, 0xE2);
+    }
+}
+
+#[test]
+fn strict_at_covers_every_preserved_io_change() {
+    for design in DesignKind::ALL {
+        assert_strict_at_covers_every_io_change(design);
+    }
+}
+
+#[test]
+fn loose_at_misses_some_io_changes() {
+    for design in DesignKind::ALL {
+        assert_loose_at_misses_some_io_changes(design);
+    }
+}
+
 #[test]
 fn des56_tlm_at_transactions_agree_with_rtl_at_their_instants() {
-    let w = DesWorkload::mixed(6, 0xE2);
-    let rtl = pin_trace(DesignKind::Des56, AbsLevel::Rtl, 6, 0xE2);
-    for strict in [false, true] {
-        let at = des_at_trace(&w, strict);
-        assert_subset_equal(&at, &rtl, des56::TLM_AT_SIGNALS);
-    }
+    assert_at_agrees_with_rtl(DesignKind::Des56, 6, 0xE2);
 }
 
 #[test]
 fn des56_strict_at_covers_every_preserved_io_change() {
-    // Def. III.1 (as used in the proof of Thm. III.1): the TLM model must
-    // have a transaction at every instant where a preserved I/O signal
-    // changes on the RTL model.
-    let w = DesWorkload::mixed(4, 0xE3);
-    let rtl = pin_trace(DesignKind::Des56, AbsLevel::Rtl, 4, 0xE3);
-    let at = des_at_trace(&w, true);
-    let steps = rtl.steps();
-    for k in 1..steps.len() {
-        let changed = des56::TLM_AT_SIGNALS
-            .iter()
-            .any(|s| steps[k].signal(s) != steps[k - 1].signal(s));
-        if changed {
-            assert!(
-                at.position_at_time(steps[k].time_ns).is_some(),
-                "preserved I/O changed at {}ns but strict TLM-AT has no transaction there",
-                steps[k].time_ns
-            );
-        }
-    }
+    assert_strict_at_covers_every_io_change(DesignKind::Des56);
 }
 
 #[test]
 fn des56_loose_at_misses_some_io_changes() {
-    // The loose (paper Section V) style is *not* strictly Def. III.1
-    // equivalent: the strobe release instant has no transaction.
-    let w = DesWorkload::mixed(4, 0xE4);
-    let rtl = pin_trace(DesignKind::Des56, AbsLevel::Rtl, 4, 0xE4);
-    let at = des_at_trace(&w, false);
-    let steps = rtl.steps();
-    let mut missed = 0;
-    for k in 1..steps.len() {
-        let changed = des56::TLM_AT_SIGNALS
-            .iter()
-            .any(|s| steps[k].signal(s) != steps[k - 1].signal(s));
-        if changed && at.position_at_time(steps[k].time_ns).is_none() {
-            missed += 1;
-        }
-    }
-    assert!(
-        missed > 0,
-        "loose TLM-AT deliberately skips the release instants"
-    );
+    assert_loose_at_misses_some_io_changes(DesignKind::Des56);
 }
 
 #[test]
 fn colorconv_tlm_at_agrees_with_rtl_at_transaction_instants() {
-    let w = ConvWorkload::mixed(8, 0xE6);
-    let rtl = pin_trace(DesignKind::ColorConv, AbsLevel::Rtl, 8, 0xE6);
-    let at = record(
-        colorconv::build_tlm_at(&w, Fault::None, false),
-        colorconv::TLM_AT_SIGNALS,
-    );
-
-    assert_subset_equal(&at, &rtl, colorconv::TLM_AT_SIGNALS);
+    assert_at_agrees_with_rtl(DesignKind::ColorConv, 8, 0xE6);
 }
