@@ -18,6 +18,8 @@ use std::time::Instant;
 
 use abv_checker::Checker;
 use abv_obs::{trace, MemorySink, TraceEvent, Tracer};
+use designs::BuiltDesign;
+use psl::ClockedProperty;
 
 use crate::plan::{CampaignPlan, PlanError, RunSpec};
 use crate::report::{CampaignReport, RunOutcome};
@@ -74,7 +76,8 @@ impl TraceSettings {
 /// [`designs::build`] rejects the spec: its design, level and fault (a
 /// spec from [`CampaignPlan::run_specs`] of a validated plan never is
 /// rejected for those, but the spec's fields are public), or a workload
-/// size too large to build.
+/// size too large to build; [`PlanError::Attach`] when a property of the
+/// cell's selection cannot be attached to the built model.
 pub fn execute_run(spec: &RunSpec) -> Result<RunOutcome, PlanError> {
     execute_run_with(spec, TraceSettings::off())
 }
@@ -115,9 +118,7 @@ pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> Result<RunOu
         // Attach before the checkers so their track metadata is recorded.
         built.sim.set_tracer(Tracer::to_sink(sink.clone()));
     }
-    let binding = built.binding();
-    let checkers =
-        Checker::attach_all(&mut built.sim, &props, binding).expect("suite attaches at its level");
+    let checkers = attach_suite(&mut built, &props, spec.cell)?;
     let tracer = built.sim.tracer().clone();
     trace!(
         tracer,
@@ -146,6 +147,20 @@ pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> Result<RunOu
         stats,
         report,
         trace,
+    })
+}
+
+/// Attaches one checker per property of cell `cell` to `built`.
+fn attach_suite(
+    built: &mut BuiltDesign,
+    props: &[(String, ClockedProperty)],
+    cell: usize,
+) -> Result<Vec<Checker>, PlanError> {
+    let binding = built.binding();
+    Checker::attach_all(&mut built.sim, props, binding).map_err(|(i, source)| PlanError::Attach {
+        cell,
+        property: props[i].0.clone(),
+        source,
     })
 }
 
@@ -302,6 +317,34 @@ mod tests {
         assert!(!all.all_pass());
         let passing = run_campaign(&cell(CheckerMode::ExpectedPassing), 1).expect("valid plan");
         assert!(passing.all_pass());
+    }
+
+    #[test]
+    fn unattachable_property_names_its_cell_and_property() {
+        let mut built =
+            designs::build(DesignKind::Des56, AbsLevel::Rtl, 4, 1, Fault::None).expect("builds");
+        let props = vec![(
+            "ghost".to_owned(),
+            "always no_such_signal @clk_pos".parse().expect("parses"),
+        )];
+        let err = attach_suite(&mut built, &props, 3).unwrap_err();
+        let PlanError::Attach {
+            cell,
+            property,
+            source,
+        } = &err
+        else {
+            panic!("expected an attach error, got {err:?}");
+        };
+        assert_eq!((*cell, property.as_str()), (3, "ghost"));
+        assert!(matches!(source, abv_checker::InstallError::Compile(_)));
+        assert_eq!(
+            err.to_string(),
+            format!("cell 3: property `ghost` cannot be attached: {source}")
+        );
+        assert!(err.to_string().contains("no_such_signal"), "{err}");
+        let chained = std::error::Error::source(&err).expect("carries its cause");
+        assert_eq!(chained.to_string(), source.to_string());
     }
 
     #[test]

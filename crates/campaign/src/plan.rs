@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use abv_checker::InstallError;
 use designs::{AbsLevel, BuildError, DesignKind, Fault};
 use psl::ClockedProperty;
 use tinyrng::TinyRng;
@@ -332,6 +333,17 @@ pub enum PlanError {
         /// The [`designs::check`] or [`designs::build`] rejection.
         source: BuildError,
     },
+    /// A property of a cell's checker selection cannot be attached to the
+    /// cell's model (a signal the model lacks, or a context its binding
+    /// does not offer).
+    Attach {
+        /// Index of the offending cell.
+        cell: usize,
+        /// Name of the property that failed to attach.
+        property: String,
+        /// The [`abv_checker::Checker::attach`] rejection.
+        source: InstallError,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -350,6 +362,14 @@ impl fmt::Display for PlanError {
             PlanError::BadCell { index, source } => {
                 write!(f, "cell {index} is not executable: {source}")
             }
+            PlanError::Attach {
+                cell,
+                property,
+                source,
+            } => write!(
+                f,
+                "cell {cell}: property `{property}` cannot be attached: {source}"
+            ),
         }
     }
 }
@@ -358,6 +378,7 @@ impl std::error::Error for PlanError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PlanError::BadCell { source, .. } => Some(source),
+            PlanError::Attach { source, .. } => Some(source),
             _ => None,
         }
     }

@@ -178,19 +178,19 @@ impl CampaignReport {
             .map(|&spec| CellReport::new(spec))
             .collect();
         let mut trace = Vec::new();
-        for (run_index, (spec, outcome)) in specs.iter().zip(&outcomes).enumerate() {
-            let outcome = outcome.as_ref().expect("one outcome per run spec");
-            cells[spec.cell].fold(spec, outcome);
+        for (run_index, (spec, outcome)) in specs.iter().zip(outcomes).enumerate() {
+            let outcome = outcome.expect("one outcome per run spec");
+            cells[spec.cell].fold(spec, &outcome);
             if !outcome.trace.is_empty() {
                 let pid = run_index as u64;
                 trace.push(TraceEvent::process_name(
                     pid,
-                    &format!(
+                    format!(
                         "run {run_index}: {} rep {} seed {:#018x}",
                         plan.cells[spec.cell], spec.rep, spec.seed
                     ),
                 ));
-                trace.extend(outcome.trace.iter().cloned().map(|mut ev| {
+                trace.extend(outcome.trace.into_iter().map(|mut ev| {
                     ev.pid = pid;
                     ev
                 }));

@@ -94,7 +94,7 @@ pub(crate) fn install(
         .checker
         .set_trace_tid(tid);
     let tracer = sim.tracer().clone();
-    trace!(tracer, TraceEvent::thread_name(0, tid, name));
+    trace!(tracer, TraceEvent::thread_name(0, tid, name.to_owned()));
     Ok(id)
 }
 
@@ -345,7 +345,7 @@ mod tests {
         assert!(obligation
             .args
             .iter()
-            .any(|(k, v)| k == "deadline_ns" && *v == abv_obs::ArgValue::U64(180)));
+            .any(|(k, v)| *k == "deadline_ns" && *v == abv_obs::ArgValue::U64(180)));
         assert!(events.iter().any(|e| e.name == "pass"));
         assert!(
             events.iter().any(|e| e.name == "vacuous"),

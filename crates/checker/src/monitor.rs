@@ -338,9 +338,14 @@ impl PropertyChecker {
                     );
                     trace!(
                         tracer,
-                        TraceEvent::span_begin(&self.report.name, 0, self.instance_tid(slot), now)
-                            .with_arg("slot", slot as u64)
-                            .with_arg("reused", u64::from(reused))
+                        TraceEvent::span_begin(
+                            self.report.name.clone(),
+                            0,
+                            self.instance_tid(slot),
+                            now
+                        )
+                        .with_arg("slot", slot as u64)
+                        .with_arg("reused", u64::from(reused))
                     );
                     self.register(slot, residual, now, tracer);
                 }
@@ -510,7 +515,7 @@ impl PropertyChecker {
                     TraceEvent::thread_name(
                         0,
                         self.instance_tid(slot),
-                        &format!("{}#{slot}", self.report.name)
+                        format!("{}#{slot}", self.report.name)
                     )
                 );
                 (slot, false)

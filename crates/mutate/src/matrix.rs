@@ -406,7 +406,7 @@ fn append_kill_counters(matrix: &KillMatrix, pid: u64, trace: &mut Vec<TraceEven
             {
                 killed += u64::from(row.cells[li].killed);
                 trace.push(
-                    TraceEvent::counter(&series, pid, li as u64, mi as u64)
+                    TraceEvent::counter(series.clone(), pid, li as u64, mi as u64)
                         .with_arg("killed", killed),
                 );
             }

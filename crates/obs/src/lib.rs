@@ -19,6 +19,19 @@
 //! * [`chrome_trace_json`] — render recorded events as a JSON array that
 //!   `ui.perfetto.dev` and `chrome://tracing` load directly.
 //!
+//! Recording and export stay off the heap where they can. Event names and
+//! string arguments are `Cow<'static, str>` and argument keys are
+//! `&'static str`: the fixed vocabulary (`eval`, `obligation`, `pass`,
+//! `tx`, counter tracks, every key) is borrowed, so recording such an
+//! event allocates at most its one argument buffer, sized once for three
+//! arguments. Only dynamic text is owned: a property's name on its
+//! instance spans, track labels (the property name, `name#slot`), process
+//! labels, the mutation counter series and the campaign `seed` argument.
+//! [`chrome_trace_json`] sizes one `String` from an upper bound on every
+//! event's rendering and appends each event straight into it (hand-written
+//! integer and `ts` formatting, strings without escapes copied in one
+//! piece); [`JsonStreamSink`] renders each event into one reused buffer.
+//!
 //! All timestamps on trace events are **simulation time in nanoseconds**,
 //! never wall clock, so traces are deterministic: the same seeded run
 //! produces byte-identical JSON regardless of host speed or worker count.
@@ -56,7 +69,9 @@ pub const ARENA_COUNTER_TRACK: &str = "checker-arena";
 
 /// Records an event iff the tracer is enabled. The event expression is not
 /// evaluated otherwise, so instrumentation sites cost a single branch when
-/// tracing is off.
+/// tracing is off; the expression is built in a closure passed to the
+/// out-of-line [`Tracer::record_with`], so its code stays out of the
+/// caller.
 ///
 /// ```
 /// # use abv_obs::{TraceEvent, Tracer};
@@ -67,7 +82,7 @@ pub const ARENA_COUNTER_TRACK: &str = "checker-arena";
 macro_rules! trace {
     ($tracer:expr, $event:expr) => {
         if $tracer.is_enabled() {
-            $tracer.record($event);
+            $tracer.record_with(|| $event);
         }
     };
 }

@@ -106,9 +106,11 @@ impl TraceSink for MemorySink {
 /// array. Call [`finish`](JsonStreamSink::finish) to emit the closing
 /// bracket; dropping the sink finishes implicitly (ignoring write errors —
 /// viewers tolerate an unterminated array, so a panic-path trace still
-/// loads).
+/// loads). Each event is rendered into one reused buffer and written with
+/// a single `write_all`.
 pub struct JsonStreamSink<W: Write> {
     writer: W,
+    buf: String,
     written: u64,
     finished: bool,
 }
@@ -123,6 +125,7 @@ impl<W: Write> JsonStreamSink<W> {
         writer.write_all(b"[\n")?;
         Ok(JsonStreamSink {
             writer,
+            buf: String::new(),
             written: 0,
             finished: false,
         })
@@ -154,10 +157,12 @@ impl<W: Write> TraceSink for JsonStreamSink<W> {
         if self.finished {
             return;
         }
+        self.buf.clear();
         if self.written > 0 {
-            let _ = self.writer.write_all(b",\n");
+            self.buf.push_str(",\n");
         }
-        let _ = self.writer.write_all(event.to_json().as_bytes());
+        event.write_json(&mut self.buf);
+        let _ = self.writer.write_all(self.buf.as_bytes());
         self.written += 1;
     }
 

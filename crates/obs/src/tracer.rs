@@ -61,6 +61,18 @@ impl Tracer {
         }
     }
 
+    /// Builds the event with `event` and records it, if enabled. This is
+    /// what [`trace!`](crate::trace!) expands to behind its branch: kept
+    /// out of line, it holds each site's event-building code outside the
+    /// instrumented function, so hot loops do not grow with it.
+    #[inline(never)]
+    pub fn record_with(&self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = &self.sink {
+            let event = event();
+            sink.borrow_mut().record(event);
+        }
+    }
+
     /// Flushes the underlying sink, if any.
     pub fn flush(&self) {
         if let Some(sink) = &self.sink {

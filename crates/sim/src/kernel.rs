@@ -287,14 +287,15 @@ impl Simulation {
         &self.tracer
     }
 
-    /// Emits one cumulative kernel-counter sample at `at`.
+    /// Emits one cumulative kernel-counter sample at `at`. Only traced
+    /// runs call it, so it stays out of the scheduling loop.
+    #[cold]
     fn trace_counters(&mut self, at: SimTime) {
-        abv_obs::trace!(
-            self.tracer,
+        self.tracer.record(
             TraceEvent::counter(KERNEL_COUNTER_TRACK, 0, 0, at.as_ns())
                 .with_arg("events", self.stats.events_processed)
                 .with_arg("deltas", self.stats.delta_cycles)
-                .with_arg("signal_changes", self.stats.signal_changes)
+                .with_arg("signal_changes", self.stats.signal_changes),
         );
         self.last_counter_sample = Some(self.stats);
     }

@@ -63,7 +63,7 @@ impl TransactionBus {
         trace!(
             ctx.tracer(),
             TraceEvent::instant("tx", 0, TX_TRACE_TRACK, tx.end_time.as_ns())
-                .with_arg("kind", tx.kind.to_string())
+                .with_arg("kind", tx.kind.as_str())
                 .with_arg("addr", tx.addr)
                 .with_arg("data", tx.data)
         );

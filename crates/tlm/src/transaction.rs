@@ -13,12 +13,20 @@ pub enum TxKind {
     Read,
 }
 
-impl fmt::Display for TxKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl TxKind {
+    /// The lower-case name: `write` or `read`.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
             TxKind::Write => "write",
             TxKind::Read => "read",
-        })
+        }
+    }
+}
+
+impl fmt::Display for TxKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

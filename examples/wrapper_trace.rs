@@ -42,7 +42,7 @@ fn track_names(events: &[TraceEvent]) -> HashMap<u64, String> {
         .iter()
         .filter(|e| e.phase == Phase::Meta && e.name == "thread_name")
         .filter_map(|e| match e.args.first() {
-            Some((_, ArgValue::Str(name))) => Some((e.tid, name.clone())),
+            Some((_, ArgValue::Str(name))) => Some((e.tid, name.to_string())),
             _ => None,
         })
         .collect()

@@ -40,6 +40,11 @@ echo "==> cargo bench -p abv-bench --bench kernel_throughput (smoke)"
 ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 ABV_BENCH_STRESS=500 \
     cargo bench -p abv-bench --bench kernel_throughput
 
+# Disabled, null-sink and memory-sink tracer cells: the traced run paths
+# run here, not only compile.
+echo "==> cargo bench -p abv-bench --bench trace_overhead (smoke)"
+ABV_BENCH_BUDGET_MS=100 cargo bench -p abv-bench --bench trace_overhead
+
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -444,7 +444,7 @@ pub fn run_trace(params: &TraceParams) -> Result<String, CliError> {
     let end = built.end_ns;
     let report = Checker::collect(&mut built.sim, &checkers, end);
     let label = format!("{} @ {}", design.label(), level.label());
-    let mut events = vec![TraceEvent::process_name(0, &label)];
+    let mut events = vec![TraceEvent::process_name(0, label.clone())];
     events.extend(sink.borrow_mut().take_events());
     std::fs::write(&params.out, chrome_trace_json(&events))
         .map_err(|e| CliError::Usage(format!("cannot write `{}`: {e}", params.out)))?;

@@ -81,7 +81,7 @@ fn deterministic_trace_omits_wall_clock_fields() {
         report
             .trace
             .iter()
-            .all(|ev| ev.args.iter().all(|(key, _)| key != "wall_us")),
+            .all(|ev| ev.args.iter().all(|(key, _)| *key != "wall_us")),
         "deterministic traces must not carry wall-clock args"
     );
     // The non-deterministic mode does annotate run spans with wall time.
@@ -89,7 +89,7 @@ fn deterministic_trace_omits_wall_clock_fields() {
     assert!(timed
         .trace
         .iter()
-        .any(|ev| ev.args.iter().any(|(key, _)| key == "wall_us")));
+        .any(|ev| ev.args.iter().any(|(key, _)| *key == "wall_us")));
 }
 
 #[test]
