@@ -1,21 +1,17 @@
 //! Tracing-overhead ablation: the same measured simulation loop with
 //! (a) the default disabled tracer — the configuration behind every
-//! Table I number, which must stay free, (b) an enabled tracer draining
-//! into the no-op sink — the cost of the instrumentation call sites
-//! alone, and (c) full in-memory recording — the price of `rtl2tlm
-//! trace`.
+//! Table I number, which must stay free — and (b) full in-memory
+//! recording — the price of `rtl2tlm trace`.
 //!
 //! Plain timing harness (`harness = false`); run with
 //! `cargo bench --bench trace_overhead`.
 
-use std::cell::RefCell;
 use std::hint::black_box;
-use std::rc::Rc;
 
 use abv_bench::stopwatch::bench;
 use abv_bench::{Design, Level};
 use abv_checker::Checker;
-use abv_obs::{NullSink, Tracer};
+use abv_obs::Tracer;
 use designs::Fault;
 
 /// Workload size per iteration; small enough for repeated timing.
@@ -45,10 +41,6 @@ fn main() {
         println!("trace_overhead/{}/{}", design.label(), level.label());
         bench("disabled tracer (default)", || {
             black_box(traced_run(design, level, None))
-        });
-        bench("enabled, null sink", || {
-            let tracer = Tracer::to_sink(Rc::new(RefCell::new(NullSink)));
-            black_box(traced_run(design, level, Some(tracer)))
         });
         bench("enabled, memory sink", || {
             let (tracer, sink) = Tracer::memory();

@@ -9,15 +9,13 @@
 //! by work-list index and folds them in plan order, so the merged report
 //! is identical for any worker count.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
 use abv_checker::Checker;
-use abv_obs::{trace, MemorySink, TraceEvent, Tracer};
+use abv_obs::{trace, TraceEvent, Tracer};
 use designs::BuiltDesign;
 use psl::ClockedProperty;
 
@@ -111,13 +109,12 @@ pub fn execute_run_with(spec: &RunSpec, settings: TraceSettings) -> Result<RunOu
         designs::properties_at(spec.spec.design, spec.spec.level)
     };
     let props = spec.spec.checkers.select(all);
-    let sink = settings
-        .enabled
-        .then(|| Rc::new(RefCell::new(MemorySink::new())));
-    if let Some(sink) = &sink {
+    let sink = settings.enabled.then(|| {
         // Attach before the checkers so their track metadata is recorded.
-        built.sim.set_tracer(Tracer::to_sink(sink.clone()));
-    }
+        let (tracer, sink) = Tracer::memory();
+        built.sim.set_tracer(tracer);
+        sink
+    });
     let checkers = attach_suite(&mut built, &props, spec.cell)?;
     let tracer = built.sim.tracer().clone();
     trace!(
@@ -203,7 +200,7 @@ pub fn run_campaign_with(
     let (tx, rx) = mpsc::channel::<(usize, Result<RunOutcome, PlanError>)>();
     let started = Instant::now();
 
-    let outcomes = thread::scope(|scope| {
+    let mut outcomes = thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
@@ -218,19 +215,17 @@ pub fn run_campaign_with(
             });
         }
         drop(tx);
-        let mut outcomes: Vec<Option<Result<RunOutcome, PlanError>>> =
-            std::iter::repeat_with(|| None).take(specs.len()).collect();
-        for (index, outcome) in rx {
-            outcomes[index] = Some(outcome);
-        }
-        outcomes
+        rx.into_iter().collect::<Vec<_>>()
     });
-    // Validation admits every cell's design, level and fault; a run can
-    // still fail on its workload size, and the first such failure in plan
-    // order is the campaign's error.
+    // The cursor hands out each index once, and a worker that died re-raises
+    // its panic out of the scope, so sorted by index the outcomes are the
+    // work list in order. Validation admits every cell's design, level and
+    // fault; a run can still fail on its workload size, and the first such
+    // failure in plan order is the campaign's error.
+    outcomes.sort_unstable_by_key(|&(index, _)| index);
     let outcomes = outcomes
         .into_iter()
-        .map(Option::transpose)
+        .map(|(_, outcome)| outcome)
         .collect::<Result<Vec<_>, _>>()?;
 
     Ok(CampaignReport::assemble(

@@ -157,21 +157,17 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Folds per-run outcomes (aligned with `specs`, which is the plan's
-    /// work list in order) into per-cell aggregates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an outcome slot is missing — the engine guarantees one
-    /// outcome per spec.
+    /// Folds per-run outcomes, one per spec of `specs` (the plan's work
+    /// list in order), into per-cell aggregates.
     #[must_use]
-    pub fn assemble(
+    pub(crate) fn assemble(
         plan: &CampaignPlan,
         workers: usize,
         wall_total: Duration,
         specs: &[RunSpec],
-        outcomes: Vec<Option<RunOutcome>>,
+        outcomes: Vec<RunOutcome>,
     ) -> CampaignReport {
+        debug_assert_eq!(specs.len(), outcomes.len(), "one outcome per run spec");
         let mut cells: Vec<CellReport> = plan
             .cells
             .iter()
@@ -179,7 +175,6 @@ impl CampaignReport {
             .collect();
         let mut trace = Vec::new();
         for (run_index, (spec, outcome)) in specs.iter().zip(outcomes).enumerate() {
-            let outcome = outcome.expect("one outcome per run spec");
             cells[spec.cell].fold(spec, &outcome);
             if !outcome.trace.is_empty() {
                 let pid = run_index as u64;
@@ -329,7 +324,7 @@ mod tests {
     fn assemble_merges_in_work_list_order() {
         let plan = tiny_plan();
         let specs = plan.run_specs();
-        let outcomes = vec![Some(outcome(10, 4, 0)), Some(outcome(30, 2, 1))];
+        let outcomes = vec![outcome(10, 4, 0), outcome(30, 2, 1)];
         let report = CampaignReport::assemble(&plan, 3, Duration::from_millis(9), &specs, outcomes);
         assert_eq!(report.cells.len(), 1);
         let cell = &report.cells[0];
@@ -355,14 +350,14 @@ mod tests {
             1,
             Duration::from_millis(1),
             &specs,
-            vec![Some(outcome(10, 1, 0)), Some(outcome(10, 1, 0))],
+            vec![outcome(10, 1, 0), outcome(10, 1, 0)],
         );
         let slow = CampaignReport::assemble(
             &plan,
             8,
             Duration::from_millis(999),
             &specs,
-            vec![Some(outcome(10, 500, 0)), Some(outcome(10, 400, 0))],
+            vec![outcome(10, 500, 0), outcome(10, 400, 0)],
         );
         assert_eq!(fast.deterministic_summary(), slow.deterministic_summary());
         assert!(fast.deterministic_summary().contains("verdict: PASS"));

@@ -149,24 +149,6 @@ impl Checker {
         checkers.iter().map(|c| c.finalize(sim, end_ns)).collect()
     }
 
-    /// The underlying host component id.
-    #[must_use]
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
-    /// The wrapped [`PropertyChecker`] (for inspection in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle does not belong to `sim`.
-    #[must_use]
-    pub fn checker_ref<'s>(&self, sim: &'s Simulation) -> &'s PropertyChecker {
-        &sim.component::<Host>(self.id)
-            .expect("checker handle must belong to this simulation")
-            .checker
-    }
-
     /// Mutable access to the wrapped [`PropertyChecker`] (e.g. to disable
     /// the evaluation-table optimization for ablation runs).
     ///

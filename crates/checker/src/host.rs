@@ -29,11 +29,7 @@ impl ClockState {
     /// Records the clock's new value `v` and reports whether the change is
     /// an edge the property samples at.
     fn edge_seen(&mut self, v: u64) -> bool {
-        let matched = match self.edge {
-            ClockEdge::Pos => self.last_clk == 0 && v != 0,
-            ClockEdge::Neg => self.last_clk != 0 && v == 0,
-            ClockEdge::Any | ClockEdge::True => v != self.last_clk,
-        };
+        let matched = self.edge.is_edge(self.last_clk, v);
         self.last_clk = v;
         matched
     }

@@ -185,7 +185,7 @@ impl TraceEvent {
     }
 
     /// Appends this event's JSON object to `out`.
-    pub(crate) fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut String) {
         out.push_str("{\"ph\":\"");
         out.push(self.phase.code());
         out.push_str("\",\"name\":");
@@ -500,40 +500,6 @@ mod tests {
         for ev in &events {
             assert!(ev.to_json().len() <= ev.json_len_bound(), "{ev:?}");
         }
-    }
-
-    #[test]
-    fn stream_sink_writes_the_same_bytes_as_the_array() {
-        use crate::sink::{JsonStreamSink, TraceSink};
-        let events = vec![
-            TraceEvent::process_name(1, "des56 rtl"),
-            TraceEvent::span_begin(String::from("p1"), 1, 2, 10).with_arg("slot", 0u64),
-            TraceEvent::instant("fail", 1, 2, 1_234)
-                .with_arg("reason", "tab\there")
-                .with_arg("fire_ns", 10u64),
-            TraceEvent::span_end(1, 2, 1_234),
-        ];
-        let mut buf = Vec::new();
-        {
-            let mut sink = JsonStreamSink::new(&mut buf).expect("writes");
-            for ev in events.clone() {
-                sink.record(ev);
-            }
-            sink.finish().expect("writes");
-        }
-        assert_eq!(
-            String::from_utf8(buf).expect("UTF-8"),
-            chrome_trace_json(&events)
-        );
-        let mut empty = Vec::new();
-        JsonStreamSink::new(&mut empty)
-            .expect("writes")
-            .finish()
-            .expect("writes");
-        assert_eq!(
-            String::from_utf8(empty).expect("UTF-8"),
-            chrome_trace_json(&[])
-        );
     }
 
     #[test]

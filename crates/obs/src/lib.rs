@@ -8,11 +8,12 @@
 //!
 //! * [`TraceEvent`] — one span boundary, instant, or counter sample, in the
 //!   vocabulary of the Chrome trace-event format (`ph: B/E/i/C/M`).
-//! * [`TraceSink`] — where events go: [`NullSink`] (drop), [`MemorySink`]
-//!   (bounded ring buffer), or [`JsonStreamSink`] (streaming Chrome JSON).
 //! * [`Tracer`] — the cheap, clonable handle instrumented code holds. A
 //!   disabled tracer is a `None`; the [`trace!`] macro does not even
-//!   construct the event then, so the default path costs one branch.
+//!   construct the event then, so the default path costs one branch. An
+//!   enabled tracer, from [`Tracer::memory`], shares one [`MemorySink`].
+//! * [`MemorySink`] — where events go: one in-memory buffer, drained with
+//!   [`MemorySink::take_events`] after the run.
 //! * [`Histogram`] — log₂-bucketed metric histogram with an associative
 //!   [`merge`](Histogram::merge), matching the campaign engine's
 //!   fold-in-work-list-order discipline.
@@ -30,7 +31,7 @@
 //! [`chrome_trace_json`] sizes one `String` from an upper bound on every
 //! event's rendering and appends each event straight into it (hand-written
 //! integer and `ts` formatting, strings without escapes copied in one
-//! piece); [`JsonStreamSink`] renders each event into one reused buffer.
+//! piece); [`TraceEvent::to_json`] renders one event with the same writer.
 //!
 //! All timestamps on trace events are **simulation time in nanoseconds**,
 //! never wall clock, so traces are deterministic: the same seeded run
@@ -39,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use abv_obs::{chrome_trace_json, MemorySink, TraceEvent, Tracer};
+//! use abv_obs::{chrome_trace_json, TraceEvent, Tracer};
 //!
 //! let (tracer, sink) = Tracer::memory();
 //! abv_obs::trace!(tracer, TraceEvent::span_begin("req", 0, 1, 10));
@@ -57,8 +58,8 @@ mod tracer;
 
 pub use event::{chrome_trace_json, ArgValue, Phase, TraceEvent};
 pub use histogram::Histogram;
-pub use sink::{JsonStreamSink, MemorySink, NullSink, TraceSink};
-pub use tracer::{SharedSink, Tracer};
+pub use sink::MemorySink;
+pub use tracer::Tracer;
 
 /// The checker-arena counter track: one sample per processed evaluation
 /// event on the property's base track, carrying the `nodes` (arena size),

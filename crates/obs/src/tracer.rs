@@ -4,23 +4,19 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::event::TraceEvent;
-use crate::sink::{MemorySink, TraceSink};
-
-/// A shared, dynamically-typed trace sink.
-///
-/// The kernel is single-threaded (`Rc`-based), so sinks are shared the same
-/// way: each campaign worker owns its tracer and sinks never cross threads.
-pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
+use crate::sink::MemorySink;
 
 /// The cheap handle through which instrumented code records events.
 ///
 /// A tracer is either disabled (the default — one `Option` branch per
-/// instrumentation site, no allocation, no virtual call) or attached to a
-/// shared [`TraceSink`]. Use the [`trace!`](crate::trace!) macro so the
-/// event expression is only evaluated when enabled.
+/// instrumentation site, no allocation) or shares one in-memory
+/// [`MemorySink`]. The kernel is single-threaded (`Rc`-based), so the
+/// buffer is shared the same way: each campaign worker owns its tracer and
+/// buffers never cross threads. Use the [`trace!`](crate::trace!) macro so
+/// the event expression is only evaluated when enabled.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<SharedSink>,
+    sink: Option<Rc<RefCell<MemorySink>>>,
 }
 
 impl Tracer {
@@ -30,18 +26,14 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A tracer writing to `sink`.
-    #[must_use]
-    pub fn to_sink(sink: SharedSink) -> Tracer {
-        Tracer { sink: Some(sink) }
-    }
-
-    /// A tracer backed by a fresh unbounded [`MemorySink`]; returns both so
-    /// the caller can drain the events after the run.
+    /// A tracer backed by a fresh [`MemorySink`]; returns both so the
+    /// caller can drain the events after the run.
     #[must_use]
     pub fn memory() -> (Tracer, Rc<RefCell<MemorySink>>) {
         let sink = Rc::new(RefCell::new(MemorySink::new()));
-        let tracer = Tracer::to_sink(sink.clone());
+        let tracer = Tracer {
+            sink: Some(sink.clone()),
+        };
         (tracer, sink)
     }
 
@@ -72,13 +64,6 @@ impl Tracer {
             sink.borrow_mut().record(event);
         }
     }
-
-    /// Flushes the underlying sink, if any.
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().flush();
-        }
-    }
 }
 
 impl std::fmt::Debug for Tracer {
@@ -98,7 +83,6 @@ mod tests {
         let tracer = Tracer::disabled();
         assert!(!tracer.is_enabled());
         tracer.record(TraceEvent::instant("x", 0, 0, 0));
-        tracer.flush();
     }
 
     #[test]

@@ -32,6 +32,19 @@ impl ClockEdge {
             ClockEdge::Neg => "clk_neg",
         }
     }
+
+    /// True if the clock changing from `prev` to `now` is an instant this
+    /// context samples at: a 0→1 change for `Pos`, a 1→0 change for `Neg`,
+    /// any change for `Any` and the base context `True`.
+    #[must_use]
+    #[inline]
+    pub fn is_edge(self, prev: u64, now: u64) -> bool {
+        match self {
+            ClockEdge::Pos => prev == 0 && now != 0,
+            ClockEdge::Neg => prev != 0 && now == 0,
+            ClockEdge::Any | ClockEdge::True => prev != now,
+        }
+    }
 }
 
 /// The context stating when a property is evaluated.
@@ -190,5 +203,22 @@ mod tests {
         assert_eq!(ClockEdge::Neg.symbol(), "clk_neg");
         assert_eq!(ClockEdge::Any.symbol(), "clk");
         assert_eq!(ClockEdge::True.symbol(), "true");
+    }
+
+    #[test]
+    fn edges_by_clock_change() {
+        // (prev, now) for rising, falling, held low, held high.
+        let changes = [(0, 1), (1, 0), (0, 0), (1, 1)];
+        let table = [
+            (ClockEdge::Pos, [true, false, false, false]),
+            (ClockEdge::Neg, [false, true, false, false]),
+            (ClockEdge::Any, [true, true, false, false]),
+            (ClockEdge::True, [true, true, false, false]),
+        ];
+        for (edge, expected) in table {
+            for (&(prev, now), want) in changes.iter().zip(expected) {
+                assert_eq!(edge.is_edge(prev, now), want, "{edge:?} {prev}->{now}");
+            }
+        }
     }
 }

@@ -111,6 +111,12 @@ impl Trace {
         Ok(())
     }
 
+    /// Removes and returns the last step, if any. The remaining times stay
+    /// strictly increasing.
+    pub fn pop(&mut self) -> Option<Step> {
+        self.steps.pop()
+    }
+
     /// Number of evaluation instants.
     #[must_use]
     pub fn len(&self) -> usize {

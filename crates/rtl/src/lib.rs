@@ -9,9 +9,7 @@
 //! - [`WaveRecorder`]: samples a set of signals at clock edges into a
 //!   [`psl::Trace`], the oracle format for property evaluation;
 //! - [`vcd`]: Value Change Dump export of recorded traces for waveform
-//!   viewers;
-//! - [`SignalMapEnv`]: adapter evaluating property atoms against kernel
-//!   signals.
+//!   viewers.
 //!
 //! # Sampling discipline
 //!
@@ -23,10 +21,8 @@
 //! strobe, which is the convention all property suites in `designs` use.
 
 mod clock;
-mod env;
 mod recorder;
 pub mod vcd;
 
 pub use clock::{Clock, ClockHandle, EdgeDetector};
-pub use env::SignalMapEnv;
 pub use recorder::{RecorderHandle, WaveRecorder};

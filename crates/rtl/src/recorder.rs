@@ -4,8 +4,6 @@ use desim::{Component, ComponentId, Event, SignalId, SimCtx, Simulation};
 use psl::trace::{Step, Trace};
 use psl::ClockEdge;
 
-use crate::clock::EdgeDetector;
-
 const KIND_CLK: u64 = 0;
 const KIND_SAMPLE: u64 = 1;
 
@@ -21,7 +19,7 @@ const KIND_SAMPLE: u64 = 1;
 pub struct WaveRecorder {
     clk: SignalId,
     edge: ClockEdge,
-    det: EdgeDetector,
+    last_clk: u64,
     watch: Vec<(String, SignalId)>,
     trace: Trace,
 }
@@ -59,7 +57,7 @@ impl WaveRecorder {
         let rec = WaveRecorder {
             clk,
             edge,
-            det: EdgeDetector::new(),
+            last_clk: 0,
             watch,
             trace: Trace::new(),
         };
@@ -99,16 +97,8 @@ impl Component for WaveRecorder {
         match ev.kind {
             KIND_CLK => {
                 let v = ctx.read(self.clk);
-                let matched = match self.edge {
-                    ClockEdge::Pos => self.det.is_rising(v),
-                    ClockEdge::Neg => self.det.is_falling(v),
-                    // Base context and `@clk`: sample on every clock event.
-                    ClockEdge::Any | ClockEdge::True => {
-                        // Keep the detector coherent even when unused.
-                        self.det.is_rising(v);
-                        true
-                    }
-                };
+                let matched = self.edge.is_edge(self.last_clk, v);
+                self.last_clk = v;
                 if matched {
                     ctx.schedule_self(0, KIND_SAMPLE);
                 }
@@ -130,7 +120,7 @@ impl Component for WaveRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Clock;
+    use crate::clock::{Clock, EdgeDetector};
     use desim::SimTime;
 
     /// A counter incrementing a signal at each rising edge.

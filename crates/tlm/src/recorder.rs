@@ -16,7 +16,6 @@ use crate::bus::TransactionBus;
 pub struct TxTraceRecorder {
     watch: Vec<(String, SignalId)>,
     trace: Trace,
-    last_time: Option<u64>,
 }
 
 impl TxTraceRecorder {
@@ -44,7 +43,6 @@ impl TxTraceRecorder {
         let component = sim.add_component(TxTraceRecorder {
             watch,
             trace: Trace::new(),
-            last_time: None,
         });
         bus.subscribe(component, 0);
         component
@@ -77,18 +75,13 @@ impl Component for TxTraceRecorder {
         for (name, id) in &self.watch {
             step.set(name.clone(), ctx.read(*id));
         }
-        if self.last_time == Some(t) {
+        if self.trace.steps().last().map(|last| last.time_ns) == Some(t) {
             // Same-instant transaction: replace the previous sample.
-            let mut steps: Vec<Step> = self.trace.steps().to_vec();
-            steps.pop();
-            steps.push(step);
-            self.trace = Trace::from_steps(steps).expect("times unchanged");
-        } else {
-            self.trace
-                .push(step)
-                .expect("transaction times are monotone");
-            self.last_time = Some(t);
+            self.trace.pop();
         }
+        self.trace
+            .push(step)
+            .expect("transaction times are monotone");
     }
 }
 
@@ -148,10 +141,21 @@ mod tests {
             value: 0,
         });
         let rec = TxTraceRecorder::install(&mut sim, &bus, ["out"]);
-        sim.schedule(SimTime::from_ns(10), model, 0);
-        sim.schedule(SimTime::from_ns(10), model, 0);
+        for _ in 0..3 {
+            sim.schedule(SimTime::from_ns(10), model, 0);
+        }
         sim.run_to_completion();
         let trace = TxTraceRecorder::take_trace(&sim, rec);
         assert_eq!(trace.len(), 1);
+        assert_eq!(trace.steps()[0].time_ns, 10);
+        assert_eq!(trace.steps()[0].signal("out"), Some(30), "last value wins");
+
+        sim.schedule(SimTime::from_ns(50), model, 0);
+        sim.run_to_completion();
+        let trace = TxTraceRecorder::take_trace(&sim, rec);
+        assert_eq!(trace.len(), 2);
+        assert_eq!(trace.steps()[0].signal("out"), Some(30));
+        assert_eq!(trace.steps()[1].time_ns, 50);
+        assert_eq!(trace.steps()[1].signal("out"), Some(40));
     }
 }

@@ -34,14 +34,24 @@ case "$last" in
     *) echo "perfbench: outputs do not match the pins: $last" >&2; exit 1 ;;
 esac
 
+# The per-layer path: records through `Tracer::memory()` and exports the
+# Chrome JSON, checked against the same pins.
+echo "==> perfbench --workload traced-des56 --seed 2015 --trace 1 (per-layer smoke)"
+last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload traced-des56 --seed 2015 --seconds 1 --trace 1 | tail -n 1)
+case "$last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "perfbench: outputs do not match the pins: $last" >&2; exit 1 ;;
+esac
+
 # Two-tier events/s per cell; each cell asserts identical SimStats on
 # every repetition.
 echo "==> cargo bench -p abv-bench --bench kernel_throughput (smoke)"
 ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 ABV_BENCH_STRESS=500 \
     cargo bench -p abv-bench --bench kernel_throughput
 
-# Disabled, null-sink and memory-sink tracer cells: the traced run paths
-# run here, not only compile.
+# Disabled and memory-sink tracer cells: the traced run paths run here,
+# not only compile.
 echo "==> cargo bench -p abv-bench --bench trace_overhead (smoke)"
 ABV_BENCH_BUDGET_MS=100 cargo bench -p abv-bench --bench trace_overhead
 
