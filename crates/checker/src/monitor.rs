@@ -119,6 +119,10 @@ struct Instance {
 pub struct PropertyChecker {
     arena: FormulaArena,
     body: NodeId,
+    /// The boolean first disjunct `b` of a body `b || t` — the negated
+    /// antecedent of an implication — which settles most activations as
+    /// vacuous (see [`FormulaArena::progresses_to_true`]).
+    vacuity: Option<NodeId>,
     /// True for `always φ`: a new instance activates at every evaluation
     /// point (Section IV, point 4). False: a single activation at the first
     /// evaluation point.
@@ -153,6 +157,7 @@ impl PropertyChecker {
     ) -> PropertyChecker {
         PropertyChecker {
             report: PropertyReport::new(name.to_owned()),
+            vacuity: arena.boolean_first_disjunct(body),
             arena,
             body,
             repeating,
@@ -265,41 +270,28 @@ impl PropertyChecker {
             }
         }
 
-        // Snapshot the every-event list first: an instance progressed from
-        // the table below may re-register into it, and no instance may be
-        // progressed twice within one event. The two buffers swap roles,
-        // so neither is reallocated.
-        let mut every = std::mem::take(&mut self.every_snapshot);
-        std::mem::swap(&mut self.every, &mut every);
-
-        // 1+2. Instances whose earliest expected evaluation time is due or
-        //    overdue are progressed at this event. An overdue `At`
-        //    obligation resolves to false inside the progression, so a
-        //    residual that only waited for the missed instant fails
-        //    (Section IV, point 2), while a disjunction with a later
-        //    obligation survives and is re-registered (at or after `now`,
-        //    behind the entries already queued for that deadline).
-        while let Some(&(deadline, slot)) = self.table.front() {
-            if deadline > now {
-                break;
-            }
-            self.table.pop_front();
-            let missed = (deadline < now).then_some(deadline);
-            self.step(slot, read, now, missed, tracer);
+        // A quiet event — no every-event instance and nothing due in the
+        // table — has no live instance to progress.
+        let due = self
+            .table
+            .front()
+            .is_some_and(|&(deadline, _)| deadline <= now);
+        if due || !self.every.is_empty() {
+            self.progress_live(read, now, tracer);
         }
-
-        // 3. Instances that observe every event.
-        for &slot in &every {
-            self.step(slot, read, now, None, tracer);
-        }
-        every.clear();
-        self.every_snapshot = every;
 
         // 4. Activation of a new verification session.
         if self.repeating || !self.fired_once {
             self.fired_once = true;
             self.report.activations += 1;
-            let residual = self.arena.progress(self.body, read, now);
+            let vacuous = self
+                .vacuity
+                .is_some_and(|first| self.arena.progresses_to_true(self.body, first, read));
+            let residual = if vacuous {
+                NodeId::TRUE
+            } else {
+                self.arena.progress(self.body, read, now)
+            };
             self.report.evaluations += 1;
             match residual {
                 NodeId::TRUE => {
@@ -359,6 +351,40 @@ impl PropertyChecker {
                 .with_arg("memo_hits", stats.hits)
                 .with_arg("memo_misses", stats.misses)
         });
+    }
+
+    /// Steps 1–3 of [`on_event_traced`](PropertyChecker::on_event_traced):
+    /// progresses every live instance the event at `now` concerns.
+    fn progress_live<R: SignalRead + ?Sized>(&mut self, read: &R, now: u64, tracer: &Tracer) {
+        // Snapshot the every-event list first: an instance progressed from
+        // the table below may re-register into it, and no instance may be
+        // progressed twice within one event. The two buffers swap roles,
+        // so neither is reallocated.
+        let mut every = std::mem::take(&mut self.every_snapshot);
+        std::mem::swap(&mut self.every, &mut every);
+
+        // 1+2. Instances whose earliest expected evaluation time is due or
+        //    overdue are progressed at this event. An overdue `At`
+        //    obligation resolves to false inside the progression, so a
+        //    residual that only waited for the missed instant fails
+        //    (Section IV, point 2), while a disjunction with a later
+        //    obligation survives and is re-registered (at or after `now`,
+        //    behind the entries already queued for that deadline).
+        while let Some(&(deadline, slot)) = self.table.front() {
+            if deadline > now {
+                break;
+            }
+            self.table.pop_front();
+            let missed = (deadline < now).then_some(deadline);
+            self.step(slot, read, now, missed, tracer);
+        }
+
+        // 3. Instances that observe every event.
+        for &slot in &every {
+            self.step(slot, read, now, None, tracer);
+        }
+        every.clear();
+        self.every_snapshot = every;
     }
 
     /// Finalizes at simulation end `end_ns`: anchored obligations whose
@@ -493,6 +519,7 @@ impl PropertyChecker {
         let roots = [self.body].into_iter().chain(self.guard).chain(residuals);
         self.arena.compact(roots);
         self.body = self.arena.relocated(self.body);
+        self.vacuity = self.vacuity.map(|b| self.arena.relocated(b));
         self.guard = self.guard.map(|g| self.arena.relocated(g));
         for instance in self.pool.iter_mut().flatten() {
             instance.residual = self.arena.relocated(instance.residual);
@@ -813,6 +840,106 @@ mod tests {
         c.on_event(&env(&[(0, 1)]), 30); // ds arrives: resolves
         assert_eq!(c.report().completions, 1);
         assert_eq!(c.live_instances(), 0);
+    }
+
+    /// Runs `events` through a checker from `build` and through a twin
+    /// that always takes the general activation path (no vacuity
+    /// shortcut), asserts the two reports — verdicts, activation, vacuity,
+    /// evaluation and completion counts, memo hits and misses, arena size —
+    /// are identical, and returns the report.
+    fn assert_matches_general_path(
+        build: impl Fn() -> PropertyChecker,
+        events: &[(&[(usize, u64)], u64)],
+    ) -> PropertyReport {
+        let (mut fast, mut general) = (build(), build());
+        general.vacuity = None;
+        for &(values, now) in events {
+            fast.on_event(&env(values), now);
+            general.on_event(&env(values), now);
+        }
+        fast.finish(1000);
+        general.finish(1000);
+        assert_eq!(fast.report(), general.report());
+        fast.report()
+    }
+
+    const DS_EVENTS: &[(&[(usize, u64)], u64)] = &[
+        (&[], 10),
+        (&[(0, 1)], 20),
+        (&[], 30),
+        (&[(1, 1)], 190),
+        (&[(0, 1), (1, 1)], 200),
+        (&[], 210),
+        (&[(1, 1)], 370),
+    ];
+
+    #[test]
+    fn vacuity_shortcut_settles_the_negated_antecedent() {
+        assert!(q3_checker().vacuity.is_some());
+        let r = assert_matches_general_path(q3_checker, DS_EVENTS);
+        assert_eq!((r.activations, r.vacuous, r.completions), (7, 5, 2));
+    }
+
+    /// `always (next_et[1, 170] rdy || !ds)`: the boolean disjunct comes
+    /// second, so every activation anchors the `next_et` first — a miss
+    /// for the body, one for `next_et` and a fresh `at` node each.
+    #[test]
+    fn vacuity_shortcut_is_not_taken_for_a_boolean_second_disjunct() {
+        let build = || {
+            let mut arena = FormulaArena::new();
+            let nds = arena.lit(&mk_lit(0, "ds", true));
+            let rdy = arena.lit(&mk_lit(1, "rdy", false));
+            let et = arena.next_et(170, rdy);
+            let body = arena.or(et, nds);
+            PropertyChecker::new("q3r", arena, body, true, None)
+        };
+        assert!(build().vacuity.is_none());
+        let idle: Vec<(&[(usize, u64)], u64)> = (1..=5).map(|k| (&[][..], 10 * k)).collect();
+        let r = assert_matches_general_path(build, &idle);
+        assert_eq!((r.activations, r.vacuous), (5, 5));
+        assert_eq!((r.memo_hits, r.memo_misses), (0, 10));
+        assert_eq!(r.arena_nodes, 6 + 5, "one `at` node per activation");
+    }
+
+    #[test]
+    fn guard_filtered_events_skip_the_vacuity_shortcut_too() {
+        // `always (!ds || next_et[1, 170] rdy) @(T_b && en)`.
+        let build = || {
+            let mut arena = FormulaArena::new();
+            let nds = arena.lit(&mk_lit(0, "ds", true));
+            let rdy = arena.lit(&mk_lit(1, "rdy", false));
+            let et = arena.next_et(170, rdy);
+            let body = arena.or(nds, et);
+            let guard = arena.lit(&mk_lit(2, "en", false));
+            PropertyChecker::new("g", arena, body, true, Some(guard))
+        };
+        let events: &[(&[(usize, u64)], u64)] = &[
+            (&[], 10),               // invisible
+            (&[(2, 1)], 20),         // vacuous
+            (&[(0, 1)], 30),         // invisible although ds fires
+            (&[(0, 1), (2, 1)], 40), // fires: rdy due at 210
+            (&[(1, 1)], 210),        // invisible: the deadline passes unseen
+            (&[(1, 1), (2, 1)], 220),
+        ];
+        let r = assert_matches_general_path(build, events);
+        assert_eq!((r.activations, r.vacuous), (3, 2));
+        assert_eq!(r.timeout_fails, 1);
+    }
+
+    #[test]
+    fn non_repeating_property_takes_the_vacuity_shortcut_once() {
+        // `!ds || next_et[1, 170] rdy`, checked at the first event only.
+        let build = || {
+            let mut c = q3_checker();
+            c.repeating = false;
+            c
+        };
+        let r = assert_matches_general_path(build, DS_EVENTS);
+        assert_eq!((r.activations, r.vacuous, r.evaluations), (1, 1, 1));
+        let mut fired = DS_EVENTS.to_vec();
+        fired.remove(0);
+        let r = assert_matches_general_path(build, &fired);
+        assert_eq!((r.activations, r.vacuous, r.completions), (1, 0, 1));
     }
 
     #[test]

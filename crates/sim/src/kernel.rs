@@ -125,8 +125,7 @@ impl SimCtx<'_> {
 ///
 /// See the [crate-level example](crate) for typical usage.
 pub struct Simulation {
-    components: Vec<Option<Box<dyn Component>>>,
-    events_per_component: Vec<u64>,
+    components: Vec<Box<dyn Component>>,
     signals: SignalStore,
     queue: TwoTierQueue,
     now: SimTime,
@@ -157,7 +156,6 @@ impl Simulation {
     pub fn new() -> Simulation {
         Simulation {
             components: Vec::new(),
-            events_per_component: Vec::new(),
             signals: SignalStore::default(),
             queue: TwoTierQueue::default(),
             now: SimTime::ZERO,
@@ -192,19 +190,8 @@ impl Simulation {
     /// Registers a component and returns its handle.
     pub fn add_component(&mut self, component: impl Component) -> ComponentId {
         let id = ComponentId(self.components.len());
-        self.components.push(Some(Box::new(component)));
-        self.events_per_component.push(0);
+        self.components.push(Box::new(component));
         id
-    }
-
-    /// Number of events delivered to `component` so far — the kernel-side
-    /// activity attribution used by the overhead analyses.
-    #[must_use]
-    pub fn events_for(&self, component: ComponentId) -> u64 {
-        self.events_per_component
-            .get(component.0)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Subscribes `component` to changes of `signal`: each committed change
@@ -251,14 +238,14 @@ impl Simulation {
     /// after a run). Returns `None` for a wrong type or a stale id.
     #[must_use]
     pub fn component<T: Component>(&self, id: ComponentId) -> Option<&T> {
-        let boxed = self.components.get(id.0)?.as_deref()?;
+        let boxed: &dyn Component = self.components.get(id.0)?.as_ref();
         (boxed as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutably borrows a component back as its concrete type.
     #[must_use]
     pub fn component_mut<T: Component>(&mut self, id: ComponentId) -> Option<&mut T> {
-        let boxed = self.components.get_mut(id.0)?.as_deref_mut()?;
+        let boxed: &mut dyn Component = self.components.get_mut(id.0)?.as_mut();
         (boxed as &mut dyn Any).downcast_mut::<T>()
     }
 
@@ -311,11 +298,9 @@ impl Simulation {
     /// SystemC's delta-cycle discipline, with every same-timestamp hop an
     /// O(1) staging push.
     ///
-    /// # Panics
-    ///
-    /// Panics if a component handles an event while already being handled
-    /// (the kernel is strictly sequential, so this indicates a stale
-    /// [`ComponentId`]).
+    /// A handler borrows its component and, through [`SimCtx`], the
+    /// signals, the scheduler and the tracer — never the component list —
+    /// so no component can be re-entered while it handles an event.
     pub fn run_until(&mut self, end: SimTime) -> SimStats {
         let mut round = std::mem::take(&mut self.round_scratch);
         while let Some(t) = self.queue.next_time() {
@@ -337,9 +322,6 @@ impl Simulation {
             while let Some(delta) = self.queue.next_round(&mut round) {
                 // Evaluate phase: deliver every event at (t, delta).
                 for entry in round.drain(..) {
-                    let mut component = self.components[entry.target.0]
-                        .take()
-                        .expect("component re-entered while being handled");
                     let mut ctx = SimCtx {
                         now: t,
                         delta,
@@ -348,15 +330,13 @@ impl Simulation {
                         queue: &mut self.queue,
                         tracer: &self.tracer,
                     };
-                    component.handle(
+                    self.components[entry.target.0].handle(
                         Event {
                             kind: entry.kind,
                             time: t,
                         },
                         &mut ctx,
                     );
-                    self.components[entry.target.0] = Some(component);
-                    self.events_per_component[entry.target.0] += 1;
                     self.stats.events_processed += 1;
                 }
 
@@ -543,21 +523,6 @@ mod tests {
         let mut sim = Simulation::new();
         sim.add_signal("s", 0);
         sim.add_signal("s", 1);
-    }
-
-    #[test]
-    fn per_component_event_attribution() {
-        let mut sim = Simulation::new();
-        let a = sim.add_component(Recorder { seen: Vec::new() });
-        let b = sim.add_component(Recorder { seen: Vec::new() });
-        for k in 0..3 {
-            sim.schedule(SimTime::from_ns(10 + k), a, 0);
-        }
-        sim.schedule(SimTime::from_ns(20), b, 0);
-        sim.run_to_completion();
-        assert_eq!(sim.events_for(a), 3);
-        assert_eq!(sim.events_for(b), 1);
-        assert_eq!(sim.events_for(ComponentId(99)), 0, "stale ids read as zero");
     }
 
     /// The trailing kernel-counter sample is emitted once per change: a

@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The A/B script runs only by hand; keep it parseable.
+echo "==> sh -n scripts/ab.sh"
+sh -n scripts/ab.sh
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
