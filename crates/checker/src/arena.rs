@@ -34,62 +34,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+
+use desim::{FxBuildHasher, FX_SEED};
 
 use crate::monitor::{Lit, SignalRead};
-
-/// The fast, non-cryptographic hasher used by the interning tables
-/// (the classic `FxHash` multiply-xor scheme; interning keys are tiny
-/// `Copy` structs, and lookups sit on the progression hot path).
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Identifier of one interned monitor-formula node in a [`FormulaArena`].
 ///
@@ -120,7 +68,8 @@ impl NodeId {
     }
 }
 
-/// Identifier of one interned literal (a resolved signal test).
+/// Identifier of one interned literal (a resolved signal test): its
+/// index in the arena's literal table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LitId(u32);
 
@@ -180,23 +129,42 @@ impl Node {
     }
 }
 
-/// One per-node memo slot: the progression result computed at `epoch`.
-/// Epoch 0 never matches (arenas start at epoch 1), so slots need no
-/// `Option`.
-#[derive(Debug, Clone, Copy)]
-struct MemoSlot {
-    epoch: u64,
-    result: NodeId,
-}
-
-const MEMO_EMPTY: MemoSlot = MemoSlot {
-    epoch: 0,
-    result: NodeId::FALSE,
-};
-
 /// Sentinel for "no permanent progression result". Node ids are dense from
 /// zero, so `u32::MAX` can never be a real node.
 const PERM_NONE: NodeId = NodeId(u32::MAX);
+
+/// What progression keeps per node, in one record so that a progression
+/// step reads one place: whether the node is temporal, its permanent
+/// result and its per-event memo slot.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    /// The memo slot's event: `result` is the node's progression at
+    /// `epoch`. Epoch 0 never matches (arenas start at epoch 1), so the
+    /// slot needs no `Option`.
+    epoch: u64,
+    /// The memoized progression result.
+    result: NodeId,
+    /// The permanent progression result of an event-independent rewrite
+    /// (a `next[n]` countdown): valid across all epochs, [`PERM_NONE`]
+    /// when absent.
+    perm: NodeId,
+    /// Does the subformula contain a temporal connective? Boolean-only
+    /// nodes resolve to a constant in one event and bypass the memo
+    /// entirely (see [`progress`](FormulaArena::progress)).
+    temporal: bool,
+}
+
+impl NodeState {
+    /// A fresh node's state: nothing memoized, no permanent result.
+    const fn new(temporal: bool) -> NodeState {
+        NodeState {
+            epoch: 0,
+            result: NodeId::FALSE,
+            perm: PERM_NONE,
+            temporal,
+        }
+    }
+}
 
 /// Sentinel for "unreachable" in the compaction relocation table.
 const DEAD: NodeId = NodeId(u32::MAX);
@@ -265,18 +233,12 @@ impl CtorCache {
 #[derive(Debug, Default)]
 pub struct FormulaArena {
     nodes: Vec<Node>,
-    index: HashMap<Node, NodeId, FxBuild>,
+    index: HashMap<Node, NodeId, FxBuildHasher>,
+    /// The literal table, deduplicated by a linear scan: a property has
+    /// a handful of literals, fewer than a hash table would pay for.
     lits: Vec<Lit>,
-    lit_index: HashMap<Lit, LitId, FxBuild>,
-    /// Per-node flag: does the subformula contain a temporal connective?
-    /// Boolean-only nodes resolve to a constant in one event and bypass
-    /// the memo entirely (see [`progress`](FormulaArena::progress)).
-    temporal: Vec<bool>,
-    /// Permanent progression results for event-independent rewrites
-    /// (`next[n]` countdowns): valid across all epochs,
-    /// [`PERM_NONE`] when absent.
-    perm: Vec<NodeId>,
-    memo: Vec<MemoSlot>,
+    /// Per-node progression state, parallel to `nodes`.
+    state: Vec<NodeState>,
     epoch: u64,
     hits: u64,
     misses: u64,
@@ -337,12 +299,9 @@ impl FormulaArena {
         let total = nodes + 2;
         let mut arena = FormulaArena {
             nodes: Vec::with_capacity(total),
-            index: HashMap::with_capacity_and_hasher(total, FxBuild::default()),
+            index: HashMap::with_capacity_and_hasher(total, FxBuildHasher::default()),
             lits: Vec::with_capacity(nodes),
-            lit_index: HashMap::with_capacity_and_hasher(nodes, FxBuild::default()),
-            temporal: Vec::with_capacity(total),
-            perm: Vec::with_capacity(total),
-            memo: Vec::with_capacity(total),
+            state: Vec::with_capacity(total),
             epoch: 1,
             compact_at: COMPACT_FLOOR,
             ..FormulaArena::default()
@@ -373,29 +332,34 @@ impl FormulaArena {
         // and `b` are already present.
         let temporal = match node {
             Node::True | Node::False | Node::Lit(_) => false,
-            Node::And(a, b) | Node::Or(a, b) => self.temporal[a.idx()] || self.temporal[b.idx()],
+            Node::And(a, b) | Node::Or(a, b) => {
+                self.state[a.idx()].temporal || self.state[b.idx()].temporal
+            }
             _ => true,
         };
         self.nodes.push(node);
-        self.temporal.push(temporal);
-        self.perm.push(PERM_NONE);
-        self.memo.push(MEMO_EMPTY);
+        self.state.push(NodeState::new(temporal));
         self.index.insert(node, id);
         id
     }
 
-    fn lit_id(&mut self, lit: &Lit) -> LitId {
-        if let Some(&id) = self.lit_index.get(lit) {
-            return id;
-        }
-        let id = LitId(u32::try_from(self.lits.len()).expect("arena literal limit"));
-        self.lits.push(lit.clone());
-        self.lit_index.insert(lit.clone(), id);
-        id
+    /// The id of `lit` in the literal table, appended if absent. Literals
+    /// are equal when they test the same signal the same way: a signal id
+    /// names one signal, so the names agree too.
+    fn lit_id(&mut self, lit: Lit) -> LitId {
+        let same = |l: &Lit| l.sig == lit.sig && l.test == lit.test && l.negated == lit.negated;
+        let at = match self.lits.iter().position(same) {
+            Some(at) => at,
+            None => {
+                self.lits.push(lit);
+                self.lits.len() - 1
+            }
+        };
+        LitId(u32::try_from(at).expect("arena literal limit"))
     }
 
     /// Interns a resolved literal.
-    pub fn lit(&mut self, lit: &Lit) -> NodeId {
+    pub fn lit(&mut self, lit: Lit) -> NodeId {
         let lit = self.lit_id(lit);
         self.intern(Node::Lit(lit))
     }
@@ -527,7 +491,7 @@ impl FormulaArena {
                 stack.push(c);
                 c
             });
-            let perm = self.perm[id.idx()];
+            let perm = self.state[id.idx()].perm;
             if perm != PERM_NONE {
                 self.stack.push(perm);
             }
@@ -551,20 +515,16 @@ impl FormulaArena {
                 continue;
             }
             self.nodes[new.idx()] = self.nodes[old].map_children(|c| relocate[c.idx()]);
-            self.temporal[new.idx()] = self.temporal[old];
-            let perm = self.perm[old];
-            self.perm[new.idx()] = if perm == PERM_NONE {
-                PERM_NONE
-            } else {
-                relocate[perm.idx()]
-            };
+            let mut state = NodeState::new(self.state[old].temporal);
+            let perm = self.state[old].perm;
+            if perm != PERM_NONE {
+                state.perm = relocate[perm.idx()];
+            }
+            self.state[new.idx()] = state;
         }
         let live = live as usize;
         self.nodes.truncate(live);
-        self.temporal.truncate(live);
-        self.perm.truncate(live);
-        self.memo.truncate(live);
-        self.memo.fill(MEMO_EMPTY);
+        self.state.truncate(live);
         self.index.clear();
         for (i, &node) in self.nodes.iter().enumerate() {
             self.index.insert(node, NodeId(i as u32));
@@ -609,16 +569,16 @@ impl FormulaArena {
         if id.is_const() {
             return id;
         }
-        if !self.temporal[id.idx()] {
+        let state = self.state[id.idx()];
+        if !state.temporal {
             return Self::bool_id(self.eval_bool(id, read));
         }
         // `next[n]` countdowns rewrite independently of the event: the
         // successor is cached permanently, so steady-state countdown steps
         // are a single indexed load (no hashing, no epoch check).
-        let perm = self.perm[id.idx()];
-        if perm != PERM_NONE {
+        if state.perm != PERM_NONE {
             self.hits += 1;
-            return perm;
+            return state.perm;
         }
         if let Node::NextN(n, inner) = self.nodes[id.idx()] {
             self.misses += 1;
@@ -627,20 +587,16 @@ impl FormulaArena {
             } else {
                 self.next_n(n - 1, inner)
             };
-            self.perm[id.idx()] = result;
+            self.state[id.idx()].perm = result;
             return result;
         }
-        let slot = self.memo[id.idx()];
-        if slot.epoch == self.epoch {
+        if state.epoch == self.epoch {
             self.hits += 1;
-            return slot.result;
+            return state.result;
         }
         self.misses += 1;
         let result = self.progress_uncached(id, read, now);
-        self.memo[id.idx()] = MemoSlot {
-            epoch: self.epoch,
-            result,
-        };
+        self.memoize(id, result);
         result
     }
 
@@ -649,7 +605,9 @@ impl FormulaArena {
     /// settle `id` by — or `None` for any other node.
     pub(crate) fn boolean_first_disjunct(&self, id: NodeId) -> Option<NodeId> {
         match self.nodes[id.idx()] {
-            Node::Or(b, _) if self.temporal[id.idx()] && !self.temporal[b.idx()] => Some(b),
+            Node::Or(b, _) if self.state[id.idx()].temporal && !self.state[b.idx()].temporal => {
+                Some(b)
+            }
             _ => None,
         }
     }
@@ -675,15 +633,20 @@ impl FormulaArena {
         read: &R,
     ) -> bool {
         debug_assert_eq!(self.boolean_first_disjunct(id), Some(first));
-        if self.memo[id.idx()].epoch == self.epoch || !self.eval_bool(first, read) {
+        if self.state[id.idx()].epoch == self.epoch || !self.eval_bool(first, read) {
             return false;
         }
         self.misses += 1;
-        self.memo[id.idx()] = MemoSlot {
-            epoch: self.epoch,
-            result: NodeId::TRUE,
-        };
+        self.memoize(id, NodeId::TRUE);
         true
+    }
+
+    /// Records `result` as the progression of `id` in this epoch.
+    #[inline]
+    fn memoize(&mut self, id: NodeId, result: NodeId) {
+        let state = &mut self.state[id.idx()];
+        state.epoch = self.epoch;
+        state.result = result;
     }
 
     /// Evaluates a boolean-only node (no temporal connective below) to its
@@ -925,6 +888,15 @@ impl fmt::Display for DisplayNode<'_> {
     }
 }
 
+#[cfg(test)]
+impl FormulaArena {
+    /// True when both arenas interned the same nodes and literals, in the
+    /// same order, so under the same ids.
+    pub(crate) fn same_tables(&self, other: &FormulaArena) -> bool {
+        self.nodes == other.nodes && self.lits == other.lits
+    }
+}
+
 /// Test helper: a literal over an arbitrary signal id.
 #[cfg(test)]
 pub(crate) fn test_lit(sig: desim::SignalId, name: &str, negated: bool) -> Lit {
@@ -976,8 +948,8 @@ mod tests {
     #[test]
     fn interning_dedupes_structurally_equal_nodes() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&test_lit(sig(0), "a", false));
-        let b = arena.lit(&test_lit(sig(1), "b", false));
+        let a = arena.lit(test_lit(sig(0), "a", false));
+        let b = arena.lit(test_lit(sig(1), "b", false));
         let ab1 = arena.and(a, b);
         let ab2 = arena.and(a, b);
         assert_eq!(ab1, ab2);
@@ -985,13 +957,13 @@ mod tests {
         let _ = arena.and(a, b);
         assert_eq!(arena.stats().nodes, n, "no growth on re-interning");
         // Same literal again: same node.
-        assert_eq!(a, arena.lit(&test_lit(sig(0), "a", false)));
+        assert_eq!(a, arena.lit(test_lit(sig(0), "a", false)));
     }
 
     #[test]
     fn smart_constructors_canonicalize() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&test_lit(sig(0), "a", false));
+        let a = arena.lit(test_lit(sig(0), "a", false));
         assert_eq!(arena.and(NodeId::TRUE, a), a, "identity");
         assert_eq!(arena.or(NodeId::FALSE, a), a, "identity");
         assert_eq!(arena.and(NodeId::FALSE, a), NodeId::FALSE, "annihilator");
@@ -1008,7 +980,7 @@ mod tests {
     #[test]
     fn progression_is_memoized_within_an_event() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&test_lit(sig(0), "a", false));
+        let a = arena.lit(test_lit(sig(0), "a", false));
         let u = arena.until(a, a);
         let read = env(&[]);
         arena.begin_event();
@@ -1029,7 +1001,7 @@ mod tests {
     #[test]
     fn progression_matches_tree_semantics() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&test_lit(sig(0), "a", false));
+        let a = arena.lit(test_lit(sig(0), "a", false));
         let f = arena.next_n(3, a);
         let read = env(&[(0, 1)]);
         arena.begin_event();
@@ -1046,7 +1018,7 @@ mod tests {
     #[test]
     fn next_et_anchors_and_resolves_at_deadline() {
         let mut arena = FormulaArena::new();
-        let rdy = arena.lit(&test_lit(sig(0), "rdy", false));
+        let rdy = arena.lit(test_lit(sig(0), "rdy", false));
         let f = arena.next_et(170, rdy);
         let hi = env(&[(0, 1)]);
         let lo = env(&[]);
@@ -1066,8 +1038,8 @@ mod tests {
     #[test]
     fn steady_state_progression_allocates_no_nodes() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&test_lit(sig(0), "a", false));
-        let b = arena.lit(&test_lit(sig(1), "b", false));
+        let a = arena.lit(test_lit(sig(0), "a", false));
+        let b = arena.lit(test_lit(sig(1), "b", false));
         let u = arena.until(a, b);
         let read = env(&[(0, 1)]);
         arena.begin_event();
@@ -1085,7 +1057,7 @@ mod tests {
     #[test]
     fn finish_eval_and_missed_deadlines() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&test_lit(sig(0), "a", false));
+        let a = arena.lit(test_lit(sig(0), "a", false));
         let at100 = arena.at(100, a);
         let at200 = arena.at(200, a);
         let both = arena.or(at100, at200);
@@ -1105,7 +1077,7 @@ mod tests {
     /// A random formula over three literals, `depth` connectives deep.
     fn random_formula(arena: &mut FormulaArena, rng: &mut TinyRng, depth: u32) -> NodeId {
         let n = rng.range_usize(0, 3);
-        let leaf = arena.lit(&test_lit(sig(n), ["a", "b", "c"][n], rng.flip()));
+        let leaf = arena.lit(test_lit(sig(n), ["a", "b", "c"][n], rng.flip()));
         if depth == 0 {
             return leaf;
         }
@@ -1142,15 +1114,14 @@ mod tests {
         }
         let n = arena.nodes.len();
         assert_eq!(arena.index.len(), n);
-        assert_eq!((arena.temporal.len(), arena.perm.len()), (n, n));
-        assert_eq!(arena.memo.len(), n);
+        assert_eq!(arena.state.len(), n);
         for (i, &node) in arena.nodes.iter().enumerate() {
             assert_eq!(arena.index[&node], NodeId(i as u32));
             let _ = node.map_children(|c| {
                 assert!(c.idx() < i, "child {c:?} of node {i}");
                 c
             });
-            let perm = arena.perm[i];
+            let perm = arena.state[i].perm;
             assert!(perm == PERM_NONE || perm.idx() < n);
         }
     }
@@ -1222,7 +1193,7 @@ mod tests {
     fn constructor_cache_returns_relocated_ids_after_compaction() {
         let mut arena = FormulaArena::new();
         let lits: Vec<NodeId> = (0..4)
-            .map(|i| arena.lit(&test_lit(sig(i), ["a", "b", "c", "d"][i], false)))
+            .map(|i| arena.lit(test_lit(sig(i), ["a", "b", "c", "d"][i], false)))
             .collect();
         let (a, b, c, d) = (lits[0], lits[1], lits[2], lits[3]);
         assert!(arena.ctor_cache.is_none(), "set-up runs without the cache");
@@ -1254,8 +1225,8 @@ mod tests {
             assert_eq!(arena.index[&Node::Or(b, a)], ba);
         }
         // `c || d` was dropped: re-building it interns a fresh node.
-        let c = arena.lit(&test_lit(sig(2), "c", false));
-        let d = arena.lit(&test_lit(sig(3), "d", false));
+        let c = arena.lit(test_lit(sig(2), "c", false));
+        let d = arena.lit(test_lit(sig(3), "d", false));
         let fresh = arena.or(c, d);
         assert_eq!(fresh.idx(), arena.nodes.len() - 1, "a new node");
         assert_ne!(fresh, cd);
@@ -1269,8 +1240,8 @@ mod tests {
     #[test]
     fn vacuity_shortcut_matches_progress() {
         let mut arena = FormulaArena::new();
-        let nds = arena.lit(&test_lit(sig(0), "ds", true));
-        let rdy = arena.lit(&test_lit(sig(1), "rdy", false));
+        let nds = arena.lit(test_lit(sig(0), "ds", true));
+        let rdy = arena.lit(test_lit(sig(1), "rdy", false));
         let et = arena.next_et(170, rdy);
         let body = arena.or(nds, et);
         assert_eq!(arena.boolean_first_disjunct(body), Some(nds));
@@ -1314,7 +1285,7 @@ mod tests {
     #[test]
     fn compaction_is_due_at_twice_the_surviving_size() {
         let mut arena = FormulaArena::new();
-        let rdy = arena.lit(&test_lit(sig(0), "rdy", false));
+        let rdy = arena.lit(test_lit(sig(0), "rdy", false));
         let body = arena.next_et(170, rdy);
         let read = env(&[]);
         let mut live = body;
@@ -1336,12 +1307,12 @@ mod tests {
     #[test]
     fn display_renders_residuals() {
         let mut arena = FormulaArena::new();
-        let ds = arena.lit(&test_lit(sig(0), "ds", true));
-        let rdy = arena.lit(&test_lit(sig(1), "rdy", false));
+        let ds = arena.lit(test_lit(sig(0), "ds", true));
+        let rdy = arena.lit(test_lit(sig(1), "rdy", false));
         let at = arena.at(180, rdy);
         let body = arena.or(ds, at);
         assert_eq!(arena.display(body).to_string(), "(!ds || at[180ns](rdy))");
-        let cmp = arena.lit(&Lit {
+        let cmp = arena.lit(Lit {
             sig: sig(2),
             name: "mode".into(),
             test: crate::monitor::LitTest::Cmp(psl::CmpOp::Eq, 1),

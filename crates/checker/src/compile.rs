@@ -3,16 +3,20 @@
 //! The paper's approach is generator-independent (Section IV); this module
 //! plays the role of IBM FoCs in the original flow. Synthesis:
 //!
-//! 1. normalize to negation normal form (so negations sit on atoms),
-//! 2. resolve every atom and guard signal against the simulation's signal
-//!    registry,
-//! 3. unwrap a top-level `always` into the *repeating activation* policy
+//! 1. unwrap a top-level `always` into the *repeating activation* policy
 //!    (a fresh instance per evaluation point, Section IV point 4),
-//! 4. translate the body into the monitor formula language.
+//! 2. normalize the body to negation normal form (so negations sit on
+//!    atoms), resolving every atom and guard signal against the
+//!    simulation's signal registry,
+//! 3. lower it into the monitor formula arena.
+//!
+//! Steps 2 and 3 are one pass: [`psl::nnf`]'s rewrite is a fold, and
+//! [`compile`] drives it straight into the arena, so no normalized copy
+//! of the property is built.
 
 use desim::Simulation;
-use psl::nnf::to_nnf;
-use psl::{Atom, ClockEdge, ClockedProperty, EvalContext, Property};
+use psl::nnf::{fold, NnfBuilder, TopLevel};
+use psl::{Atom, ClockEdge, ClockedProperty, EvalContext};
 
 use crate::arena::{FormulaArena, NodeId};
 use crate::monitor::{Lit, LitTest, PropertyChecker};
@@ -27,9 +31,6 @@ pub enum CompileError {
         /// The unresolved signal name.
         signal: String,
     },
-    /// The property contains a negation over a non-atom even after NNF
-    /// (cannot happen for parseable properties; kept for totality).
-    UnsupportedNegation,
 }
 
 impl std::fmt::Display for CompileError {
@@ -41,7 +42,6 @@ impl std::fmt::Display for CompileError {
                     "signal `{signal}` does not exist in the simulation (was it abstracted away?)"
                 )
             }
-            CompileError::UnsupportedNegation => f.write_str("negation over non-atomic property"),
         }
     }
 }
@@ -63,84 +63,83 @@ pub fn compile(
     property: &ClockedProperty,
     sim: &Simulation,
 ) -> Result<(PropertyChecker, Option<ClockEdge>), CompileError> {
-    let nnf = to_nnf(&property.property);
-    let (body, repeating) = match nnf {
-        Property::Always(inner) => (*inner, true),
-        other => (other, false),
-    };
-    let completion_bound_ns = body.completion_bound_ns();
+    let top = TopLevel::split(&property.property);
     let (guard, edge) = match &property.context {
-        EvalContext::Clock { edge, guard } => (guard.as_deref().map(to_nnf), Some(*edge)),
-        EvalContext::Transaction { guard } => (guard.as_deref().map(to_nnf), None),
+        EvalContext::Clock { edge, guard } => (guard.as_deref(), Some(*edge)),
+        EvalContext::Transaction { guard } => (guard.as_deref(), None),
     };
-    let mut arena =
-        FormulaArena::with_capacity(body.size() + guard.as_ref().map_or(0, Property::size));
-    let body = translate(&body, sim, &mut arena)?;
-    let guard = match &guard {
-        Some(g) => Some(translate(g, sim, &mut arena)?),
+    // A source tree has at least one node per arena node and literal its
+    // normal form interns, so the tables never regrow while lowering.
+    let size = top.source.size() + guard.map_or(0, psl::Property::size);
+    let mut lower = Lower {
+        sim,
+        arena: FormulaArena::with_capacity(size),
+    };
+    let body = top.fold(&mut lower)?;
+    let guard = match guard {
+        Some(g) => Some(fold(g, &mut lower)?),
         None => None,
     };
-    let mut checker = PropertyChecker::new(name, arena, body, repeating, guard);
-    checker.set_completion_bound_ns(completion_bound_ns);
+    let mut checker = PropertyChecker::new(name, lower.arena, body, top.repeating, guard);
+    checker.set_completion_bound_ns(top.source.completion_bound_ns());
     Ok((checker, edge))
 }
 
-/// Lowers an NNF property into the arena. Smart constructors intern each
-/// distinct subformula once, so the compiled body is already maximally
-/// shared.
-fn translate(
-    p: &Property,
-    sim: &Simulation,
-    arena: &mut FormulaArena,
-) -> Result<NodeId, CompileError> {
-    Ok(match p {
-        Property::Const(true) => NodeId::TRUE,
-        Property::Const(false) => NodeId::FALSE,
-        Property::Atom(a) => {
-            let lit = resolve(a, false, sim)?;
-            arena.lit(&lit)
+/// Lowers a property's normal form into an arena as [`fold`] produces it.
+/// Smart constructors intern each distinct subformula once, so the
+/// compiled body is already maximally shared.
+struct Lower<'a> {
+    sim: &'a Simulation,
+    arena: FormulaArena,
+}
+
+impl NnfBuilder for Lower<'_> {
+    type Out = NodeId;
+    type Error = CompileError;
+
+    fn constant(&mut self, value: bool) -> NodeId {
+        if value {
+            NodeId::TRUE
+        } else {
+            NodeId::FALSE
         }
-        Property::Not(inner) => match &**inner {
-            Property::Atom(a) => {
-                let lit = resolve(a, true, sim)?;
-                arena.lit(&lit)
-            }
-            _ => return Err(CompileError::UnsupportedNegation),
-        },
-        Property::And(a, b) => {
-            let (a, b) = (translate(a, sim, arena)?, translate(b, sim, arena)?);
-            arena.and(a, b)
-        }
-        Property::Or(a, b) => {
-            let (a, b) = (translate(a, sim, arena)?, translate(b, sim, arena)?);
-            arena.or(a, b)
-        }
-        Property::Implies(..) => unreachable!("implication is eliminated by NNF"),
-        Property::Next { n, inner } => {
-            let inner = translate(inner, sim, arena)?;
-            arena.next_n(*n, inner)
-        }
-        Property::NextEt { eps_ns, inner, .. } => {
-            let inner = translate(inner, sim, arena)?;
-            arena.next_et(*eps_ns, inner)
-        }
-        Property::Until(a, b) => {
-            let (a, b) = (translate(a, sim, arena)?, translate(b, sim, arena)?);
-            arena.until(a, b)
-        }
-        Property::Release(a, b) => {
-            let (a, b) = (translate(a, sim, arena)?, translate(b, sim, arena)?);
-            arena.release(a, b)
-        }
-        Property::Always(inner) => {
-            let inner = translate(inner, sim, arena)?;
-            arena.always(inner)
-        }
-        Property::Eventually(inner) => {
-            let inner = translate(inner, sim, arena)?;
-            arena.eventually(inner)
-        }
-    })
+    }
+
+    fn literal(&mut self, atom: &Atom, negated: bool) -> Result<NodeId, CompileError> {
+        Ok(self.arena.lit(resolve(atom, negated, self.sim)?))
+    }
+
+    fn and(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.arena.and(a, b)
+    }
+
+    fn or(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.arena.or(a, b)
+    }
+
+    fn next(&mut self, n: u32, inner: NodeId) -> NodeId {
+        self.arena.next_n(n, inner)
+    }
+
+    fn next_et(&mut self, _tau: u32, eps_ns: u64, inner: NodeId) -> NodeId {
+        self.arena.next_et(eps_ns, inner)
+    }
+
+    fn until(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.arena.until(a, b)
+    }
+
+    fn release(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.arena.release(a, b)
+    }
+
+    fn always(&mut self, inner: NodeId) -> NodeId {
+        self.arena.always(inner)
+    }
+
+    fn eventually(&mut self, inner: NodeId) -> NodeId {
+        self.arena.eventually(inner)
+    }
 }
 
 pub(crate) fn resolve(atom: &Atom, negated: bool, sim: &Simulation) -> Result<Lit, CompileError> {
@@ -165,6 +164,7 @@ pub(crate) fn resolve(atom: &Atom, negated: bool, sim: &Simulation) -> Result<Li
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psl::Property;
 
     fn sim_with(names: &[&str]) -> Simulation {
         let mut sim = Simulation::new();
@@ -266,6 +266,67 @@ mod tests {
             .join()
             .expect("no stack overflow");
         assert!(live > 0);
+    }
+
+    /// `property` lowered through the fold: its arena, body and
+    /// activation policy.
+    fn lowered(property: &Property, sim: &Simulation) -> (FormulaArena, NodeId, bool) {
+        let top = TopLevel::split(property);
+        let mut lower = Lower {
+            sim,
+            arena: FormulaArena::with_capacity(0),
+        };
+        let body = top.fold(&mut lower).expect("signals exist");
+        (lower.arena, body, top.repeating)
+    }
+
+    /// Lowering a property through the fold interns exactly what lowering
+    /// its `to_nnf` tree does — the same nodes and literals under the same
+    /// ids, the same body and the same activation policy — for every
+    /// shipped suite property and for generated properties outside NNF.
+    #[test]
+    fn the_fold_interns_what_the_nnf_tree_interns() {
+        use crate::differential::{gen_non_nnf, SIGNALS};
+        use designs::{AbsLevel, DesignKind};
+        use psl::nnf::to_nnf;
+
+        let mut cases: Vec<Property> = Vec::new();
+        for design in DesignKind::ALL {
+            for level in [AbsLevel::Rtl, AbsLevel::TlmCa, AbsLevel::TlmAt] {
+                let suite = designs::properties_at(design, level);
+                cases.extend(suite.iter().map(|(_, p)| p.property.clone()));
+                cases.extend(suite.iter().filter_map(|(_, p)| p.context.guard().cloned()));
+            }
+        }
+        let shipped = cases.len();
+        let mut rng = tinyrng::TinyRng::new(0xF01D);
+        for _ in 0..200 {
+            let body = gen_non_nnf(&mut rng, 3);
+            cases.push(match rng.range_u32(0, 3) {
+                0 => Property::not(Property::eventually(body)),
+                1 => Property::always(body),
+                _ => body,
+            });
+        }
+        let mut sim = Simulation::new();
+        for p in &cases {
+            for name in p.signals().into_iter().chain(SIGNALS.iter().copied()) {
+                if sim.signal_id(name).is_none() {
+                    sim.add_signal(name, 0);
+                }
+            }
+        }
+        let mut outside_nnf = 0;
+        for p in &cases {
+            let nnf = to_nnf(p);
+            outside_nnf += usize::from(nnf != *p);
+            let (folded, body, repeating) = lowered(p, &sim);
+            let (tree, tree_body, tree_repeating) = lowered(&nnf, &sim);
+            assert!(folded.same_tables(&tree), "{p}");
+            assert_eq!((body, repeating), (tree_body, tree_repeating), "{p}");
+        }
+        assert!(shipped >= 80, "{shipped} shipped properties and guards");
+        assert!(outside_nnf > 150, "only {outside_nnf} cases outside NNF");
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! after blanking the fields only the arena produces (interning/memo stats
 //! and rendered residuals, which the reference deliberately leaves empty).
 //!
-//! Cases come from a seeded [`TinyRng`] loop; failure messages carry the
-//! case index for reproduction. A second input is every shipped IP's
-//! TLM-CA suite over one seeded dense stream.
+//! Cases come from seeded [`TinyRng`] loops; failure messages carry the
+//! case index for reproduction. The first loop generates properties
+//! already in negation normal form; the second generates properties
+//! outside it (negated connectives, implication, negated comparisons, a
+//! negated top-level `eventually`), which [`compile`] normalizes with the
+//! NNF fold while the reference normalizes with `to_nnf`. A further input
+//! is every shipped IP's TLM-CA suite over one seeded dense stream.
 
 use std::collections::HashMap;
 
@@ -26,7 +30,10 @@ use crate::{compile, PropertyReport};
 
 const CASES: u64 = 600;
 
-const SIGNALS: &[&str] = &["a", "b", "c"];
+/// Cases of the non-NNF loop.
+const NON_NNF_CASES: u64 = 400;
+
+pub(crate) const SIGNALS: &[&str] = &["a", "b", "c"];
 
 fn gen_atom(rng: &mut TinyRng) -> Property {
     match rng.range_u32(0, 3) {
@@ -55,6 +62,54 @@ fn gen_property(rng: &mut TinyRng, depth: u32) -> Property {
         4 => gen_atom(rng).until(gen_property(rng, depth - 1)),
         5 => gen_atom(rng).release(gen_property(rng, depth - 1)),
         _ => gen_atom(rng),
+    }
+}
+
+const CMP_OPS: &[psl::CmpOp] = &[
+    psl::CmpOp::Eq,
+    psl::CmpOp::Ne,
+    psl::CmpOp::Lt,
+    psl::CmpOp::Le,
+    psl::CmpOp::Gt,
+    psl::CmpOp::Ge,
+];
+
+/// A leaf outside NNF where possible: a negated comparison over any
+/// operator, a doubly negated atom, or a plain atom.
+fn gen_non_nnf_leaf(rng: &mut TinyRng) -> Property {
+    match rng.range_u32(0, 3) {
+        0 => Property::not(Property::cmp(
+            *rng.pick(SIGNALS),
+            *rng.pick(CMP_OPS),
+            rng.range_u64(0, 3),
+        )),
+        1 => Property::not(Property::not(gen_atom(rng))),
+        _ => gen_atom(rng),
+    }
+}
+
+/// Properties outside negation normal form: `!(…)` over `&&`, `||`,
+/// `until`, `release`, `next` and `next_ε^τ`, implication, and negated
+/// comparisons at the leaves.
+pub(crate) fn gen_non_nnf(rng: &mut TinyRng, depth: u32) -> Property {
+    if depth == 0 {
+        return gen_non_nnf_leaf(rng);
+    }
+    let sub = |rng: &mut TinyRng| gen_non_nnf(rng, depth - 1);
+    match rng.range_u32(0, 9) {
+        0 => Property::not(sub(rng).and(sub(rng))),
+        1 => Property::not(sub(rng).or(sub(rng))),
+        2 => Property::not(gen_non_nnf_leaf(rng).until(sub(rng))),
+        3 => Property::not(gen_non_nnf_leaf(rng).release(sub(rng))),
+        4 => Property::not(Property::next_n(rng.range_u32(1, 4), sub(rng))),
+        5 => {
+            let tau = rng.range_u32(1, 4);
+            let eps = *rng.pick(&[10u64, 20, 30, 15]);
+            Property::not(Property::next_et(tau, eps, sub(rng)))
+        }
+        6 => sub(rng).implies(sub(rng)),
+        7 => sub(rng).and(sub(rng)),
+        _ => gen_non_nnf_leaf(rng),
     }
 }
 
@@ -144,6 +199,33 @@ fn arena_checker_matches_reference_checker() {
         let clocked = ClockedProperty::new(p, context);
         let rows = gen_stream(&mut rng);
         check_case(&clocked, &rows, &format!("case {case}"));
+    }
+}
+
+/// Random properties outside NNF, at the top level plain, `always`,
+/// `!eventually` (an `always` after normalization, so a repeating
+/// activation) or `!always`, some guarded by a negated conjunction or an
+/// implication: the arena checker, lowered through the NNF fold, must
+/// match the reference, lowered from `to_nnf`'s tree.
+#[test]
+fn arena_checker_matches_reference_checker_outside_nnf() {
+    for case in 0..NON_NNF_CASES {
+        let mut rng = TinyRng::fork(0x0ADD_2F17, case);
+        let body = gen_non_nnf(&mut rng, 3);
+        let p = match rng.range_u32(0, 4) {
+            0 => Property::always(body),
+            1 => Property::not(Property::eventually(body)),
+            2 => Property::not(Property::always(body)),
+            _ => body,
+        };
+        let context = match rng.range_u32(0, 4) {
+            0 => EvalContext::tb_guarded(Property::not(gen_atom(&mut rng).and(gen_atom(&mut rng)))),
+            1 => EvalContext::tb_guarded(gen_non_nnf_leaf(&mut rng).implies(gen_atom(&mut rng))),
+            _ => EvalContext::tb(),
+        };
+        let clocked = ClockedProperty::new(p, context);
+        let rows = gen_stream(&mut rng);
+        check_case(&clocked, &rows, &format!("non-NNF case {case}"));
     }
 }
 

@@ -55,7 +55,7 @@ impl<F: Fn(SignalId) -> u64 + ?Sized> SignalRead for F {
 }
 
 /// A resolved literal: a signal test, possibly negated.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Lit {
     pub sig: SignalId,
     pub name: Arc<str>,
@@ -63,7 +63,7 @@ pub(crate) struct Lit {
     pub negated: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LitTest {
     /// Boolean signal: true iff non-zero.
     Bool,
@@ -629,8 +629,8 @@ mod tests {
     #[test]
     fn wake_plan_classifies() {
         let mut arena = FormulaArena::new();
-        let a = arena.lit(&mk_lit(0, "a", false));
-        let b = arena.lit(&mk_lit(1, "b", false));
+        let a = arena.lit(mk_lit(0, "a", false));
+        let b = arena.lit(mk_lit(1, "b", false));
         let at = arena.at(170, a);
         assert_eq!(wake_plan(&arena, at), WakePlan::AtTime(170));
         let at200 = arena.at(200, a);
@@ -652,8 +652,8 @@ mod tests {
     /// `always (!ds || next_et[1, eps] rdy)`.
     fn ds_rdy_checker(eps: u64) -> PropertyChecker {
         let mut arena = FormulaArena::new();
-        let nds = arena.lit(&mk_lit(0, "ds", true));
-        let rdy = arena.lit(&mk_lit(1, "rdy", false));
+        let nds = arena.lit(mk_lit(0, "ds", true));
+        let rdy = arena.lit(mk_lit(1, "rdy", false));
         let et = arena.next_et(eps, rdy);
         let body = arena.or(nds, et);
         PropertyChecker::new("q3", arena, body, true, None)
@@ -734,10 +734,10 @@ mod tests {
     /// different times can share a deadline.
     fn two_trigger_checker(ea: u64, eb: u64) -> PropertyChecker {
         let mut arena = FormulaArena::new();
-        let na = arena.lit(&mk_lit(0, "a", true));
-        let nb = arena.lit(&mk_lit(1, "b", true));
-        let x = arena.lit(&mk_lit(2, "x", false));
-        let y = arena.lit(&mk_lit(3, "y", false));
+        let na = arena.lit(mk_lit(0, "a", true));
+        let nb = arena.lit(mk_lit(1, "b", true));
+        let x = arena.lit(mk_lit(2, "x", false));
+        let y = arena.lit(mk_lit(3, "y", false));
         let ex = arena.next_et(ea, x);
         let ey = arena.next_et(eb, y);
         let left = arena.or(na, ex);
@@ -770,11 +770,11 @@ mod tests {
     fn re_registration_during_a_drain_queues_behind_its_deadline() {
         // a: `next_et[10] x || next_et[30] y` once the left disjunct fails.
         let mut arena = FormulaArena::new();
-        let na = arena.lit(&mk_lit(0, "a", true));
-        let nb = arena.lit(&mk_lit(1, "b", true));
-        let x = arena.lit(&mk_lit(2, "x", false));
-        let y = arena.lit(&mk_lit(3, "y", false));
-        let z = arena.lit(&mk_lit(4, "z", false));
+        let na = arena.lit(mk_lit(0, "a", true));
+        let nb = arena.lit(mk_lit(1, "b", true));
+        let x = arena.lit(mk_lit(2, "x", false));
+        let y = arena.lit(mk_lit(3, "y", false));
+        let z = arena.lit(mk_lit(4, "z", false));
         let ex = arena.next_et(10, x);
         let ey = arena.next_et(30, y);
         let either = arena.or(ex, ey);
@@ -815,8 +815,8 @@ mod tests {
     #[test]
     fn guard_filters_events() {
         let mut arena = FormulaArena::new();
-        let body = arena.lit(&mk_lit(0, "ds", true));
-        let guard = arena.lit(&mk_lit(1, "en", false));
+        let body = arena.lit(mk_lit(0, "ds", true));
+        let guard = arena.lit(mk_lit(1, "en", false));
         let mut c = PropertyChecker::new("g", arena, body, true, Some(guard));
         c.on_event(&env(&[(0, 1)]), 10); // en low: invisible, no activation
         assert_eq!(c.report().activations, 0);
@@ -829,8 +829,8 @@ mod tests {
     fn non_repeating_property_fires_once() {
         // (!rdy) until ds
         let mut arena = FormulaArena::new();
-        let nrdy = arena.lit(&mk_lit(1, "rdy", true));
-        let ds = arena.lit(&mk_lit(0, "ds", false));
+        let nrdy = arena.lit(mk_lit(1, "rdy", true));
+        let ds = arena.lit(mk_lit(0, "ds", false));
         let body = arena.until(nrdy, ds);
         let mut c = PropertyChecker::new("p9", arena, body, false, None);
         c.on_event(&env(&[]), 10);
@@ -887,8 +887,8 @@ mod tests {
     fn vacuity_shortcut_is_not_taken_for_a_boolean_second_disjunct() {
         let build = || {
             let mut arena = FormulaArena::new();
-            let nds = arena.lit(&mk_lit(0, "ds", true));
-            let rdy = arena.lit(&mk_lit(1, "rdy", false));
+            let nds = arena.lit(mk_lit(0, "ds", true));
+            let rdy = arena.lit(mk_lit(1, "rdy", false));
             let et = arena.next_et(170, rdy);
             let body = arena.or(et, nds);
             PropertyChecker::new("q3r", arena, body, true, None)
@@ -906,11 +906,11 @@ mod tests {
         // `always (!ds || next_et[1, 170] rdy) @(T_b && en)`.
         let build = || {
             let mut arena = FormulaArena::new();
-            let nds = arena.lit(&mk_lit(0, "ds", true));
-            let rdy = arena.lit(&mk_lit(1, "rdy", false));
+            let nds = arena.lit(mk_lit(0, "ds", true));
+            let rdy = arena.lit(mk_lit(1, "rdy", false));
             let et = arena.next_et(170, rdy);
             let body = arena.or(nds, et);
-            let guard = arena.lit(&mk_lit(2, "en", false));
+            let guard = arena.lit(mk_lit(2, "en", false));
             PropertyChecker::new("g", arena, body, true, Some(guard))
         };
         let events: &[(&[(usize, u64)], u64)] = &[
@@ -997,8 +997,8 @@ mod tests {
         // N live instances computes one progression and answers the other
         // N-1 from the memo.
         let mut arena = FormulaArena::new();
-        let nrdy = arena.lit(&mk_lit(1, "rdy", true));
-        let ds = arena.lit(&mk_lit(0, "ds", false));
+        let nrdy = arena.lit(mk_lit(1, "rdy", true));
+        let ds = arena.lit(mk_lit(0, "ds", false));
         let body = arena.until(nrdy, ds);
         let mut c = PropertyChecker::new("u", arena, body, true, None);
         for k in 0..10u64 {

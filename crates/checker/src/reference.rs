@@ -420,7 +420,7 @@ fn translate(p: &Property, sim: &Simulation) -> Result<M, CompileError> {
         Property::Atom(a) => Rc::new(Mx::Lit(resolve(a, false, sim)?)),
         Property::Not(inner) => match &**inner {
             Property::Atom(a) => Rc::new(Mx::Lit(resolve(a, true, sim)?)),
-            _ => return Err(CompileError::UnsupportedNegation),
+            _ => unreachable!("NNF negates atoms only"),
         },
         Property::And(a, b) => Rc::new(Mx::And(translate(a, sim)?, translate(b, sim)?)),
         Property::Or(a, b) => Rc::new(Mx::Or(translate(a, sim)?, translate(b, sim)?)),

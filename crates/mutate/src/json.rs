@@ -7,28 +7,13 @@
 
 use std::fmt::Write as _;
 
+use abv_obs::push_json_str;
 use designs::Fault;
 
 use crate::matrix::KillMatrix;
 
 /// The schema tag emitted in every document.
 pub const SCHEMA: &str = "rtl2tlm-kill-matrix-v1";
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 impl KillMatrix {
     /// Renders the matrix as a stable JSON document.
@@ -60,10 +45,12 @@ impl KillMatrix {
             let _ = write!(o, "}},\"mutants\":[");
             for (mi, row) in dm.mutants.iter().enumerate() {
                 let comma = if mi > 0 { "," } else { "" };
+                // Fault names are fixed ASCII labels (`bit-flip[3]`):
+                // nothing to escape, so `Display` writes them in place.
                 let _ = write!(
                     o,
                     "{comma}{{\"fault\":\"{}\",\"baseline\":{},\"cells\":[",
-                    escape(&row.fault.to_string()),
+                    row.fault,
                     row.fault == Fault::None
                 );
                 for (ci, cell) in row.cells.iter().enumerate() {
@@ -78,18 +65,18 @@ impl KillMatrix {
                     );
                     let _ = write!(o, ",\"failing_properties\":[");
                     for (fi, name) in cell.failing_properties().iter().enumerate() {
-                        let comma = if fi > 0 { "," } else { "" };
-                        let _ = write!(o, "{comma}\"{}\"", escape(name));
+                        if fi > 0 {
+                            o.push(',');
+                        }
+                        push_json_str(o, name);
                     }
                     let _ = write!(o, "],\"verdicts\":{{");
                     for (vi, v) in cell.verdicts.iter().enumerate() {
-                        let comma = if vi > 0 { "," } else { "" };
-                        let _ = write!(
-                            o,
-                            "{comma}\"{}\":\"{}\"",
-                            escape(&v.property),
-                            if v.pass { "pass" } else { "fail" }
-                        );
+                        if vi > 0 {
+                            o.push(',');
+                        }
+                        push_json_str(o, &v.property);
+                        o.push_str(if v.pass { ":\"pass\"" } else { ":\"fail\"" });
                     }
                     let _ = write!(o, "}}}}");
                 }
@@ -109,7 +96,7 @@ impl KillMatrix {
                     o,
                     "{comma}{{\"design\":\"{}\",\"fault\":\"{}\",\"killed_at\":\"{}\",\"survives_at\":\"{}\"}}",
                     d.design.label(),
-                    escape(&d.fault.to_string()),
+                    d.fault,
                     d.killed_at.label(),
                     d.survives_at.label()
                 );
@@ -166,9 +153,24 @@ mod tests {
         assert_eq!(solo.matrix.to_json(), pooled.matrix.to_json());
     }
 
+    /// Property names go through the shared JSON string writer: quotes,
+    /// backslashes and control characters come out escaped in both the
+    /// failing list and the verdict map.
     #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    fn property_names_are_escaped() {
+        let mut matrix = tiny_matrix();
+        for row in &mut matrix.designs[0].mutants {
+            for cell in &mut row.cells {
+                for v in &mut cell.verdicts {
+                    v.property = format!("{}\"\\\n\u{1}", v.property);
+                }
+            }
+        }
+        let json = matrix.to_json();
+        assert!(json.contains(r#""f1\"\\\n\u0001":"pass""#), "{json}");
+        assert!(
+            json.contains(r#""failing_properties":["f1\"\\\n\u0001""#),
+            "{json}"
+        );
     }
 }

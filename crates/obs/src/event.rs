@@ -293,10 +293,19 @@ fn push_micro_ts(out: &mut String, ns: u64) {
     }
 }
 
-/// Appends `s` as a JSON string literal (with quotes). A string with
-/// nothing to escape, the usual case, is copied in one piece.
+/// Appends `s` as a JSON string literal (with quotes), escaping `"`, `\`
+/// and control characters. A string with nothing to escape, the usual
+/// case, is copied in one piece. The one JSON string writer of the
+/// workspace: trace export and the kill-matrix report both use it.
+///
+/// ```
+/// let mut out = String::from("[");
+/// abv_obs::push_json_str(&mut out, "say \"hi\"\n");
+/// out.push(']');
+/// assert_eq!(out, r#"["say \"hi\"\n"]"#);
+/// ```
 #[inline]
-fn push_json_str(out: &mut String, s: &str) {
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
         push_escaped(out, s);

@@ -56,7 +56,7 @@ mod histogram;
 mod sink;
 mod tracer;
 
-pub use event::{chrome_trace_json, ArgValue, Phase, TraceEvent};
+pub use event::{chrome_trace_json, push_json_str, ArgValue, Phase, TraceEvent};
 pub use histogram::Histogram;
 pub use sink::MemorySink;
 pub use tracer::Tracer;

@@ -244,7 +244,8 @@ impl Property {
     /// property when every `next[n]` counts events and `until`/`release`
     /// contribute one event per step: `None` when unbounded (contains
     /// `until`, `release`, `always` or `eventually`), otherwise the maximum
-    /// over root-to-leaf paths of the summed `next` depths.
+    /// over root-to-leaf paths of the summed `next` depths, saturating at
+    /// `u32::MAX`.
     ///
     /// Used by the TLM wrapper to size the checker-instance pool
     /// (Section IV, point 1).
@@ -256,10 +257,10 @@ impl Property {
             Property::And(a, b) | Property::Or(a, b) | Property::Implies(a, b) => {
                 Some(a.bounded_event_depth()?.max(b.bounded_event_depth()?))
             }
-            Property::Next { n, inner } => Some(n + inner.bounded_event_depth()?),
+            Property::Next { n, inner } => Some(n.saturating_add(inner.bounded_event_depth()?)),
             // next_ε^τ is synthesized as next[τ] from the checker generator's
             // point of view (Section IV), so it contributes one event level.
-            Property::NextEt { inner, .. } => Some(1 + inner.bounded_event_depth()?),
+            Property::NextEt { inner, .. } => Some(inner.bounded_event_depth()?.saturating_add(1)),
             Property::Until(..)
             | Property::Release(..)
             | Property::Always(_)
@@ -269,7 +270,8 @@ impl Property {
 
     /// Maximum completion offset in nanoseconds: the largest sum of
     /// `next_ε^τ` offsets along any root-to-leaf path, i.e. the property's
-    /// completion time `t_end - t_fire` (Section IV, point 1). `None` when
+    /// completion time `t_end - t_fire` (Section IV, point 1), saturating
+    /// at `u64::MAX` like the deadlines the checker anchors. `None` when
     /// the property contains unbounded operators.
     #[must_use]
     pub fn completion_bound_ns(&self) -> Option<u64> {
@@ -281,7 +283,9 @@ impl Property {
             }
             // Plain `next` has no time meaning at TLM; bound unknown.
             Property::Next { .. } => None,
-            Property::NextEt { eps_ns, inner, .. } => Some(eps_ns + inner.completion_bound_ns()?),
+            Property::NextEt { eps_ns, inner, .. } => {
+                Some(eps_ns.saturating_add(inner.completion_bound_ns()?))
+            }
             Property::Until(..)
             | Property::Release(..)
             | Property::Always(_)
@@ -405,6 +409,10 @@ mod tests {
         let nested = Property::next_et(1, 100, Property::next_et(2, 50, Property::t()));
         assert_eq!(nested.completion_bound_ns(), Some(150));
         assert_eq!(Property::next(Property::t()).completion_bound_ns(), None);
+        let huge = Property::next_et(1, u64::MAX, Property::next_et(2, 1, Property::t()));
+        assert_eq!(huge.completion_bound_ns(), Some(u64::MAX), "saturates");
+        let deep = Property::next_n(u32::MAX, Property::next(Property::t()));
+        assert_eq!(deep.bounded_event_depth(), Some(u32::MAX), "saturates");
     }
 
     #[test]

@@ -14,9 +14,112 @@
 //! Negated comparison atoms are folded into the complementary comparison
 //! (`!(a < b)` becomes `a >= b`), so the only surviving negations wrap
 //! boolean-signal atoms.
+//!
+//! The rewrite is one [`fold`] over an [`NnfBuilder`]: [`to_nnf`] is the
+//! fold that builds a [`Property`], and checker synthesis drives the same
+//! fold straight into its monitor arena, so both see the same normal
+//! form. [`TopLevel`] splits off a top-level `always` exactly as the
+//! normal form leaves it.
+
+use std::convert::Infallible;
 
 use crate::ast::Property;
 use crate::atom::Atom;
+
+/// The constructors an NNF rewrite builds its result with.
+///
+/// [`fold`] walks a property once and hands every node of its negation
+/// normal form to the builder, children before parents and left before
+/// right, so the rules of the rewrite live in one place whatever the
+/// result is: [`to_nnf`] builds a [`Property`] tree with it, and checker
+/// synthesis lowers a property straight into its monitor representation
+/// without an intermediate tree. There is no `not` and no `implies`: NNF
+/// leaves negation on boolean-signal literals only and removes
+/// implication.
+pub trait NnfBuilder {
+    /// What a folded subformula becomes.
+    type Out;
+    /// Why a literal could not be built.
+    type Error;
+
+    /// The constant `value`.
+    fn constant(&mut self, value: bool) -> Self::Out;
+    /// A literal: `atom`, negated when `negated` is set. Only boolean
+    /// signals arrive negated; a negated comparison arrives as the
+    /// complementary comparison (`!(a < b)` as `a >= b`).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the builder cannot build a literal from (for checker
+    /// synthesis, a signal absent from the simulation); the fold stops at
+    /// the first error.
+    fn literal(&mut self, atom: &Atom, negated: bool) -> Result<Self::Out, Self::Error>;
+    /// `a && b`.
+    fn and(&mut self, a: Self::Out, b: Self::Out) -> Self::Out;
+    /// `a || b`.
+    fn or(&mut self, a: Self::Out, b: Self::Out) -> Self::Out;
+    /// `next[n] inner`.
+    fn next(&mut self, n: u32, inner: Self::Out) -> Self::Out;
+    /// `next_ε^τ inner` with position `tau` and offset `eps_ns`.
+    fn next_et(&mut self, tau: u32, eps_ns: u64, inner: Self::Out) -> Self::Out;
+    /// `a until b`.
+    fn until(&mut self, a: Self::Out, b: Self::Out) -> Self::Out;
+    /// `a release b`.
+    fn release(&mut self, a: Self::Out, b: Self::Out) -> Self::Out;
+    /// `always inner`.
+    fn always(&mut self, inner: Self::Out) -> Self::Out;
+    /// `eventually inner`.
+    fn eventually(&mut self, inner: Self::Out) -> Self::Out;
+}
+
+/// Builds NNF as a [`Property`] tree: the builder behind [`to_nnf`].
+struct Tree;
+
+impl NnfBuilder for Tree {
+    type Out = Property;
+    type Error = Infallible;
+
+    fn constant(&mut self, value: bool) -> Property {
+        Property::Const(value)
+    }
+
+    fn literal(&mut self, atom: &Atom, negated: bool) -> Result<Property, Infallible> {
+        let atom = Property::Atom(atom.clone());
+        Ok(if negated { Property::not(atom) } else { atom })
+    }
+
+    fn and(&mut self, a: Property, b: Property) -> Property {
+        a.and(b)
+    }
+
+    fn or(&mut self, a: Property, b: Property) -> Property {
+        a.or(b)
+    }
+
+    fn next(&mut self, n: u32, inner: Property) -> Property {
+        Property::next_n(n, inner)
+    }
+
+    fn next_et(&mut self, tau: u32, eps_ns: u64, inner: Property) -> Property {
+        Property::next_et(tau, eps_ns, inner)
+    }
+
+    fn until(&mut self, a: Property, b: Property) -> Property {
+        a.until(b)
+    }
+
+    fn release(&mut self, a: Property, b: Property) -> Property {
+        a.release(b)
+    }
+
+    fn always(&mut self, inner: Property) -> Property {
+        Property::always(inner)
+    }
+
+    fn eventually(&mut self, inner: Property) -> Property {
+        Property::eventually(inner)
+    }
+}
 
 /// Rewrites `p` into negation normal form.
 ///
@@ -34,7 +137,88 @@ use crate::atom::Atom;
 /// ```
 #[must_use]
 pub fn to_nnf(p: &Property) -> Property {
-    rewrite(p, false)
+    match fold(p, &mut Tree) {
+        Ok(nnf) => nnf,
+        Err(never) => match never {},
+    }
+}
+
+/// Folds the negation normal form of `p` through `builder`: the result is
+/// what `builder` makes of [`to_nnf`]`(p)`, node by node, without building
+/// that tree.
+///
+/// # Errors
+///
+/// The first error of [`NnfBuilder::literal`].
+pub fn fold<B: NnfBuilder>(p: &Property, builder: &mut B) -> Result<B::Out, B::Error> {
+    rewrite(p, false, builder)
+}
+
+/// A property split at its top-level `always` the way [`to_nnf`] leaves
+/// it, for consumers that treat that `always` as a repeating activation
+/// (checker synthesis, Section IV point 4).
+///
+/// `repeating` is set when the NNF of the property is `always φ`: a
+/// top-level `always p` under an even number of negations, or an
+/// `eventually p` under an odd number (`!eventually p` is `always !p`).
+/// The body is then `φ`, else the whole NNF.
+#[derive(Debug, Clone, Copy)]
+pub struct TopLevel<'a> {
+    /// The body's source: the operand of the peeled `always`/`eventually`
+    /// (or the whole property), before normalization. Normalization keeps
+    /// every `next_ε^τ` offset and every unbounded operator, so
+    /// quantities such as [`Property::completion_bound_ns`] read the same
+    /// here as on the NNF body.
+    pub source: &'a Property,
+    /// True when a top-level `always` was peeled.
+    pub repeating: bool,
+    /// Whether the body sits under a pending negation.
+    negate: bool,
+}
+
+impl<'a> TopLevel<'a> {
+    /// Splits `p` at its top-level `always`, as [`to_nnf`] would leave it.
+    ///
+    /// ```
+    /// use psl::{nnf::TopLevel, Property};
+    ///
+    /// let p: Property = "!(eventually (a && b))".parse()?;
+    /// let top = TopLevel::split(&p);
+    /// assert!(top.repeating);
+    /// assert_eq!(top.source.to_string(), "a && b");
+    /// # Ok::<(), psl::ParseError>(())
+    /// ```
+    #[must_use]
+    pub fn split(p: &'a Property) -> TopLevel<'a> {
+        let mut negate = false;
+        let mut node = p;
+        while let Property::Not(inner) = node {
+            negate = !negate;
+            node = inner;
+        }
+        match (node, negate) {
+            (Property::Always(inner), false) | (Property::Eventually(inner), true) => TopLevel {
+                source: inner,
+                repeating: true,
+                negate,
+            },
+            _ => TopLevel {
+                source: p,
+                repeating: false,
+                negate: false,
+            },
+        }
+    }
+
+    /// Folds the body's negation normal form through `builder` (see
+    /// [`fold`]).
+    ///
+    /// # Errors
+    ///
+    /// The first error of [`NnfBuilder::literal`].
+    pub fn fold<B: NnfBuilder>(&self, builder: &mut B) -> Result<B::Out, B::Error> {
+        rewrite(self.source, self.negate, builder)
+    }
 }
 
 /// True if `p` is in negation normal form: no implication and negation only
@@ -56,91 +240,83 @@ pub fn is_nnf(p: &Property) -> bool {
     }
 }
 
-/// Rewrites `p` under `negate` pending negations.
-fn rewrite(p: &Property, negate: bool) -> Property {
-    match p {
-        Property::Const(b) => Property::Const(*b != negate),
-        Property::Atom(a) => {
+/// Folds `p` under `negate` pending negations, children left to right
+/// before their parent.
+fn rewrite<B: NnfBuilder>(p: &Property, negate: bool, b: &mut B) -> Result<B::Out, B::Error> {
+    Ok(match p {
+        Property::Const(v) => b.constant(*v != negate),
+        Property::Atom(Atom::Cmp { signal, op, value }) if negate => {
+            // A negated comparison is the complementary comparison.
+            b.literal(&Atom::cmp(signal.clone(), op.negated(), *value), false)?
+        }
+        Property::Atom(a) => b.literal(a, negate)?,
+        Property::Not(inner) => return rewrite(inner, !negate, b),
+        Property::And(x, y) => {
+            let (l, r) = (rewrite(x, negate, b)?, rewrite(y, negate, b)?);
             if negate {
-                negate_atom(a)
+                b.or(l, r)
             } else {
-                Property::Atom(a.clone())
+                b.and(l, r)
             }
         }
-        Property::Not(inner) => rewrite(inner, !negate),
-        Property::And(a, b) => {
-            let (l, r) = (rewrite(a, negate), rewrite(b, negate));
+        Property::Or(x, y) => {
+            let (l, r) = (rewrite(x, negate, b)?, rewrite(y, negate, b)?);
             if negate {
-                l.or(r)
+                b.and(l, r)
             } else {
-                l.and(r)
+                b.or(l, r)
             }
         }
-        Property::Or(a, b) => {
-            let (l, r) = (rewrite(a, negate), rewrite(b, negate));
-            if negate {
-                l.and(r)
-            } else {
-                l.or(r)
-            }
-        }
-        Property::Implies(a, b) => {
+        Property::Implies(x, y) => {
             // p -> q == !p || q; under negation: p && !q.
-            let (l, r) = (rewrite(a, !negate), rewrite(b, negate));
+            let (l, r) = (rewrite(x, !negate, b)?, rewrite(y, negate, b)?);
             if negate {
-                l.and(r)
+                b.and(l, r)
             } else {
-                l.or(r)
+                b.or(l, r)
             }
         }
-        Property::Next { n, inner } => Property::next_n(*n, rewrite(inner, negate)),
+        Property::Next { n, inner } => {
+            let i = rewrite(inner, negate, b)?;
+            b.next(*n, i)
+        }
         Property::NextEt { tau, eps_ns, inner } => {
-            Property::next_et(*tau, *eps_ns, rewrite(inner, negate))
+            let i = rewrite(inner, negate, b)?;
+            b.next_et(*tau, *eps_ns, i)
         }
-        Property::Until(a, b) => {
-            let (l, r) = (rewrite(a, negate), rewrite(b, negate));
+        Property::Until(x, y) => {
+            let (l, r) = (rewrite(x, negate, b)?, rewrite(y, negate, b)?);
             if negate {
-                l.release(r)
+                b.release(l, r)
             } else {
-                l.until(r)
+                b.until(l, r)
             }
         }
-        Property::Release(a, b) => {
-            let (l, r) = (rewrite(a, negate), rewrite(b, negate));
+        Property::Release(x, y) => {
+            let (l, r) = (rewrite(x, negate, b)?, rewrite(y, negate, b)?);
             if negate {
-                l.until(r)
+                b.until(l, r)
             } else {
-                l.release(r)
+                b.release(l, r)
             }
         }
         Property::Always(inner) => {
-            let i = rewrite(inner, negate);
+            let i = rewrite(inner, negate, b)?;
             if negate {
-                Property::eventually(i)
+                b.eventually(i)
             } else {
-                Property::always(i)
+                b.always(i)
             }
         }
         Property::Eventually(inner) => {
-            let i = rewrite(inner, negate);
+            let i = rewrite(inner, negate, b)?;
             if negate {
-                Property::always(i)
+                b.always(i)
             } else {
-                Property::eventually(i)
+                b.eventually(i)
             }
         }
-    }
-}
-
-/// The negation of an atom as an NNF property: comparison atoms flip their
-/// operator; boolean-signal atoms stay wrapped in `!`.
-fn negate_atom(a: &Atom) -> Property {
-    match a {
-        Atom::Bool(_) => Property::not(Property::Atom(a.clone())),
-        Atom::Cmp { signal, op, value } => {
-            Property::Atom(Atom::cmp(signal.clone(), op.negated(), *value))
-        }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -204,6 +380,38 @@ mod tests {
         let p: Property = "!(a && (b -> next c)) until !(always d)".parse().unwrap();
         let once = to_nnf(&p);
         assert_eq!(to_nnf(&once), once);
+    }
+
+    /// `TopLevel` peels exactly the `always` that `to_nnf` leaves at the
+    /// top, and its body is the rest of the normal form.
+    #[test]
+    fn top_level_split_matches_the_normal_form() {
+        for src in [
+            "always (a || next b)",
+            "!(eventually (a && b))",
+            "!!always a",
+            "!!!eventually !a",
+            "!(always a)",
+            "eventually a",
+            "always a until b",
+            "!(a -> always b)",
+            "!!!(out == 3)",
+            "true",
+        ] {
+            let p: Property = src.parse().unwrap();
+            let top = TopLevel::split(&p);
+            let (body, repeating) = match to_nnf(&p) {
+                Property::Always(inner) => (*inner, true),
+                other => (other, false),
+            };
+            assert_eq!(top.repeating, repeating, "{src}");
+            assert_eq!(top.fold(&mut Tree), Ok(body.clone()), "{src}");
+            assert_eq!(
+                top.source.completion_bound_ns(),
+                body.completion_bound_ns(),
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,9 @@ pub enum PushAheadError {
     /// *output* of the abstraction and must not occur in RTL input
     /// properties.
     NextOverNextEt,
+    /// Merging adjacent `next`s would count more than `u32::MAX` events,
+    /// the largest `next[n]` the grammar holds.
+    NextCountOverflow,
 }
 
 impl std::fmt::Display for PushAheadError {
@@ -46,6 +49,9 @@ impl std::fmt::Display for PushAheadError {
             }
             PushAheadError::NextOverNextEt => {
                 f.write_str("`next` cannot be distributed over `next_et`; RTL input properties must not contain next_et")
+            }
+            PushAheadError::NextCountOverflow => {
+                f.write_str("merged `next` chain counts more than 4294967295 events")
             }
         }
     }
@@ -63,7 +69,9 @@ impl std::error::Error for PushAheadError {}
 /// - [`PushAheadError::NotInNnf`] if the property contains `->` or a
 ///   non-literal negation (run [`crate::nnf::to_nnf`] first);
 /// - [`PushAheadError::NextOverNextEt`] if a `next` is applied over a
-///   `next_ε^τ` operator.
+///   `next_ε^τ` operator;
+/// - [`PushAheadError::NextCountOverflow`] if a merged `next` chain
+///   counts more than `u32::MAX` events.
 ///
 /// ```
 /// use psl::{push_ahead::push_ahead, Property};
@@ -106,7 +114,10 @@ fn distribute(n: u32, p: Property) -> Result<Property, PushAheadError> {
         // Constants are literals: keep them under `next`. Folding
         // `next(const)` to `const` would be exact only on infinite traces.
         Property::Const(_) | Property::Atom(_) | Property::Not(_) => Ok(Property::next_n(n, p)),
-        Property::Next { n: m, inner } => Ok(Property::next_n(n + m, *inner)),
+        Property::Next { n: m, inner } => {
+            let n = n.checked_add(m).ok_or(PushAheadError::NextCountOverflow)?;
+            Ok(Property::next_n(n, *inner))
+        }
         Property::And(a, b) => Ok(distribute(n, *a)?.and(distribute(n, *b)?)),
         Property::Or(a, b) => Ok(distribute(n, *a)?.or(distribute(n, *b)?)),
         Property::Until(a, b) => Ok(distribute(n, *a)?.until(distribute(n, *b)?)),
@@ -171,6 +182,18 @@ mod tests {
             pushed("next (next a || next[2] b)"),
             "(next[2] a) || (next[3] b)"
         );
+    }
+
+    #[test]
+    fn merged_counts_past_u32_max_are_an_error() {
+        let max = u32::MAX;
+        let at_limit: Property = format!("next[{}] next a", max - 1).parse().unwrap();
+        assert_eq!(
+            push_ahead(&at_limit).unwrap().to_string(),
+            format!("next[{max}] a")
+        );
+        let past: Property = format!("next[{max}] (b || next a)").parse().unwrap();
+        assert_eq!(push_ahead(&past), Err(PushAheadError::NextCountOverflow));
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! assert_eq!(sim.stats().events_processed, 11); // t = 0, 5, ..., 50
 //! ```
 
+mod fxhash;
 mod kernel;
 mod queue;
 mod signal;
@@ -53,6 +54,7 @@ mod stats;
 mod time;
 mod wheel;
 
+pub use fxhash::{FxBuildHasher, FxHasher, FX_SEED};
 pub use kernel::{Component, ComponentId, Event, SimCtx, Simulation, KERNEL_COUNTER_TRACK};
 pub use signal::SignalId;
 pub use stats::SimStats;

@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use crate::fxhash::FxBuildHasher;
 use crate::kernel::ComponentId;
 
 /// Handle of a signal within a [`Simulation`](crate::Simulation).
@@ -41,7 +42,9 @@ pub(crate) struct SignalStore {
     dirty_flags: Vec<bool>,
     /// `(component, event kind delivered on change)` per slot.
     sensitivity: Vec<Vec<(ComponentId, u64)>>,
-    by_name: HashMap<Rc<str>, SignalId>,
+    /// Name lookup, keyed with Fx: names are short and hashed at every
+    /// registration and every `signal_id`.
+    by_name: HashMap<Rc<str>, SignalId, FxBuildHasher>,
     /// Slots with a pending write, in first-write order (deduplicated by
     /// the dirty flags) — commit wake order must be deterministic.
     dirty: Vec<SignalId>,

@@ -25,6 +25,16 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The paper-figure bins, at a tiny size: clippy compiles them, this runs
+# them. `fig3` takes no size.
+for bin in table1 fig6 bulk_at; do
+    echo "==> $bin (smoke)"
+    ABV_BENCH_SIZE=5 ABV_BENCH_REPS=1 ABV_BENCH_WORKERS=1 \
+        cargo run --release --quiet -p abv-bench --bin "$bin" > /dev/null
+done
+echo "==> fig3 (smoke)"
+cargo run --release --quiet -p abv-bench --bin fig3 > /dev/null
+
 echo "==> rtl2tlm mutate --json (smoke)"
 cargo run --release --bin rtl2tlm -- mutate --size 4 --workers 2 --json > /dev/null
 

@@ -52,11 +52,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// Allocations of `Checker::attach_all` over the 9-property DES56 RTL
-/// suite, recorded: about 16 per property (the NNF copy of the property,
-/// the arena's tables sized once from it, the report name, the host
-/// component and its subscription). Arenas that grew while the property
-/// was lowered, and a second copy of each name, made it 249.
-const ATTACH_DES56_RTL_BUDGET: u64 = 147;
+/// suite, recorded: about 7 per property — the arena's four tables
+/// (nodes, interning index, literals, per-node state) sized once from the
+/// property, the report name and the host component — plus the regrowth
+/// of the simulation's component list and the clock's subscriber list.
+/// Lowering through an NNF copy of each property, with a hashed literal
+/// table and three per-node columns, made it 145; arenas that grew while
+/// the property was lowered, and a second copy of each name, 249.
+const ATTACH_DES56_RTL_BUDGET: u64 = 61;
 
 #[test]
 fn warm_suite_calls_and_attach_allocate_within_budget() {
