@@ -1,6 +1,6 @@
 //! Scheduler throughput bench: events/second of the two-tier kernel
-//! (time wheel + delta staging) on the clock-dominated RTL workloads of
-//! all three IPs plus a synthetic many-component stress mix.
+//! (delta staging + timed heap) on the clock-dominated RTL workloads of
+//! all three IPs plus two synthetic many-component cells.
 //!
 //! Every repetition of a cell asserts the same [`SimStats`], so two
 //! builds' rates compare the same work.
@@ -69,10 +69,14 @@ impl Component for Pipeline {
     }
 }
 
-/// A farm of `n` independent clocked pipelines in one simulation — the
-/// multi-IP SoC shape where the scheduler actually carries load: with `n`
-/// clocks pending, a binary heap would pay `O(log n)` per operation while
-/// the wheel still inserts and drains in O(1).
+/// A farm of `n` independent clocked pipelines in one simulation: `n`
+/// clocks keep `n` events pending on the timed heap, so each clock edge
+/// pays `O(log n)` there. No design the workspace builds has this shape
+/// (each has one clock or one bus). Measured against the 256-slot time
+/// wheel the heap replaced, which inserted and drained such edges in
+/// O(1), this cell ran at 0.43× of the wheel's events/s (median of six
+/// alternating runs), while the three IP cells ran at 1.03–1.08×;
+/// EXPERIMENTS.md "One timed queue" has the runs.
 fn farm_run(n: usize, horizon_ns: u64) -> (Duration, SimStats) {
     let mut sim = Simulation::new();
     sim.reserve_signals(2 * n);
@@ -95,8 +99,7 @@ fn farm_run(n: usize, horizon_ns: u64) -> (Duration, SimStats) {
 
 /// A synthetic stress component: toggles its own signal every `period` ns
 /// (self-subscribed, so each toggle also produces a delta-staged commit
-/// wake), exercising the wheel, the staging area and — for the sparse
-/// long-period members — the overflow heap.
+/// wake), exercising the timed heap and the staging area.
 struct Ticker {
     sig: desim::SignalId,
     period: u64,
@@ -113,17 +116,21 @@ impl Component for Ticker {
     }
 }
 
-/// Builds and runs the many-component mix: short periods landing in the
-/// wheel window, a sparse tail far enough out to spill into overflow.
+/// Builds and runs the many-component mix: thousands of short periods and
+/// a sparse long-period tail, all pending on the timed heap at once. With
+/// about 10 000 pending events each push and pop walks a deep heap; this
+/// cell ran at 0.36× of the time wheel's events/s (median of six
+/// alternating runs), the price of one timed queue sized for one clock
+/// or one bus.
 fn stress_run(components: usize, horizon_ns: u64) -> (Duration, SimStats) {
     let mut sim = Simulation::new();
     sim.reserve_signals(components);
     for i in 0..components {
         let sig = sim.add_signal(&format!("s{i}"), 0);
         let period = if i % 29 == 0 {
-            1000 + (i as u64 % 7) * 100 // overflow-heap residents
+            1000 + (i as u64 % 7) * 100 // sparse tail
         } else {
-            1 + (i as u64 % 16) // wheel-window residents
+            1 + (i as u64 % 16)
         };
         let c = sim.add_component(Ticker {
             sig,

@@ -26,7 +26,7 @@ pub struct Clock {
     half_period_ns: u64,
     /// The level the next toggle writes — tracked internally so the
     /// generator's hot path is a single signal write plus a half-period
-    /// self-schedule (which the kernel's time wheel absorbs in O(1))
+    /// self-schedule (one pending event on the kernel's timed heap)
     /// without re-reading the committed clock value every edge.
     next_level: u64,
 }

@@ -96,14 +96,15 @@ impl SimCtx<'_> {
 
     /// Schedules delivery of `kind` to `component` after `delay_ns`
     /// nanoseconds. A zero delay delivers in the next delta cycle of the
-    /// current timestamp.
+    /// current timestamp. The delivery time saturates at [`SimTime::MAX`];
+    /// a delay from `SimTime::MAX` itself delivers in the next delta.
     pub fn schedule_in(&mut self, delay_ns: u64, component: ComponentId, kind: u64) {
-        if delay_ns == 0 {
+        let at = self.now + delay_ns;
+        if at == self.now {
             // The handling timestamp is always open on the scheduler.
-            self.queue
-                .push_staged(self.now, self.delta + 1, component, kind);
+            self.queue.push_staged(at, self.delta + 1, component, kind);
         } else {
-            self.queue.push(self.now + delay_ns, 0, component, kind);
+            self.queue.push(at, 0, component, kind);
         }
     }
 
@@ -506,6 +507,38 @@ mod tests {
             SimTime::from_ns(1),
             "zero delays stay at one timestamp"
         );
+    }
+
+    /// A delay past the end of time lands on [`SimTime::MAX`]: a finite
+    /// `run_until` never reaches it, and it never wraps into the past.
+    #[test]
+    fn over_long_delay_saturates_at_the_end_of_time() {
+        struct Sleeper {
+            seen: Vec<(u64, u64)>,
+        }
+        impl Component for Sleeper {
+            fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_>) {
+                self.seen.push((ev.time.as_ns(), ev.kind));
+                if ev.kind < 2 {
+                    ctx.schedule_self(u64::MAX, ev.kind + 1);
+                }
+            }
+        }
+        let mut sim = Simulation::new();
+        let c = sim.add_component(Sleeper { seen: Vec::new() });
+        sim.schedule(SimTime::from_ns(5), c, 0);
+        sim.run_until(SimTime::from_ns(1_000));
+        assert_eq!(sim.component::<Sleeper>(c).unwrap().seen, vec![(5, 0)]);
+        assert_eq!(sim.pending_events(), 1);
+
+        let stats = sim.run_to_completion();
+        assert_eq!(
+            sim.component::<Sleeper>(c).unwrap().seen,
+            vec![(5, 0), (u64::MAX, 1), (u64::MAX, 2)],
+            "a delay from the last instant delivers in its next delta"
+        );
+        assert_eq!(stats.timestamps, 2, "5 ns and the last instant");
+        assert_eq!(sim.now(), SimTime::MAX);
     }
 
     #[test]

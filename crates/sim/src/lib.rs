@@ -52,7 +52,6 @@ mod signal;
 mod staging;
 mod stats;
 mod time;
-mod wheel;
 
 pub use fxhash::{FxBuildHasher, FxHasher, FX_SEED};
 pub use kernel::{Component, ComponentId, Event, SimCtx, Simulation, KERNEL_COUNTER_TRACK};

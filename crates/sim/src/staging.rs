@@ -3,11 +3,11 @@
 //!
 //! All same-timestamp work — `notify` wakes, zero-delay self-schedules and
 //! signal-commit wakes — lands here with an O(1) `Vec` push, never touching
-//! the time wheel or a comparison-based queue. Rounds are drained in delta
-//! order by swapping the round buffer with the kernel's scratch vector
-//! (classic double buffering: while round *d* is being delivered, its
-//! pushes accumulate in the buffer for round *d + 1*), so buffers are
-//! recycled and the steady state allocates nothing.
+//! the timed heap. Rounds are drained in delta order by swapping the round
+//! buffer with the kernel's scratch vector (classic double buffering: while
+//! round *d* is being delivered, its pushes accumulate in the buffer for
+//! round *d + 1*), so buffers are recycled and the steady state allocates
+//! nothing.
 //!
 //! Round `d` lives at `rounds[d]` — deltas restart at zero each timestamp,
 //! so the buffer list is a plain `Vec` whose length is the high-water mark
@@ -60,7 +60,7 @@ impl DeltaStaging {
     }
 
     /// True if the staging area is open at exactly `time` — the routing
-    /// predicate: such pushes stage, everything else goes to the wheel.
+    /// predicate: such pushes stage, everything else goes to the timed heap.
     pub fn is_open_at(&self, time: SimTime) -> bool {
         self.active && self.time == time
     }

@@ -49,17 +49,20 @@ impl SimTime {
     }
 }
 
+/// Saturates at [`SimTime::MAX`]: a delay past the end of time lands on
+/// the last instant, never wraps into the past.
 impl Add<u64> for SimTime {
     type Output = SimTime;
 
     fn add(self, ns: u64) -> SimTime {
-        SimTime(self.0 + ns)
+        SimTime(self.0.saturating_add(ns))
     }
 }
 
+/// Saturates at [`SimTime::MAX`], like [`Add`].
 impl AddAssign<u64> for SimTime {
     fn add_assign(&mut self, ns: u64) {
-        self.0 += ns;
+        *self = *self + ns;
     }
 }
 
@@ -96,6 +99,15 @@ mod tests {
         let mut u = t;
         u += 5;
         assert_eq!(u, SimTime::from_ns(15));
+    }
+
+    #[test]
+    fn addition_saturates_at_max() {
+        assert_eq!(SimTime::from_ns(5) + u64::MAX, SimTime::MAX);
+        assert_eq!(SimTime::MAX + 1, SimTime::MAX);
+        let mut u = SimTime::from_ns(u64::MAX - 1);
+        u += 2;
+        assert_eq!(u, SimTime::MAX);
     }
 
     #[test]

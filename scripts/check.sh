@@ -58,8 +58,9 @@ case "$last" in
     *) echo "perfbench: outputs do not match the pins: $last" >&2; exit 1 ;;
 esac
 
-# Two-tier events/s per cell; each cell asserts identical SimStats on
-# every repetition.
+# Every bench runs, not only compiles, at a tiny budget.
+# Kernel events/s per cell; each cell asserts identical SimStats on every
+# repetition.
 echo "==> cargo bench -p abv-bench --bench kernel_throughput (smoke)"
 ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 ABV_BENCH_STRESS=500 \
     cargo bench -p abv-bench --bench kernel_throughput
@@ -68,6 +69,15 @@ ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=20 ABV_BENCH_STRESS=500 \
 # not only compile.
 echo "==> cargo bench -p abv-bench --bench trace_overhead (smoke)"
 ABV_BENCH_BUDGET_MS=100 cargo bench -p abv-bench --bench trace_overhead
+
+# Evaluation table, next_et vs naive rescaling, online vs post-hoc.
+echo "==> cargo bench -p abv-bench --bench ablation (smoke)"
+ABV_BENCH_BUDGET_MS=100 cargo bench -p abv-bench --bench ablation
+
+# The kill-matrix campaign at 1 and 2 workers; asserts byte-identical JSON.
+echo "==> cargo bench -p abv-bench --bench mutation_throughput (smoke)"
+ABV_BENCH_BUDGET_MS=100 ABV_BENCH_SIZE=4 \
+    cargo bench -p abv-bench --bench mutation_throughput
 
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

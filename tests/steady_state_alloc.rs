@@ -1,8 +1,15 @@
-//! Steady-state allocation proxy: once a DES56 RTL all-checker simulation
-//! is warm, the heap allocations it makes inside a `run_until` window do
-//! not grow with the window's length. Per-event allocation in the kernel,
-//! the design model or the checker path would make them proportional to
-//! the number of events in the window.
+//! Run-time allocation proxies.
+//!
+//! - Steady state: once a DES56 RTL all-checker simulation is warm, the
+//!   heap allocations it makes inside a `run_until` window do not grow
+//!   with the window's length. Per-event allocation in the kernel, the
+//!   design model or the checker path would make them proportional to the
+//!   number of events in the window.
+//! - Cold run: a freshly built design without checkers runs to its end
+//!   with a handful of allocations (the scheduler's and the kernel's
+//!   buffers reaching their working size), at any workload length. A
+//!   scheduler that sets up per-slot or per-timestamp buffers shows up
+//!   here as hundreds.
 //!
 //! The binary installs a counting global allocator, so it holds this one
 //! test only: the harness's other threads must not allocate while a window
@@ -80,4 +87,27 @@ fn des56_rtl_all_checker_window_allocations_do_not_scale_with_length() {
 
     let report = Checker::collect(&mut built.sim, &checkers, built.end_ns);
     assert!(report.properties.iter().all(|p| p.failure_count == 0));
+
+    // Cold runs: every IP and level, a short and a long workload.
+    let mut cold = Vec::new();
+    for design in DesignKind::ALL {
+        for level in AbsLevel::ALL {
+            for requests in [8, 500] {
+                let mut built =
+                    designs::build(design, level, requests, 2015, Fault::None).expect("builds");
+                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                let stats = built.run();
+                let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                assert!(stats.events_processed > 0);
+                cold.push((format!("{design:?} {level:?} {requests}"), made));
+            }
+        }
+    }
+    assert!(
+        cold.iter().all(|&(_, made)| made <= COLD_RUN_BUDGET),
+        "cold BuiltDesign::run allocations above {COLD_RUN_BUDGET}: {cold:?}"
+    );
 }
+
+/// Allocations a fresh `BuiltDesign::run` without checkers may make.
+const COLD_RUN_BUDGET: u64 = 8;
