@@ -120,6 +120,16 @@ impl SimCtx<'_> {
     pub fn notify(&mut self, component: ComponentId, kind: u64) {
         self.schedule_in(0, component, kind);
     }
+
+    /// Wakes every `(component, kind)` of `wakes` in the next delta cycle,
+    /// in slice order — the same deliveries as one [`notify`](Self::notify)
+    /// per entry, staged by one slice copy. Each entry is one event, placed
+    /// after everything this handler already scheduled for the next delta
+    /// and before anything it schedules later, exactly where the
+    /// per-entry calls would have placed it.
+    pub fn notify_all(&mut self, wakes: &[(ComponentId, u64)]) {
+        self.queue.push_all_staged(self.now, self.delta + 1, wakes);
+    }
 }
 
 /// A discrete-event simulation: signals, components, scheduler and clock.
@@ -295,9 +305,10 @@ impl Simulation {
     /// Each loop iteration opens one timestamp on the scheduler and drains
     /// it round by round: the evaluate phase delivers one staged delta
     /// round (whose zero-delay schedules stage into the next round), the
-    /// update phase commits signal writes and stages the resulting wakes —
-    /// SystemC's delta-cycle discipline, with every same-timestamp hop an
-    /// O(1) staging push.
+    /// update phase commits signal writes and stages each changed signal's
+    /// sensitivity list — SystemC's delta-cycle discipline, with every
+    /// same-timestamp hop a staging push and every wake list one slice
+    /// copy.
     ///
     /// A handler borrows its component and, through [`SimCtx`], the
     /// signals, the scheduler and the tracer — never the component list —
@@ -322,31 +333,25 @@ impl Simulation {
             self.queue.begin_timestamp(t);
             while let Some(delta) = self.queue.next_round(&mut round) {
                 // Evaluate phase: deliver every event at (t, delta).
-                for entry in round.drain(..) {
+                for (target, kind) in round.drain(..) {
                     let mut ctx = SimCtx {
                         now: t,
                         delta,
-                        self_id: entry.target,
+                        self_id: target,
                         signals: &mut self.signals,
                         queue: &mut self.queue,
                         tracer: &self.tracer,
                     };
-                    self.components[entry.target.0].handle(
-                        Event {
-                            kind: entry.kind,
-                            time: t,
-                        },
-                        &mut ctx,
-                    );
+                    self.components[target.0].handle(Event { kind, time: t }, &mut ctx);
                     self.stats.events_processed += 1;
                 }
 
-                // Update phase: commit writes, wake sensitive components in
-                // the next delta.
+                // Update phase: commit writes, stage each changed signal's
+                // sensitivity list in the next delta with one slice copy.
                 if self.signals.has_pending() {
                     let queue = &mut self.queue;
-                    let changes = self.signals.commit(|component, kind| {
-                        queue.push_staged(t, delta + 1, component, kind);
+                    let changes = self.signals.commit(|wakes| {
+                        queue.push_all_staged(t, delta + 1, wakes);
                     });
                     self.stats.signal_changes += changes as u64;
                 }

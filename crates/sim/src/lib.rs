@@ -104,9 +104,9 @@ pub mod testing {
         pub fn pop(&mut self) -> Option<(u64, u32, usize, u64)> {
             loop {
                 if self.cursor < self.round.len() {
-                    let ev = self.round[self.cursor];
+                    let (target, kind) = self.round[self.cursor];
                     self.cursor += 1;
-                    return Some((self.key.0.as_ns(), self.key.1, ev.target.0, ev.kind));
+                    return Some((self.key.0.as_ns(), self.key.1, target.0, kind));
                 }
                 self.round.clear();
                 self.cursor = 0;

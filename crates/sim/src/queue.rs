@@ -66,14 +66,25 @@ impl TwoTierQueue {
     }
 
     /// Schedules a wake at `(time, delta)` where `time` is known to be the
-    /// open timestamp — the zero-delay/commit-wake fast path, which lands
-    /// in delta staging without consulting the routing check.
+    /// open timestamp — the zero-delay fast path, which lands in delta
+    /// staging without consulting the routing check.
     pub fn push_staged(&mut self, time: SimTime, delta: u32, target: ComponentId, kind: u64) {
         debug_assert!(
             self.staging.is_open_at(time),
             "push_staged at a closed time"
         );
         self.staging.push(delta, target, kind);
+    }
+
+    /// Stages every entry of `wakes` at `(time, delta)`, where `time` is
+    /// the open timestamp, in one slice copy — the commit-wake and
+    /// [`notify_all`](crate::SimCtx::notify_all) fast path.
+    pub fn push_all_staged(&mut self, time: SimTime, delta: u32, wakes: &[Staged]) {
+        debug_assert!(
+            self.staging.is_open_at(time),
+            "push_all_staged at a closed time"
+        );
+        self.staging.push_all(delta, wakes);
     }
 
     /// The earliest pending timestamp.
@@ -150,7 +161,7 @@ mod tests {
             out.extend(
                 round
                     .drain(..)
-                    .map(|e| (t.as_ns(), delta, e.target.index(), e.kind)),
+                    .map(|(target, kind)| (t.as_ns(), delta, target.index(), kind)),
             );
         }
         out
@@ -184,7 +195,7 @@ mod tests {
         q.push(SimTime::from_ns(6), 0, cid(2), 9);
         round.clear();
         assert_eq!(q.next_round(&mut round), Some(1));
-        assert_eq!(round[0].kind, 8);
+        assert_eq!(round[0].1, 8);
         round.clear();
         assert_eq!(q.next_round(&mut round), None);
         assert_eq!(q.next_time(), Some(SimTime::from_ns(6)));

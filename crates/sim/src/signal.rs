@@ -40,7 +40,9 @@ pub(crate) struct SignalStore {
     pending: Vec<u64>,
     /// Dense per-slot dirty flag gating `pending`.
     dirty_flags: Vec<bool>,
-    /// `(component, event kind delivered on change)` per slot.
+    /// `(component, event kind delivered on change)` per slot, in
+    /// subscription order: a change hands the whole list to the kernel,
+    /// which stages it with one slice copy.
     sensitivity: Vec<Vec<(ComponentId, u64)>>,
     /// Name lookup, keyed with Fx: names are short and hashed at every
     /// registration and every `signal_id`.
@@ -114,10 +116,11 @@ impl SignalStore {
         !self.dirty.is_empty()
     }
 
-    /// Commits all pending writes. Calls `wake(component, kind)` for every
-    /// subscriber of every signal whose committed value differs from the
-    /// old one. Returns the number of changed signals.
-    pub fn commit(&mut self, mut wake: impl FnMut(ComponentId, u64)) -> usize {
+    /// Commits all pending writes. Calls `wake` with the sensitivity list
+    /// (`(component, kind)` pairs in subscription order) of every signal
+    /// whose committed value differs from the old one, in first-write
+    /// order. Returns the number of changed signals.
+    pub fn commit(&mut self, mut wake: impl FnMut(&[(ComponentId, u64)])) -> usize {
         let mut changed = 0;
         // Disjoint-field borrows: the dirty list is only read while the
         // value/flag columns are written, and cleared after — the
@@ -129,9 +132,7 @@ impl SignalStore {
             if v != self.values[i] {
                 self.values[i] = v;
                 changed += 1;
-                for &(c, kind) in &self.sensitivity[i] {
-                    wake(c, kind);
-                }
+                wake(&self.sensitivity[i]);
             }
         }
         self.dirty.clear();
@@ -157,7 +158,7 @@ mod tests {
         let s = st.add("s", 0);
         st.write(s, 5);
         assert_eq!(st.read(s), 0, "pending until commit");
-        let changed = st.commit(|_, _| {});
+        let changed = st.commit(|_| {});
         assert_eq!(changed, 1);
         assert_eq!(st.read(s), 5);
     }
@@ -168,7 +169,7 @@ mod tests {
         let s = st.add("s", 0);
         st.write(s, 1);
         st.write(s, 2);
-        st.commit(|_, _| {});
+        st.commit(|_| {});
         assert_eq!(st.read(s), 2);
     }
 
@@ -179,7 +180,7 @@ mod tests {
         st.subscribe(s, ComponentId(0), 9);
         st.write(s, 7);
         let mut woken = Vec::new();
-        let changed = st.commit(|c, k| woken.push((c, k)));
+        let changed = st.commit(|wakes| woken.extend_from_slice(wakes));
         assert_eq!(changed, 0);
         assert!(woken.is_empty());
         assert!(!st.has_pending(), "dirty state fully cleared");
@@ -193,7 +194,7 @@ mod tests {
         st.subscribe(s, ComponentId(2), 20);
         st.write(s, 1);
         let mut woken = Vec::new();
-        st.commit(|c, k| woken.push((c, k)));
+        st.commit(|wakes| woken.extend_from_slice(wakes));
         assert_eq!(woken, vec![(ComponentId(1), 10), (ComponentId(2), 20)]);
     }
 
@@ -225,7 +226,7 @@ mod tests {
         for round in 1..=3u64 {
             st.write(s, round);
             assert!(st.has_pending());
-            assert_eq!(st.commit(|_, _| {}), 1);
+            assert_eq!(st.commit(|_| {}), 1);
         }
         assert_eq!(st.read(s), 3);
     }

@@ -54,7 +54,13 @@ impl TransactionBus {
 
     /// Publishes a completed transaction: stores it as
     /// [`last`](TransactionBus::last) and wakes every observer in the next
-    /// delta cycle.
+    /// delta cycle, in subscription order.
+    ///
+    /// The observer list is handed to [`SimCtx::notify_all`], which stages
+    /// it with one slice copy: each observer is still one event, in the
+    /// same position of the next delta round as one `notify` per observer
+    /// would put it, so `notify`s issued before and after the publish keep
+    /// their order around the observers.
     ///
     /// Models must publish *after* writing their mirror signals in the same
     /// evaluate phase, so observers see the committed post-transaction
@@ -70,9 +76,7 @@ impl TransactionBus {
         let mut inner = self.inner.borrow_mut();
         inner.last = Some(tx);
         inner.published += 1;
-        for &(observer, kind) in &inner.observers {
-            ctx.notify(observer, kind);
-        }
+        ctx.notify_all(&inner.observers);
     }
 
     /// The most recently published transaction.
