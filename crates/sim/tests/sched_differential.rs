@@ -9,9 +9,11 @@
 //!
 //! The generator deliberately covers the structurally interesting shapes:
 //! same-key FIFO runs (several pushes at one `(time, delta)`), delta-wake
-//! chains at the active timestamp, near-future schedules inside the wheel
-//! window, window-rollover hops, and far-future pushes that spill into the
-//! overflow heap and cascade back as time advances.
+//! chains at the active timestamp (delta staging), and timed pushes at
+//! three distances — a few ticks, a few hundred and a few thousand ahead —
+//! so the timed heap holds near events in front of far ones that wait
+//! there while time advances, and hands each to staging when its
+//! timestamp opens.
 //!
 //! Cases are seeded [`TinyRng`] streams (the offline `proptest`
 //! substitute); a failure message names the case for direct replay.
@@ -161,11 +163,11 @@ fn run_case(case: u64) {
                 // Delta wake at the active timestamp (only meaningful
                 // mid-drain; otherwise fall through to a near push).
                 0..=29 if mid_timestamp => (now.0, now.1 + rng.range_u32(1, 4)),
-                // Near future: inside the 256-tick wheel window.
+                // Near future: up to 200 ticks ahead.
                 0..=54 => (now.0 + rng.range_u64(1, 200), rng.range_u32(0, 3)),
-                // Window rollover: straddles the wheel horizon.
+                // Middle distance: 200 to 400 ticks ahead.
                 55..=79 => (now.0 + rng.range_u64(200, 400), rng.range_u32(0, 3)),
-                // Far future: overflow-heap spill, cascades back later.
+                // Far future: waits in the heap behind everything nearer.
                 _ => (now.0 + rng.range_u64(400, 6000), rng.range_u32(0, 3)),
             };
             for _ in 0..burst {
@@ -204,12 +206,12 @@ fn two_tier_pops_exactly_the_reference_sequence() {
     }
 }
 
-/// Far-future pushes spill to the overflow heap, and same-key FIFO order
-/// survives the cascade back into the wheel.
+/// Far-future pushes at one key wait in the heap behind a near one and
+/// still drain in push order once their timestamp opens.
 #[test]
-fn overflow_spill_preserves_same_key_fifo() {
+fn far_future_same_key_pushes_keep_fifo_order() {
     let mut pushes: Vec<(u64, u32, usize, u64)> = (0..10u64)
-        .map(|k| (5000, 0, k as usize % 3, k)) // all outside the window
+        .map(|k| (5000, 0, k as usize % 3, k)) // all far behind the 1 ns push
         .collect();
     pushes.push((1, 0, 0, 100));
     assert_same_drain(&pushes);
@@ -233,10 +235,10 @@ fn assert_same_drain(pushes: &[(u64, u32, usize, u64)]) {
     }
 }
 
-/// Exact window-boundary schedules: offsets 255/256/257 ticks ahead land
-/// on either side of the wheel horizon.
+/// Schedules one tick either side of 256 and 512 ticks ahead drain in
+/// exact time order: no power-of-two distance is special to the heap.
 #[test]
-fn wheel_horizon_boundary_is_exact() {
+fn offsets_around_powers_of_two_drain_in_time_order() {
     let pushes: Vec<(u64, u32, usize, u64)> = [255u64, 256, 257, 511, 512, 513]
         .iter()
         .enumerate()
@@ -246,8 +248,8 @@ fn wheel_horizon_boundary_is_exact() {
 }
 
 /// A component that randomly re-schedules itself and writes a signal —
-/// exercising staging (zero-delay + commit wakes), wheel and overflow
-/// paths through the real kernel.
+/// exercising staging (zero-delay + commit wakes) and near and far timed
+/// schedules through the real kernel.
 struct Churn {
     rng: TinyRng,
     sig: desim::SignalId,
@@ -263,8 +265,8 @@ impl Component for Churn {
             self.hops -= 1;
             let delay = match self.rng.range_u64(0, 100) {
                 0..=39 => 0,                           // next delta
-                40..=79 => self.rng.range_u64(1, 200), // wheel window
-                _ => self.rng.range_u64(200, 4000),    // overflow
+                40..=79 => self.rng.range_u64(1, 200), // near future
+                _ => self.rng.range_u64(200, 4000),    // far future
             };
             ctx.schedule_self(delay, ev.kind + 1);
         }

@@ -48,6 +48,15 @@ case "$last" in
     *) echo "perfbench: outputs do not match the pins: $last" >&2; exit 1 ;;
 esac
 
+# The held-out seed: pins.txt pins its outputs too.
+echo "==> perfbench --workload all --seed 7 (pin smoke)"
+last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 7 --seconds 1 --trace 0 | tail -n 1)
+case "$last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "perfbench: outputs do not match the pins: $last" >&2; exit 1 ;;
+esac
+
 # The per-layer path: records through `Tracer::memory()` and exports the
 # Chrome JSON, checked against the same pins.
 echo "==> perfbench --workload traced-des56 --seed 2015 --trace 1 (per-layer smoke)"
