@@ -53,10 +53,17 @@ impl CheckerMode {
 
     /// Applies the selection to a suite's property list.
     #[must_use]
-    pub fn select(self, all: Vec<(String, ClockedProperty)>) -> Vec<(String, ClockedProperty)> {
+    pub fn select(self, mut all: Vec<(String, ClockedProperty)>) -> Vec<(String, ClockedProperty)> {
+        let kept = self.slice(&all).len();
+        all.truncate(kept);
+        all
+    }
+
+    /// The selection's prefix of a suite's property list, borrowed.
+    pub(crate) fn slice(self, all: &[(String, ClockedProperty)]) -> &[(String, ClockedProperty)] {
         match self {
-            CheckerMode::None => Vec::new(),
-            CheckerMode::First(n) => all.into_iter().take(n).collect(),
+            CheckerMode::None => &[],
+            CheckerMode::First(n) => &all[..n.min(all.len())],
             CheckerMode::All | CheckerMode::ExpectedPassing => all,
         }
     }

@@ -90,10 +90,11 @@ impl CellReport {
         }
     }
 
-    fn fold(&mut self, spec: &RunSpec, outcome: &RunOutcome) {
+    /// Folds one run in; its report moves into an empty aggregate instead
+    /// of being copied.
+    fn fold(&mut self, spec: &RunSpec, outcome: &mut RunOutcome) {
         self.runs += 1;
         self.stats.merge(&outcome.stats);
-        self.report.merge(&outcome.report);
         self.wall_total += outcome.wall;
         self.wall_min = self.wall_min.min(outcome.wall);
         self.wall_max = self.wall_max.max(outcome.wall);
@@ -113,6 +114,12 @@ impl CellReport {
                     });
                 }
             }
+        }
+        if self.report.properties.is_empty() {
+            // Exactly what `merge` would clone in.
+            self.report = std::mem::take(&mut outcome.report);
+        } else {
+            self.report.merge(&outcome.report);
         }
     }
 
@@ -174,8 +181,8 @@ impl CampaignReport {
             .map(|&spec| CellReport::new(spec))
             .collect();
         let mut trace = Vec::new();
-        for (run_index, (spec, outcome)) in specs.iter().zip(outcomes).enumerate() {
-            cells[spec.cell].fold(spec, &outcome);
+        for (run_index, (spec, mut outcome)) in specs.iter().zip(outcomes).enumerate() {
+            cells[spec.cell].fold(spec, &mut outcome);
             if !outcome.trace.is_empty() {
                 let pid = run_index as u64;
                 trace.push(TraceEvent::process_name(

@@ -163,3 +163,23 @@ impl Checker {
             .checker
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_suite_attaches_nothing_and_collects_an_empty_report() {
+        let mut sim = Simulation::new();
+        let clk = sim.add_signal("clk", 1);
+        let checkers =
+            Checker::attach_all(&mut sim, &[], Binding::clock(clk)).expect("nothing can fail");
+        assert!(checkers.is_empty());
+        let stats = sim.run_until(desim::SimTime::from_ns(100));
+        assert_eq!(stats.events_processed, 0, "no checker woke");
+        let report = Checker::collect(&mut sim, &checkers, 100);
+        assert!(report.properties.is_empty());
+        assert!(report.all_pass());
+        assert_eq!(report.total_failures(), 0);
+    }
+}

@@ -16,7 +16,7 @@ use tlmkit::TransactionBus;
 
 use crate::cycle::{build_rtl, build_tlm_at, build_tlm_ca, CycleCore, Request};
 use crate::suite::SuiteTable;
-use crate::{colorconv, des56, fir, PropertyClass, SuiteEntry, Workload, CLOCK_PERIOD_NS};
+use crate::{colorconv, des56, fir, SuiteEntry, Workload, CLOCK_PERIOD_NS};
 
 /// Which IP to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -397,6 +397,26 @@ fn build_level<R: Request>(
     }
 }
 
+/// The properties to verify at `level`, in suite order, borrowed from the
+/// per-process table — [`properties_at`] or, with `passing_only`,
+/// [`passing_properties_at`] without the copy.
+///
+/// The flow runs once per design and process, on the first call for that
+/// design; later calls only read its stored results.
+///
+/// # Panics
+///
+/// Panics if a suite property fails to abstract (the shipped suites always
+/// abstract).
+#[must_use]
+pub fn suite_view(
+    design: DesignKind,
+    level: AbsLevel,
+    passing_only: bool,
+) -> &'static [(String, ClockedProperty)] {
+    SuiteTable::of(design).at(level, passing_only)
+}
+
 /// The properties to verify at `level`, in suite order:
 ///
 /// - RTL: the original clock-context properties;
@@ -406,10 +426,8 @@ fn build_level<R: Request>(
 ///   survives row-level transaction batching.
 ///
 /// Empty for every `(design, level)` pair [`check`] rejects (bulk-AT on
-/// DES56 or FIR), since no model exists to verify.
-///
-/// The flow runs once per design and process; later calls clone its
-/// stored results.
+/// DES56 or FIR), since no model exists to verify. An owned copy of
+/// [`suite_view`].
 ///
 /// # Panics
 ///
@@ -417,7 +435,7 @@ fn build_level<R: Request>(
 /// abstract).
 #[must_use]
 pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, ClockedProperty)> {
-    SuiteTable::of(design).at(level, |_| true)
+    suite_view(design, level, false).to_vec()
 }
 
 /// The subset of [`properties_at`] expected to **pass** on the unmutated
@@ -426,7 +444,7 @@ pub fn properties_at(design: DesignKind, level: AbsLevel) -> Vec<(String, Clocke
 ///
 /// This is the baseline a mutation campaign measures against — a mutant is
 /// killed exactly when one of these fails. Empty, like [`properties_at`],
-/// for every pair [`check`] rejects.
+/// for every pair [`check`] rejects. An owned copy of [`suite_view`].
 ///
 /// # Panics
 ///
@@ -437,9 +455,7 @@ pub fn passing_properties_at(
     design: DesignKind,
     level: AbsLevel,
 ) -> Vec<(String, ClockedProperty)> {
-    SuiteTable::of(design).at(level, |class| {
-        level != AbsLevel::TlmAt || class == PropertyClass::AtCompatible
-    })
+    suite_view(design, level, true).to_vec()
 }
 
 impl BuiltDesign {

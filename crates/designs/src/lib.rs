@@ -49,8 +49,8 @@ mod suite;
 mod workload;
 
 pub use factory::{
-    build, check, passing_properties_at, properties_at, AbsLevel, BuildError, BuiltDesign,
-    DesignKind, Fault,
+    build, check, passing_properties_at, properties_at, suite_view, AbsLevel, BuildError,
+    BuiltDesign, DesignKind, Fault,
 };
 pub use suite::{PropertyClass, SuiteEntry};
 pub use workload::Workload;

@@ -52,25 +52,17 @@ impl SuiteEntry {
     }
 }
 
-/// One suite entry at every level, derived once.
-#[derive(Debug)]
-struct Derived {
-    name: &'static str,
-    class: PropertyClass,
-    rtl: ClockedProperty,
-    /// The RTL property re-clocked onto `T_b`.
-    tlm_ca: ClockedProperty,
-    /// The result of Methodology III.1; `None` when abstraction deletes
-    /// the property.
-    tlm_at: Option<ClockedProperty>,
-}
+/// The number of [`AbsLevel`]s, which index the table's columns.
+const LEVELS: usize = AbsLevel::TlmAtBulk as usize + 1;
 
 /// An IP's suite at every level, in suite order.
 #[derive(Debug)]
 pub(crate) struct SuiteTable {
-    entries: Vec<Derived>,
-    /// The bulk-AT survivors (ColorConv only; empty for the other IPs).
-    bulk: Vec<(String, ClockedProperty)>,
+    /// Per level (`AbsLevel as usize`): every property that exists there.
+    all: [Vec<(String, ClockedProperty)>; LEVELS],
+    /// Per level: the subset of `all` expected to pass on the unmutated
+    /// design.
+    passing: [Vec<(String, ClockedProperty)>; LEVELS],
 }
 
 impl SuiteTable {
@@ -93,53 +85,46 @@ impl SuiteTable {
     /// shipped suites always do).
     fn derive(design: DesignKind) -> SuiteTable {
         let cfg = design.config();
-        let entries = design
-            .suite()
-            .into_iter()
-            .map(|e| Derived {
-                tlm_ca: reuse_at_cycle_accurate(&e.rtl).expect("clock context"),
-                tlm_at: abstract_property(&e.rtl, &cfg)
-                    .expect("suite abstracts")
-                    .into_property(),
-                name: e.name,
-                class: e.class,
-                rtl: e.rtl,
-            })
-            .collect();
-        let bulk = if design == DesignKind::ColorConv {
-            colorconv::bulk_surviving_properties()
-        } else {
-            Vec::new()
-        };
-        SuiteTable { entries, bulk }
+        let mut all: [Vec<(String, ClockedProperty)>; LEVELS] = Default::default();
+        let mut passing: [Vec<(String, ClockedProperty)>; LEVELS] = Default::default();
+        for e in design.suite() {
+            let tlm_ca = reuse_at_cycle_accurate(&e.rtl).expect("clock context");
+            // `None` when signal abstraction deletes the property.
+            let tlm_at = abstract_property(&e.rtl, &cfg)
+                .expect("suite abstracts")
+                .into_property();
+            let levels = [
+                (AbsLevel::Rtl, Some(e.rtl)),
+                (AbsLevel::TlmCa, Some(tlm_ca)),
+                (AbsLevel::TlmAt, tlm_at),
+            ];
+            for (level, p) in levels {
+                let Some(p) = p else { continue };
+                let pair = (e.name.to_owned(), p);
+                if level != AbsLevel::TlmAt || e.class == PropertyClass::AtCompatible {
+                    passing[level as usize].push(pair.clone());
+                }
+                all[level as usize].push(pair);
+            }
+        }
+        if design == DesignKind::ColorConv {
+            // The bulk-AT survivors all pass.
+            let bulk = colorconv::bulk_surviving_properties();
+            passing[AbsLevel::TlmAtBulk as usize].clone_from(&bulk);
+            all[AbsLevel::TlmAtBulk as usize] = bulk;
+        }
+        SuiteTable { all, passing }
     }
 
-    /// The `(name, property)` pairs at `level` whose class `keep` admits,
-    /// in suite order (bulk-AT ignores `keep`: its survivors all pass).
-    pub(crate) fn at(
-        &self,
-        level: AbsLevel,
-        keep: impl Fn(PropertyClass) -> bool,
-    ) -> Vec<(String, ClockedProperty)> {
-        if level == AbsLevel::TlmAtBulk {
-            return self.bulk.clone();
-        }
-        // Sized once: regrowing the vector cost about as much as the clones.
-        let mut out = Vec::with_capacity(self.entries.len());
-        out.extend(
-            self.entries
-                .iter()
-                .filter(|e| keep(e.class))
-                .filter_map(|e| {
-                    let p = match level {
-                        AbsLevel::Rtl => Some(&e.rtl),
-                        AbsLevel::TlmCa => Some(&e.tlm_ca),
-                        AbsLevel::TlmAt | AbsLevel::TlmAtBulk => e.tlm_at.as_ref(),
-                    };
-                    p.map(|p| (e.name.to_owned(), p.clone()))
-                }),
-        );
-        out
+    /// The pairs at `level`: all of them, or with `passing_only` the ones
+    /// expected to pass.
+    pub(crate) fn at(&self, level: AbsLevel, passing_only: bool) -> &[(String, ClockedProperty)] {
+        let column = if passing_only {
+            &self.passing
+        } else {
+            &self.all
+        };
+        &column[level as usize]
     }
 }
 

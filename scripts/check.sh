@@ -35,8 +35,16 @@ done
 echo "==> fig3 (smoke)"
 cargo run --release --quiet -p abv-bench --bin fig3 > /dev/null
 
-echo "==> rtl2tlm mutate --json (smoke)"
-cargo run --release --bin rtl2tlm -- mutate --size 4 --workers 2 --json > /dev/null
+# The kill matrix on the calling thread alone, and on the caller plus two
+# helpers: the JSON must not depend on which thread ran a run.
+echo "==> rtl2tlm mutate --json at 1 and 3 workers (cmp)"
+json=$(mktemp -d)
+trap 'rm -rf "$json"' EXIT
+for workers in 1 3; do
+    cargo run --release --quiet --bin rtl2tlm -- mutate --size 4 --workers "$workers" --json \
+        > "$json/$workers.json"
+done
+cmp "$json/1.json" "$json/3.json"
 
 # The benchmark of record, one second per workload: every Table I grid,
 # kill-matrix and traced run is checked against perfbench/pins.txt.
