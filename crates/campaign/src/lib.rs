@@ -9,10 +9,13 @@
 //!   selection cells, a repetition count and a base seed. Per-run seeds
 //!   are forked from plan coordinates alone, so the work list is fixed
 //!   before any thread starts.
-//! - **shard** ([`run_campaign`]): a fixed pool of `std::thread` workers
-//!   claims runs off a shared cursor. Each run constructs its own
-//!   isolated [`desim::Simulation`] inside the worker thread (kernel
-//!   state is deliberately not `Send`; only results cross threads).
+//! - **shard** ([`run_campaign`]): the calling thread and `workers − 1`
+//!   scoped helpers claim runs off a shared cursor; each keeps its
+//!   indexed outcomes and hands them back when joined. Each run constructs
+//!   its own isolated [`desim::Simulation`] inside the worker thread
+//!   (kernel state is deliberately not `Send`; only results cross
+//!   threads) and attaches its checkers from the per-process suite table
+//!   ([`designs::suite_view`]) without copying a property.
 //! - **merge** ([`CampaignReport`]): per-run reports and kernel counters
 //!   fold in work-list order into per-cell aggregates with wall-clock
 //!   and event-throughput stats, first-failure capture (repetition,
