@@ -278,16 +278,6 @@ pub struct ArenaStats {
     pub misses: u64,
 }
 
-impl ArenaStats {
-    /// Memo hit rate in percent (0 when nothing was looked up).
-    #[must_use]
-    pub fn hit_pct(&self) -> u64 {
-        (self.hits * 100)
-            .checked_div(self.hits + self.misses)
-            .unwrap_or(0)
-    }
-}
-
 impl FormulaArena {
     /// An arena holding only the `true`/`false` constants.
     #[cfg(test)]

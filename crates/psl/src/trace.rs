@@ -52,11 +52,6 @@ impl Step {
     pub fn set(&mut self, name: impl Into<String>, value: u64) {
         self.values.insert(name.into(), value);
     }
-
-    /// Signal names defined at this step.
-    pub fn signal_names(&self) -> impl Iterator<Item = &str> {
-        self.values.keys().map(String::as_str)
-    }
 }
 
 impl SignalEnv for Step {
@@ -151,79 +146,8 @@ impl Trace {
     /// - [`EvalError::MissingSignal`] if an atom observes an undefined
     ///   signal.
     pub fn eval(&self, p: &Property, pos: usize) -> Result<bool, EvalError> {
-        if pos >= self.steps.len() {
-            return Err(EvalError::PositionOutOfRange {
-                pos,
-                len: self.steps.len(),
-            });
-        }
-        self.eval_inner(p, pos)
-    }
-
-    fn eval_inner(&self, p: &Property, pos: usize) -> Result<bool, EvalError> {
-        debug_assert!(pos < self.steps.len());
-        match p {
-            Property::Const(b) => Ok(*b),
-            Property::Atom(a) => Ok(a.eval(&self.steps[pos])?),
-            Property::Not(inner) => Ok(!self.eval_inner(inner, pos)?),
-            Property::And(a, b) => Ok(self.eval_inner(a, pos)? && self.eval_inner(b, pos)?),
-            Property::Or(a, b) => Ok(self.eval_inner(a, pos)? || self.eval_inner(b, pos)?),
-            Property::Implies(a, b) => Ok(!self.eval_inner(a, pos)? || self.eval_inner(b, pos)?),
-            Property::Next { n, inner } => {
-                let target = pos + *n as usize;
-                if target < self.steps.len() {
-                    self.eval_inner(inner, target)
-                } else {
-                    Ok(false) // strong next
-                }
-            }
-            Property::NextEt { eps_ns, inner, .. } => {
-                let deadline = self.steps[pos].time_ns.saturating_add(*eps_ns);
-                match self.position_at_time(deadline) {
-                    Some(target) if target > pos => self.eval_inner(inner, target),
-                    // No observable event at exactly t+eps: false (Def. III.3).
-                    _ => Ok(false),
-                }
-            }
-            Property::Until(a, b) => {
-                for k in pos..self.steps.len() {
-                    if self.eval_inner(b, k)? {
-                        return Ok(true);
-                    }
-                    if !self.eval_inner(a, k)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(false) // strong until: b never occurred
-            }
-            Property::Release(a, b) => {
-                for k in pos..self.steps.len() {
-                    if !self.eval_inner(b, k)? {
-                        return Ok(false);
-                    }
-                    if self.eval_inner(a, k)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(true) // weak at trace end
-            }
-            Property::Always(inner) => {
-                for k in pos..self.steps.len() {
-                    if !self.eval_inner(inner, k)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Property::Eventually(inner) => {
-                for k in pos..self.steps.len() {
-                    if self.eval_inner(inner, k)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
+        self.check_pos(pos)?;
+        self.walk(p, pos, false)
     }
 
     /// Evaluates `p` at instant `pos` under the *weak view* of truncated
@@ -245,74 +169,79 @@ impl Trace {
     ///
     /// Same conditions as [`eval`](Trace::eval).
     pub fn eval_weak(&self, p: &Property, pos: usize) -> Result<bool, EvalError> {
+        self.check_pos(pos)?;
+        self.walk(p, pos, true)
+    }
+
+    fn check_pos(&self, pos: usize) -> Result<(), EvalError> {
         if pos >= self.steps.len() {
             return Err(EvalError::PositionOutOfRange {
                 pos,
                 len: self.steps.len(),
             });
         }
-        self.eval_weak_inner(p, pos)
+        Ok(())
     }
 
-    fn eval_weak_inner(&self, p: &Property, pos: usize) -> Result<bool, EvalError> {
+    /// The one evaluation walk behind [`eval`](Trace::eval) (`weak` false)
+    /// and [`eval_weak`](Trace::eval_weak) (`weak` true). The two views
+    /// differ only where an operator reaches the trace end unresolved:
+    /// `next`, `next_et`, `until` and `eventually` are then strong (false)
+    /// in the neutral view and weak (true) in the weak one.
+    fn walk(&self, p: &Property, pos: usize, weak: bool) -> Result<bool, EvalError> {
         debug_assert!(pos < self.steps.len());
+        let walk = |q: &Property, k: usize| self.walk(q, k, weak);
         match p {
             Property::Const(b) => Ok(*b),
             Property::Atom(a) => Ok(a.eval(&self.steps[pos])?),
-            Property::Not(inner) => Ok(!self.eval_weak_inner(inner, pos)?),
-            Property::And(a, b) => {
-                Ok(self.eval_weak_inner(a, pos)? && self.eval_weak_inner(b, pos)?)
-            }
-            Property::Or(a, b) => {
-                Ok(self.eval_weak_inner(a, pos)? || self.eval_weak_inner(b, pos)?)
-            }
-            Property::Implies(a, b) => {
-                Ok(!self.eval_weak_inner(a, pos)? || self.eval_weak_inner(b, pos)?)
-            }
+            Property::Not(inner) => Ok(!walk(inner, pos)?),
+            Property::And(a, b) => Ok(walk(a, pos)? && walk(b, pos)?),
+            Property::Or(a, b) => Ok(walk(a, pos)? || walk(b, pos)?),
+            Property::Implies(a, b) => Ok(!walk(a, pos)? || walk(b, pos)?),
             Property::Next { n, inner } => {
                 let target = pos + *n as usize;
                 if target < self.steps.len() {
-                    self.eval_weak_inner(inner, target)
+                    walk(inner, target)
                 } else {
-                    Ok(true) // weak next
+                    Ok(weak)
                 }
             }
             Property::NextEt { eps_ns, inner, .. } => {
                 let deadline = self.steps[pos].time_ns.saturating_add(*eps_ns);
-                let last = self.steps.last().expect("non-empty by pos check").time_ns;
-                if deadline > last {
+                if weak && deadline > self.steps[self.steps.len() - 1].time_ns {
                     return Ok(true); // truncated before the deadline
                 }
                 match self.position_at_time(deadline) {
-                    Some(target) if target > pos => self.eval_weak_inner(inner, target),
+                    Some(target) if target > pos => walk(inner, target),
+                    // No observable event at exactly t+eps: false (Def. III.3).
                     _ => Ok(false),
                 }
             }
             Property::Until(a, b) => {
                 for k in pos..self.steps.len() {
-                    if self.eval_weak_inner(b, k)? {
+                    if walk(b, k)? {
                         return Ok(true);
                     }
-                    if !self.eval_weak_inner(a, k)? {
+                    if !walk(a, k)? {
                         return Ok(false);
                     }
                 }
-                Ok(true) // weak until: lhs held through the truncation point
+                Ok(weak) // b never occurred: strong fails, weak held through the end
             }
             Property::Release(a, b) => {
                 for k in pos..self.steps.len() {
-                    if !self.eval_weak_inner(b, k)? {
+                    if !walk(b, k)? {
                         return Ok(false);
                     }
-                    if self.eval_weak_inner(a, k)? {
+                    if walk(a, k)? {
                         return Ok(true);
                     }
                 }
-                Ok(true)
+                Ok(true) // weak at trace end in both views
             }
             Property::Always(inner) => {
                 for k in pos..self.steps.len() {
-                    if !self.eval_weak_inner(inner, k)? {
+                    if !walk(inner, k)? {
                         return Ok(false);
                     }
                 }
@@ -320,11 +249,11 @@ impl Trace {
             }
             Property::Eventually(inner) => {
                 for k in pos..self.steps.len() {
-                    if self.eval_weak_inner(inner, k)? {
+                    if walk(inner, k)? {
                         return Ok(true);
                     }
                 }
-                Ok(true) // weak eventually: trivially satisfied on truncation
+                Ok(weak) // never held: strong fails, weak is satisfied on truncation
             }
         }
     }

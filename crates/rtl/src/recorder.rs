@@ -72,12 +72,6 @@ impl WaveRecorder {
         &self.trace
     }
 
-    /// Consumes the recorder, returning the captured trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
     /// Extracts a clone of the captured trace from a finished simulation.
     ///
     /// # Panics

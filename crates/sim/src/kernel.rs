@@ -383,12 +383,6 @@ impl Simulation {
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
-
-    /// True if no events are pending.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 #[cfg(test)]

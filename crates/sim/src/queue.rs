@@ -125,6 +125,7 @@ impl TwoTierQueue {
         self.staging.next_round(out)
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

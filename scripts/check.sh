@@ -8,9 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# The A/B script runs only by hand; keep it parseable.
+# The A/B and golden-output scripts run only by hand; keep them parseable.
 echo "==> sh -n scripts/ab.sh"
 sh -n scripts/ab.sh
+echo "==> sh -n scripts/golden.sh"
+sh -n scripts/golden.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -19,8 +21,8 @@ echo "==> cargo build --release"
 cargo build --release
 
 # The workspace's default members are every crate, so this one command runs
-# all suites: determinism (golden digests recorded on the reference heap),
-# Table I kernel-activity pins, checker differential and oracle, scheduler
+# all suites: determinism (semantic and cost digests), the Table I
+# semantic and cost pins, checker differential and oracle, scheduler
 # differential against the test-local reference heap, RTL-vs-TLM verdicts.
 echo "==> cargo test -q"
 cargo test -q

@@ -9,15 +9,18 @@ mod common;
 use abv_campaign::{
     execute_run, run_campaign, CampaignPlan, CellSpec, CheckerMode, PlanError, RunSpec,
 };
+use common::pins;
 use designs::{AbsLevel, BuildError, DesignKind, Fault};
 
-/// FNV-1a digest of [`mixed_plan`]'s 3738-byte deterministic summary.
+/// `(FNV-1a digest, bytes)` of the semantic and the cost side
+/// ([`pins::split_summary`]) of [`mixed_plan`]'s deterministic summary. A
+/// change that keeps every verdict keeps the first; only a change in
+/// simulation work may move the second.
 ///
-/// Recorded with every simulation on the binary-heap scheduler (now kept
-/// as the test-local reference of `crates/sim/tests/sched_differential.rs`),
-/// at 1, 2 and 8 workers, before that scheduler left the kernel; the
-/// two-tier scheduler produced the same value then.
-const MIXED_SUMMARY_DIGEST: u64 = 0x2b2f_22c9_3890_4bf8;
+/// Recorded at 1, 2 and 8 workers. The two sides hold every byte of the
+/// summary ([`summary_projections_reassemble_the_summary`]).
+const MIXED_SUMMARY_PINS: [(u64, usize); 2] =
+    [(0x7f7f_060f_26be_69e1, 3367), (0x279f_8e05_d7c3_033f, 401)];
 
 /// A mixed grid worth more than 32 runs: every design/level family, with
 /// and without checkers, plus a faulty cell that fails mid-campaign.
@@ -60,20 +63,36 @@ fn merged_report_is_byte_identical_at_1_2_and_8_workers() {
 
 #[test]
 fn merged_report_is_byte_identical_under_both_schedulers() {
-    // The kernel must stay observationally equivalent to the reference
-    // heap end-to-end: at every worker count the campaign merges to the
-    // report bytes the reference scheduler produced.
+    // At every worker count the merged report splits into the pinned
+    // semantic and cost sides.
     let plan = mixed_plan();
     for workers in [1, 2, 8] {
         let summary = run_campaign(&plan, workers)
             .expect("valid plan")
             .deterministic_summary();
+        let [semantic, cost] = pins::split_summary(&summary).digests();
         assert_eq!(
-            (common::fnv1a64(summary.as_bytes()), summary.len()),
-            (MIXED_SUMMARY_DIGEST, 3738),
-            "at {workers} workers the report diverged from the reference scheduler's:\n{summary}"
+            semantic, MIXED_SUMMARY_PINS[0],
+            "at {workers} workers a verdict moved: semantic side ({:#x}, {}):\n{summary}",
+            semantic.0, semantic.1
+        );
+        assert_eq!(
+            cost, MIXED_SUMMARY_PINS[1],
+            "at {workers} workers the simulation work moved: cost side ({:#x}, {}):\n{summary}",
+            cost.0, cost.1
         );
     }
+}
+
+#[test]
+fn summary_projections_reassemble_the_summary() {
+    // Every byte of the summary lands on one side or the other.
+    let summary = run_campaign(&mixed_plan(), 2)
+        .expect("valid plan")
+        .deterministic_summary();
+    let split = pins::split_summary(&summary);
+    assert!(!split.semantic.is_empty() && !split.cost.is_empty());
+    assert_eq!(pins::join_summary(&split), summary);
 }
 
 #[test]

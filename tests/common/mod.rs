@@ -1,8 +1,11 @@
 //! Shared helpers for the integration tests: property lists per level,
-//! and fully-wired verification and recording runs over any built design.
+//! fully-wired verification and recording runs over any built design, and
+//! ([`pins`]) the split of every pinned value into semantics and cost.
 //!
 //! Each integration-test binary uses its own subset of these helpers.
 #![allow(dead_code)]
+
+pub mod pins;
 
 use abv_checker::{CheckReport, Checker};
 use abv_core::{abstract_property, reuse_at_cycle_accurate, AbstractionConfig};

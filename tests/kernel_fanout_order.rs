@@ -7,15 +7,17 @@
 //! committed value of every signal — to one shared log. The log's FNV-1a
 //! digest and length pin the exact order of deliveries within each delta
 //! round and the round each one lands in (a delivery moved to another
-//! round sees other signal values); the [`SimStats`] pin the event,
-//! delta, signal-change and timestamp counts. A change to how the kernel
-//! stages a wake list must leave all of them unchanged.
+//! round sees other signal values). With the signal-change count they are
+//! this network's semantics ([`SEMANTIC`]); the event, delta and timestamp
+//! counts are its cost ([`COST`]), split by `tests/common/pins.rs`. A
+//! change to how the kernel stages a wake list must leave both unchanged.
 
 mod common;
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use common::pins::{self, StatsCost, StatsSemantic};
 use desim::{Component, ComponentId, Event, SignalId, SimCtx, SimStats, SimTime, Simulation};
 use tinyrng::TinyRng;
 use tlmkit::{Transaction, TransactionBus};
@@ -30,16 +32,18 @@ const FOLLOW_UP: u64 = 1;
 /// Added to a wake's kind by a reactor's zero-delay self-schedule.
 const ECHO: u64 = 1000;
 
-/// `(seed, log digest, log bytes, [events, deltas, changes, timestamps])`.
-const PINS: [(u64, u64, usize, [u64; 4]); 3] = [
-    (2015, 0x3f6e_ec2e_2d57_fb3e, 276_928, [4327, 1007, 788, 200]),
-    (7, 0x2983_5334_8416_8bdd, 295_872, [4623, 1036, 829, 200]),
-    (
-        0xFA_0007,
-        0x6dd0_0714_2beb_ac69,
-        270_976,
-        [4234, 974, 742, 200],
-    ),
+/// `(seed, log digest, log bytes, [signal changes])`.
+const SEMANTIC: [(u64, u64, usize, StatsSemantic); 3] = [
+    (2015, 0x3f6e_ec2e_2d57_fb3e, 276_928, [788]),
+    (7, 0x2983_5334_8416_8bdd, 295_872, [829]),
+    (0xFA_0007, 0x6dd0_0714_2beb_ac69, 270_976, [742]),
+];
+
+/// `(seed, [events, deltas, timestamps])`.
+const COST: [(u64, StatsCost); 3] = [
+    (2015, [4327, 1007, 200]),
+    (7, [4623, 1036, 200]),
+    (0xFA_0007, [4234, 974, 200]),
 ];
 
 type Log = Rc<RefCell<Vec<u8>>>;
@@ -191,7 +195,7 @@ fn run(seed: u64) -> (Vec<u8>, SimStats) {
 
 #[test]
 fn fan_out_delivery_order_is_pinned() {
-    let measured: Vec<_> = PINS
+    let measured: Vec<_> = SEMANTIC
         .iter()
         .map(|&(seed, ..)| {
             let (log, st) = run(seed);
@@ -199,24 +203,31 @@ fn fan_out_delivery_order_is_pinned() {
                 seed,
                 common::fnv1a64(&log),
                 log.len(),
-                [
-                    st.events_processed,
-                    st.delta_cycles,
-                    st.signal_changes,
-                    st.timestamps,
-                ],
+                pins::split_stats(&st).0,
             )
         })
         .collect();
     assert_eq!(
-        measured, PINS,
+        measured, SEMANTIC,
         "fan-out delivery moved; measured:\n{measured:#x?}"
     );
 }
 
 #[test]
+fn fan_out_kernel_cost_is_pinned() {
+    let measured: Vec<_> = COST
+        .iter()
+        .map(|&(seed, _)| (seed, pins::split_stats(&run(seed).1).1))
+        .collect();
+    assert_eq!(
+        measured, COST,
+        "fan-out kernel work moved; measured:\n{measured:?}"
+    );
+}
+
+#[test]
 fn the_network_exercises_every_fan_out_path() {
-    let (log, st) = run(PINS[0].0);
+    let (log, st) = run(SEMANTIC[0].0);
     let kinds: Vec<u64> = log
         .chunks_exact(8 * 8)
         .map(|e| u64::from_le_bytes(e[16..24].try_into().expect("8 bytes")))

@@ -9,15 +9,20 @@ mod common;
 
 use abv_campaign::{run_campaign_with, CampaignPlan, CellSpec, CheckerMode, TraceSettings};
 use abv_obs::{chrome_trace_json, ArgValue, Phase, TraceEvent};
+use common::pins;
 use designs::{AbsLevel, DesignKind, Fault};
 
-/// FNV-1a digest of [`traced_plan`]'s 238058-byte merged Chrome trace JSON.
+/// `(FNV-1a digest, bytes)` of the semantic and the cost side
+/// ([`pins::split_trace`]) of [`traced_plan`]'s merged Chrome trace JSON.
+/// A change that keeps every verdict keeps the first; only a change in
+/// simulation work or in the component layout may move the second.
 ///
-/// Recorded with every simulation on the binary-heap scheduler (now kept
-/// as the test-local reference of `crates/sim/tests/sched_differential.rs`),
-/// at 1, 2 and 4 workers, before that scheduler left the kernel; the
-/// two-tier scheduler produced the same value then.
-const TRACE_JSON_DIGEST: u64 = 0x93fc_9b02_0186_b5cc;
+/// Recorded at 1, 2 and 4 workers. The two sides hold every line of the
+/// JSON ([`trace_projections_reassemble_the_trace`]).
+const TRACE_JSON_PINS: [(u64, usize); 2] = [
+    (0xc2a2_df48_dd56_bc44, 120_558),
+    (0x475b_f3de_ac7a_bcb4, 111_821),
+];
 
 /// A plan that exercises every event kind: spans and obligation instants
 /// from passing checkers, timeout-fails from a faulty cell, transaction
@@ -57,20 +62,37 @@ fn deterministic_trace_is_identical_at_1_and_4_workers() {
 
 #[test]
 fn deterministic_trace_is_identical_under_both_schedulers() {
-    // Byte-identical merged traces — including kernel counter samples,
-    // whose timestamps and values depend on the exact delta-cycle walk —
-    // pin the kernel to the reference heap's output end-to-end.
+    // At every worker count the merged trace splits into the pinned
+    // semantic and cost sides; kernel counter samples, whose timestamps
+    // and values follow the exact delta-cycle walk, are on the cost side.
     let plan = traced_plan();
     for workers in [1, 2, 4] {
         let report =
             run_campaign_with(&plan, workers, TraceSettings::deterministic()).expect("valid plan");
         let json = chrome_trace_json(&report.trace);
+        let [semantic, cost] = pins::split_trace(&json).digests();
         assert_eq!(
-            (common::fnv1a64(json.as_bytes()), json.len()),
-            (TRACE_JSON_DIGEST, 238_058),
-            "at {workers} workers the trace diverged from the reference scheduler's"
+            semantic, TRACE_JSON_PINS[0],
+            "at {workers} workers a checker or bus event moved: semantic side ({:#x}, {})",
+            semantic.0, semantic.1
+        );
+        assert_eq!(
+            cost, TRACE_JSON_PINS[1],
+            "at {workers} workers the simulation work moved: cost side ({:#x}, {})",
+            cost.0, cost.1
         );
     }
+}
+
+#[test]
+fn trace_projections_reassemble_the_trace() {
+    // Every event line lands on one side or the other, with its raw tid.
+    let report =
+        run_campaign_with(&traced_plan(), 2, TraceSettings::deterministic()).expect("valid plan");
+    let json = chrome_trace_json(&report.trace);
+    let split = pins::split_trace(&json);
+    assert!(!split.semantic.is_empty() && !split.cost.is_empty());
+    assert_eq!(pins::join_trace(&split), pins::trace_lines(&json));
 }
 
 #[test]
